@@ -10,9 +10,9 @@ differ only in
 * how ``L`` is reordered/pruned (Lines 9 and 12).
 
 :class:`AnyFitAlgorithm` implements the template once — including the
-vectorised fit check over all candidate bins and the enforcement of the
-Any Fit property — so subclasses only provide :meth:`choose` plus the
-list-maintenance hooks.
+vectorised fit check over a load matrix kept in step with ``L`` and the
+enforcement of the Any Fit property — so subclasses only provide
+:meth:`choose` plus the list-maintenance hooks.
 """
 
 from __future__ import annotations
@@ -104,6 +104,16 @@ class OnlineAlgorithm(abc.ABC):
         default implementation does nothing.
         """
 
+    def notify_packed(self, bin_: Bin, item: Item, now: float) -> None:
+        """Hook invoked after the engine packs ``item`` into ``bin_``
+        outside :meth:`dispatch` — the destination of a repacking move.
+
+        Together with :meth:`notify_departure` this is the rule every
+        engine keeps: a bin's load changes only through dispatch or a
+        call that tells the policy, so a policy may cache loads.  The
+        default implementation does nothing.
+        """
+
     # ------------------------------------------------------------------
     # snapshot/restore (service mode)
     # ------------------------------------------------------------------
@@ -159,18 +169,42 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     that :meth:`choose` returns one of the offered candidates, raising
     :class:`AlgorithmError` otherwise — so a buggy selection rule fails
     loudly instead of producing an infeasible or non-Any-Fit packing.
+
+    **The load matrix.**  Next to ``L`` the base class keeps a float64
+    matrix whose row ``i`` is a copy of ``L[i].load``, so a candidate
+    scan is one :func:`~repro.core.vectors.fits_batch` call over rows
+    already in place.  Rows are only ever copied from ``bin.load``,
+    never recomputed, so every fit result is bit-identical to stacking
+    the loads afresh.  A row is re-read when its bin's load changes:
+
+    * the bin :meth:`dispatch` returned, at the next call into the
+      policy (the engine packs it after :meth:`dispatch` returns);
+    * a departing bin, in :meth:`notify_departure`;
+    * a repacking move's destination, in :meth:`notify_packed`.
+
+    Subclasses therefore change ``L`` only through the list helpers
+    (:meth:`_append`, :meth:`_move_to_front`, :meth:`_remove`,
+    :meth:`_reset`), which shift the rows in step.
     """
 
     def __init__(self) -> None:
         self._list: List[Bin] = []
         self._capacity: Optional[np.ndarray] = None
+        #: row ``i`` is a copy of ``self._list[i].load``; rows past
+        #: ``len(self._list)`` are spare capacity
+        self._loads = np.empty((0, 0))
+        #: row of the bin :meth:`dispatch` is returning (-1: none) — the
+        #: engine packs it afterwards, so the row is re-read on the next
+        #: call; inside :meth:`on_packed` it is the receiving bin's row
+        self._packing = -1
 
     # ------------------------------------------------------------------
     # OnlineAlgorithm API
     # ------------------------------------------------------------------
     def start(self, instance: Instance) -> None:
-        self._list = []
         self._capacity = instance.capacity
+        self._loads = np.empty((16, self._capacity.size))
+        self._reset(())
 
     @property
     def open_list(self) -> Sequence[Bin]:
@@ -180,14 +214,19 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     def dispatch(self, item: Item, now: float, open_new_bin: Callable[[], Bin]) -> Bin:
         if self._capacity is None:
             raise AlgorithmError(f"{self.name}: dispatch before start()")
-        candidates = self._fitting_candidates(item)
-        if candidates:
+        self._reread_packed()
+        rows = self._fitting_rows(item)
+        if rows:
+            lst = self._list
+            candidates = [lst[i] for i in rows]
             chosen = self.choose(item, candidates, now)
-            if chosen is None or all(chosen is not c for c in candidates):
+            k = _position(candidates, chosen)
+            if k < 0:
                 raise AlgorithmError(
                     f"{self.name}.choose returned a bin that was not offered "
                     f"(item {item.uid})"
                 )
+            self._packing = rows[k]
         else:
             chosen = open_new_bin()
             self.on_new_bin(chosen, item, now)
@@ -195,9 +234,22 @@ class AnyFitAlgorithm(OnlineAlgorithm):
         return chosen
 
     def notify_departure(self, bin_: Bin, item: Item, now: float, closed: bool) -> None:
+        self._reread_packed()
+        # Next Fit's released bins depart from outside L
+        row = _position(self._list, bin_)
+        if row >= 0:
+            if closed:
+                self._remove(row)
+            else:
+                self._loads[row] = bin_.load
         if closed:
-            self._list = [b for b in self._list if b is not bin_]
             self.on_closed(bin_, now)
+
+    def notify_packed(self, bin_: Bin, item: Item, now: float) -> None:
+        self._reread_packed()
+        row = _position(self._list, bin_)
+        if row >= 0:
+            self._loads[row] = bin_.load
 
     def export_state(self) -> Dict[str, Any]:
         """Snapshot ``L`` as a list of bin indexes (order is the state).
@@ -211,7 +263,7 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     def import_state(self, state: Mapping[str, Any], bins_by_index: Mapping[int, Bin]) -> None:
         if self._capacity is None:
             raise AlgorithmError(f"{self.name}: import_state before start()")
-        self._list = [bins_by_index[i] for i in state["open_list"]]
+        self._reset([bins_by_index[i] for i in state["open_list"]])
 
     # ------------------------------------------------------------------
     # hooks for subclasses
@@ -222,7 +274,7 @@ class AnyFitAlgorithm(OnlineAlgorithm):
 
     def on_new_bin(self, bin_: Bin, item: Item, now: float) -> None:
         """Insert a freshly opened bin into ``L``.  Default: append."""
-        self._list.append(bin_)
+        self._append(bin_)
 
     def on_packed(self, bin_: Bin, item: Item, now: float) -> None:
         """Maintain ``L`` after packing (Line 9).  Default: no-op."""
@@ -231,21 +283,90 @@ class AnyFitAlgorithm(OnlineAlgorithm):
         """React to a bin closing (already removed from ``L``)."""
 
     # ------------------------------------------------------------------
+    # list helpers: every change to L shifts the load rows with it
+    # ------------------------------------------------------------------
+    def _append(self, bin_: Bin) -> None:
+        """Append the freshly opened ``bin_`` to ``L``."""
+        n = len(self._list)
+        self._reserve(n + 1)
+        self._loads[n] = bin_.load
+        self._list.append(bin_)
+        self._packing = n  # bins enter L only when dispatch opens them
+
+    def _move_to_front(self, row: int) -> None:
+        """Move the bin at ``row`` to the front of ``L``."""
+        if row == 0:
+            return
+        loads = self._loads
+        front = loads[row].copy()
+        loads[1:row + 1] = loads[:row]
+        loads[0] = front
+        self._list.insert(0, self._list.pop(row))
+        if self._packing == row:
+            self._packing = 0
+        elif 0 <= self._packing < row:
+            self._packing += 1
+
+    def _remove(self, row: int) -> None:
+        """Drop the bin at ``row`` from ``L``."""
+        n = len(self._list)
+        self._loads[row:n - 1] = self._loads[row + 1:n]
+        del self._list[row]
+        if self._packing == row:
+            self._packing = -1
+        elif self._packing > row:
+            self._packing -= 1
+
+    def _reset(self, bins: Sequence[Bin]) -> None:
+        """Replace ``L`` by ``bins``, reusing the matrix buffer."""
+        self._list = []  # no old rows to carry over if the buffer grows
+        self._packing = -1
+        self._reserve(len(bins))
+        for i, b in enumerate(bins):
+            self._loads[i] = b.load
+        self._list = list(bins)
+
+    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _fitting_candidates(self, item: Item) -> List[Bin]:
-        """All bins of ``L`` that can fit ``item``, in ``L``-order.
+    def _reserve(self, rows: int) -> None:
+        """Grow the matrix buffer (doubling) to hold at least ``rows``."""
+        loads = self._loads
+        if rows > len(loads):
+            grown = np.empty((max(rows, 2 * len(loads)), loads.shape[1]))
+            n = len(self._list)
+            grown[:n] = loads[:n]
+            self._loads = grown
 
-        Uses a single vectorised comparison over the stacked load matrix
-        (the hot path of every simulation) instead of per-bin Python
-        checks.
+    def _reread_packed(self) -> None:
+        """Copy the load of the bin the last dispatch returned into its row."""
+        row = self._packing
+        if row >= 0:
+            self._loads[row] = self._list[row].load
+            self._packing = -1
+
+    def _fitting_rows(self, item: Item) -> List[int]:
+        """Rows of ``L`` whose bin can fit ``item``, in ``L``-order.
+
+        One vectorised comparison over the maintained load matrix (the
+        hot path of every simulation) instead of per-bin Python checks.
         """
-        if not self._list:
+        n = len(self._list)
+        if not n:
             return []
         col = self._collector
         if col is not None:
             col.candidate_scans += 1
-            col.fit_checks += len(self._list)
-        loads = np.stack([b.load for b in self._list])
-        mask = fits_batch(loads, item.size, self._capacity)
-        return [b for b, ok in zip(self._list, mask) if ok]
+            col.fit_checks += n
+        mask = fits_batch(self._loads[:n], item.size, self._capacity)
+        return np.flatnonzero(mask).tolist()
+
+
+def _position(seq: List[Any], obj: Any) -> int:
+    """Index of ``obj`` in ``seq``, or -1 when absent.
+
+    Tests membership first instead of catching ``list.index``'s
+    ``ValueError``, whose message formats ``repr(obj)`` — for a
+    :class:`Bin` that costs more than the whole search.
+    """
+    return seq.index(obj) if obj in seq else -1

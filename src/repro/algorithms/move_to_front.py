@@ -34,14 +34,10 @@ class MoveToFront(AnyFitAlgorithm):
         # fitting bin.
         return candidates[0]
 
-    def on_new_bin(self, bin_: Bin, item: Item, now: float) -> None:
-        self._list.insert(0, bin_)
-
     def on_packed(self, bin_: Bin, item: Item, now: float) -> None:
-        # Move the receiving bin to the front: it is now the leader.
-        if self._list and self._list[0] is bin_:
-            return
-        self._list = [bin_] + [b for b in self._list if b is not bin_]
+        # Move the receiving bin — found or freshly appended — to the
+        # front: it is now the leader.
+        self._move_to_front(self._packing)
 
     def leader(self) -> Bin:
         """The current front-of-list bin (used by the Figure 1 analysis).

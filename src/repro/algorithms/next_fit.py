@@ -70,7 +70,8 @@ class NextFit(AnyFitAlgorithm):
                 self.release_log.append(
                     (released.index, now, item, released.active_items())
                 )
-        self._list = [bin_]
+        self._reset(())
+        self._append(bin_)
 
     def on_closed(self, bin_: Bin, now: float) -> None:
         # A current bin that closes (all items departed) ends its

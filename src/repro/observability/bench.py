@@ -193,7 +193,7 @@ MEDIUM_SCENARIO: BenchScenario = next(
 #: The twin-engine comparison grid: the three large core cells plus one
 #: extra-large high-concurrency sweep cell (``mu = 100`` keeps ~250
 #: items resident, so the open list — the classic engine's per-arrival
-#: re-stacking cost — is deep).  The xlarge cell is "the largest pinned
+#: scan cost — is deep).  The xlarge cell is "the largest pinned
 #: sweep scenario" the fastpath acceptance speedup is judged on.
 FASTPATH_SCENARIOS: List[BenchScenario] = [
     s for s in CORE_SCENARIOS if s.size == "large"
@@ -306,8 +306,8 @@ class StreamBenchScenario:
     to millions of items.  The headline cell is a ten-million-event
     (five-million-item) stream dispatched through ``next_fit``, the
     O(1)-per-arrival policy — deep-open-list policies like ``first_fit``
-    re-stack the whole open list per arrival and get a shorter cell of
-    their own.
+    scan the whole open list per arrival and get a shorter cell of their
+    own.
     """
 
     name: str

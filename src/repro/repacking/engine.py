@@ -395,8 +395,14 @@ class RepackingEngine:
         bypass — its moves still land in ``self._moves``, which is the
         log the budget auditor replays.
         """
+        # tell the dispatch policy about each load change as it happens
+        # (the rule every engine keeps): an emptied source leaves L, the
+        # same contract as a real departure, and the destination's load
+        # changes outside dispatch
         closed = src.remove(item, now)
+        self.algorithm.notify_departure(src, item, now, closed)
         dst.pack(item)
+        self.algorithm.notify_packed(dst, item, now)
         self._bin_of_item[item.uid] = dst
         self._assignment[item.uid] = dst.index
         segs = self._segments[item.uid]
@@ -414,9 +420,6 @@ class RepackingEngine:
         self._moves.append(record)
         if self.collector is not None:
             self.collector.migrations += 1
-        # keep the dispatch policy's open list consistent: an emptied
-        # source must leave L (same contract as a real departure)
-        self.algorithm.notify_departure(src, item, now, closed)
         for obs in self.observers:
             obs.on_departed(src, item, now, closed)
             obs.on_packed(dst, item, now, opened_new=False)

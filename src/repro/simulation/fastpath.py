@@ -1,8 +1,8 @@
 """Flat-array fast-path twin of the classic simulation :class:`Engine`.
 
 The classic engine replays Algorithm 1 over per-bin Python objects: every
-arrival re-stacks the open bins' load vectors into a fresh matrix before
-the vectorised fit check, and every bin transition walks observer hooks.
+arrival turns the vectorised fit check into a list of candidate bin
+objects for the policy, and every bin transition walks observer hooks.
 That object traversal — not the arithmetic — dominates the Table 2 /
 Figure 4 sweeps and the ``repro verify`` fuzz harness.
 

@@ -14,7 +14,11 @@ checkpoint store uses.
 
 Semantics
 ---------
-* The clock never runs backwards: every ``at`` must be ``>= now``.
+* The clock never runs backwards: every ``at`` must be finite and
+  ``>= now``.
+* A request is validated in full before it changes anything, so a
+  rejected request leaves the service (and its :meth:`snapshot`)
+  unchanged.
 * Scheduled departures (items placed with a ``duration`` or an explicit
   ``departure``) fire automatically as the clock advances, *before* any
   arrival at the same instant — the departures-first tie-break of
@@ -32,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import sys
 from time import perf_counter
 from typing import (
@@ -184,20 +189,25 @@ class PlacementService:
         is open-ended and departs only via :meth:`depart`.  ``at``
         defaults to the current clock and must not move it backwards.
         ``item_id`` overrides the auto-assigned uid (must not collide
-        with a live item).
+        with an item still live at ``at``).  Every field is validated
+        before anything changes, so a rejected request leaves the
+        service exactly as it was.
         """
-        at = self._advance(at)
+        at = self._check_time(at)
         if duration is not None and departure is not None:
             raise ConfigurationError("pass duration or departure, not both")
         if duration is not None:
-            if duration <= 0:
-                raise ConfigurationError(f"duration must be positive, got {duration}")
-            end = at + float(duration)
+            duration = float(duration)
+            if not 0 < duration < math.inf:
+                raise ConfigurationError(
+                    f"duration must be positive and finite, got {duration}"
+                )
+            end = at + duration
         elif departure is not None:
             end = float(departure)
-            if end <= at:
+            if not at < end < math.inf:
                 raise ConfigurationError(
-                    f"departure {end} must be after arrival {at}"
+                    f"departure {end} must be finite and after arrival {at}"
                 )
         else:
             end = OPEN_ENDED
@@ -205,15 +215,16 @@ class PlacementService:
             uid = self._next_uid
         else:
             uid = int(item_id)
-            if uid in self._items:
+            if uid in self._items and not self._departs_by(uid, at):
                 raise ConfigurationError(f"item id {uid} is already live")
-        self._next_uid = max(self._next_uid, uid + 1)
         item = Item(at, end, np.asarray(size, dtype=np.float64), uid=uid)
         if item.size.shape != self.capacity.shape or np.any(item.size > self.capacity):
             raise InvalidItemError(
                 f"item size {np.asarray(size)!r} does not fit the service "
                 f"capacity {self.capacity!r}"
             )
+        self._advance(at)
+        self._next_uid = max(self._next_uid, uid + 1)
 
         opened: List[StreamBin] = []
 
@@ -245,20 +256,22 @@ class PlacementService:
         """Depart a live item explicitly; return whether its bin closed.
 
         The call first advances the clock to ``at`` (firing any
-        departure scheduled at or before it), so departing an item
-        *after* its scheduled time raises — it already left.
+        departure scheduled at or before it), so departing an item at
+        or after its scheduled time is rejected — it has already left.
         """
-        at = self._advance(at)
-        if item_id not in self._items:
+        at = self._check_time(at)
+        if item_id not in self._items or self._departs_by(item_id, at):
             raise ConfigurationError(
-                f"item {item_id} is not live (never placed, or already departed)"
+                f"item {item_id} is not live at t={at} (never placed, or "
+                f"already departed)"
             )
+        self._advance(at)
         return self._process_departure(int(item_id), at)
 
     def advance(self, to: float) -> int:
         """Advance the clock to ``to``; return how many departures fired."""
         before = self._departures
-        self._advance(float(to))
+        self._advance(self._check_time(float(to)))
         return self._departures - before
 
     def stats(self) -> RunStats:
@@ -278,14 +291,25 @@ class PlacementService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _advance(self, at: Optional[float]) -> float:
+    def _check_time(self, at: Optional[float]) -> float:
+        """Validate a requested clock time (default: now) without moving it."""
         if at is None:
-            at = self._now
+            return self._now
         at = float(at)
-        if at < self._now:
+        if not self._now <= at < math.inf:
             raise ConfigurationError(
-                f"the service clock is monotonic: at={at} is before now={self._now}"
+                f"the service clock is finite and monotonic: at={at} is "
+                f"not in [now={self._now}, inf)"
             )
+        return at
+
+    def _departs_by(self, uid: int, at: float) -> bool:
+        """Whether live item ``uid``'s scheduled departure fires by ``at``."""
+        departure = self._items[uid][0].departure
+        return departure != OPEN_ENDED and departure <= at
+
+    def _advance(self, at: float) -> None:
+        """Move the clock to a validated ``at``, firing due departures."""
         # scheduled departures up to and including ``at`` fire before
         # whatever op requested the advance (departures-first tie-break)
         while self._pending and self._pending[0][0] <= at:
@@ -295,7 +319,6 @@ class PlacementService:
                 continue  # stale entry: the item departed explicitly
             self._process_departure(uid, t)
         self._now = at
-        return at
 
     def _process_departure(self, uid: int, now: float) -> bool:
         item, bin_ = self._items.pop(uid)

@@ -8,8 +8,15 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+REPO = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -110,3 +117,67 @@ def test_top_level_convenience_symbols():
     for sym in ("Instance", "Item", "simulate", "run", "MoveToFront",
                 "UniformWorkload", "height_lower_bound", "make_algorithm"):
         assert hasattr(repro, sym)
+
+
+#: Run in a fresh interpreter: refuse every top-level module that lives in
+#: site-packages unless its distribution is declared (argv[1]) or is a
+#: requirement of a declared one, then ``import repro``.  Optional
+#: imports that a dependency guards (numpy tries ``charset_normalizer``)
+#: degrade as they would on a clean install; a hard import of an
+#: undeclared package fails the import.
+_BLOCKED_IMPORT = """
+import importlib.abc, importlib.machinery, re, site, sys, sysconfig
+from importlib import metadata
+
+def norm(name):
+    return re.sub(r"[-_.]+", "_", name).lower()
+
+allowed, todo = {"repro"}, [norm(n) for n in sys.argv[1].split(",")]
+while todo:
+    name = todo.pop()
+    if name in allowed:
+        continue
+    allowed.add(name)
+    try:
+        reqs = metadata.requires(name) or []
+    except metadata.PackageNotFoundError:
+        continue
+    todo += [norm(re.split(r"[ ;<>=!~\\[(]", r, 1)[0])
+             for r in reqs if "extra ==" not in r]
+paths = sysconfig.get_paths()
+site_dirs = tuple({paths["purelib"], paths["platlib"],
+                   *site.getsitepackages(), site.getusersitepackages()})
+
+class Undeclared(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if path is not None or norm(name) in allowed:
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name)
+        if spec is not None and (spec.origin or "").startswith(site_dirs):
+            raise ImportError(f"import repro needs undeclared {name!r}")
+        return None
+
+sys.meta_path.insert(0, Undeclared())
+import repro
+"""
+
+
+def _declared_dependencies():
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S)
+    return [re.split(r"[ ;<>=!~\[(]", spec, 1)[0]
+            for spec in re.findall(r'"([^"]+)"', block.group(1))]
+
+
+def test_import_needs_only_declared_dependencies():
+    declared = _declared_dependencies()
+    assert "numpy" in declared and "scipy" in declared
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_IMPORT, ",".join(declared)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

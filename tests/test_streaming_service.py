@@ -26,6 +26,14 @@ SNAPSHOT_POLICIES = ["move_to_front", "first_fit", "next_fit",
                      "random_fit", "harmonic_fit"]
 
 
+def assert_rejected(svc, error, call, *args, **kwargs):
+    """``call`` must raise ``error`` and leave ``svc.snapshot()`` as it was."""
+    before = json.dumps(svc.snapshot(), sort_keys=True)
+    with pytest.raises(error):
+        call(*args, **kwargs)
+    assert json.dumps(svc.snapshot(), sort_keys=True) == before
+
+
 class TestServiceSemantics:
     def test_place_depart_lifecycle(self):
         svc = PlacementService(policy="first_fit", capacity=10.0, d=2)
@@ -44,10 +52,51 @@ class TestServiceSemantics:
     def test_clock_is_monotonic(self):
         svc = PlacementService(capacity=10.0)
         svc.place(1.0, at=5.0)
-        with pytest.raises(ConfigurationError):
-            svc.place(1.0, at=4.0)
-        with pytest.raises(ConfigurationError):
-            svc.advance(4.0)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0, at=4.0)
+        assert_rejected(svc, ConfigurationError, svc.advance, 4.0)
+        assert_rejected(svc, ConfigurationError, svc.depart, 0, at=4.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_are_rejected(self, bad):
+        # nan < now is False, so a bare monotonic check would let NaN in
+        # and poison the clock, the cost and every later comparison
+        svc = PlacementService(capacity=10.0)
+        svc.place(1.0, duration=5.0, at=1.0)
+        assert_rejected(svc, ConfigurationError, svc.advance, bad)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0, at=bad)
+        assert_rejected(svc, ConfigurationError, svc.depart, 0, at=bad)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0, duration=bad)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0, departure=bad)
+        svc.advance(2.0)  # a later valid time is still judged against now
+        assert svc.now == 2.0
+
+    def test_rejected_place_does_not_advance_the_clock(self):
+        svc = PlacementService(capacity=[100.0, 100.0])
+        svc.place([10.0, 10.0], duration=5.0, at=0.0)
+        assert_rejected(svc, InvalidItemError, svc.place, [500.0, 1.0],
+                        at=7.0, item_id=9)
+        assert svc.now == 0.0 and svc.live_items == 1
+        assert svc.snapshot()["next_uid"] == 1
+
+    def test_depart_after_scheduled_departure_is_rejected(self):
+        svc = PlacementService(capacity=10.0)
+        svc.place(1.0, duration=5.0)
+        svc.place(1.0, duration=9.0)
+        # item 0 leaves on schedule at 5, so departing it at 5 or later
+        # must neither succeed nor fire the departure as a side effect
+        assert_rejected(svc, ConfigurationError, svc.depart, 0, at=5.0)
+        assert_rejected(svc, ConfigurationError, svc.depart, 0, at=6.0)
+        assert svc.live_items == 2 and svc.now == 0.0
+        assert svc.depart(1, at=6.0) is True  # fires item 0 first
+        assert svc.stats().departures == 2
+
+    def test_reusing_an_id_that_departs_by_then_is_accepted(self):
+        svc = PlacementService(capacity=10.0)
+        svc.place(4.0, duration=2.0, item_id=3)
+        assert_rejected(svc, ConfigurationError, svc.place, 4.0, at=1.0,
+                        item_id=3)
+        assert svc.place(4.0, at=2.0, item_id=3) == 1
+        assert svc.live_items == 1
 
     def test_departure_fires_before_same_instant_arrival(self):
         # item 0 fills the bin and departs at t=2; the t=2 arrival must
@@ -71,26 +120,35 @@ class TestServiceSemantics:
 
     def test_depart_unknown_item_raises(self):
         svc = PlacementService(capacity=10.0)
-        with pytest.raises(ConfigurationError):
-            svc.depart(7)
+        svc.place(1.0, duration=2.0)
+        assert_rejected(svc, ConfigurationError, svc.depart, 7)
+        # the clock does not move towards a rejected depart's time
+        assert_rejected(svc, ConfigurationError, svc.depart, 7, at=3.0)
+        assert svc.now == 0.0 and svc.live_items == 1
 
     def test_duplicate_live_item_id_raises(self):
         svc = PlacementService(capacity=10.0)
         svc.place(1.0, item_id=3)
-        with pytest.raises(ConfigurationError):
-            svc.place(1.0, item_id=3)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0, item_id=3)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0, at=2.0,
+                        item_id=3)
 
     def test_oversized_item_raises(self):
         svc = PlacementService(capacity=[4.0, 4.0])
-        with pytest.raises(InvalidItemError):
-            svc.place([5.0, 1.0])
-        with pytest.raises(InvalidItemError):
-            svc.place([1.0, 1.0, 1.0])  # wrong dimensionality
+        svc.place([1.0, 1.0], duration=1.0)
+        assert_rejected(svc, InvalidItemError, svc.place, [5.0, 1.0], at=2.0)
+        # wrong dimensionality
+        assert_rejected(svc, InvalidItemError, svc.place, [1.0, 1.0, 1.0])
+        assert_rejected(svc, InvalidItemError, svc.place, [1.0, float("nan")])
+        assert_rejected(svc, InvalidItemError, svc.place, [-1.0, 1.0])
 
     def test_duration_and_departure_are_exclusive(self):
         svc = PlacementService(capacity=10.0)
-        with pytest.raises(ConfigurationError):
-            svc.place(1.0, duration=2.0, departure=5.0)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0,
+                        duration=2.0, departure=5.0)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0, duration=0.0)
+        assert_rejected(svc, ConfigurationError, svc.place, 1.0, at=3.0,
+                        departure=3.0)
 
     def test_open_ended_sentinel_never_reaches_cost(self):
         svc = PlacementService(capacity=10.0)
@@ -240,6 +298,24 @@ class TestServeLoop:
         assert serve_loop(svc, reqs, out.append) == 5
         resp = [json.loads(line) for line in out]
         assert [r["ok"] for r in resp] == [False, False, False, False, True]
+
+    def test_rejected_lines_leave_state_unchanged(self):
+        svc = PlacementService(capacity=10.0)
+        serve_loop(svc, ['{"op": "place", "size": 1.0, "duration": 4}'],
+                   lambda line: None)
+        before = json.dumps(svc.snapshot(), sort_keys=True)
+        out = []
+        reqs = [
+            '{"op": "advance", "to": NaN}',
+            '{"op": "place", "size": 99, "at": 3}',
+            '{"op": "place", "size": 1.0, "at": Infinity}',
+            '{"op": "depart", "item_id": 5, "at": 3}',
+            '{"op": "depart", "item_id": 0, "at": 4}',
+        ]
+        serve_loop(svc, reqs, out.append)
+        resp = [json.loads(line) for line in out]
+        assert [r["ok"] for r in resp] == [False] * len(reqs)
+        assert json.dumps(svc.snapshot(), sort_keys=True) == before
 
 
 class TestServeCLI:

@@ -54,7 +54,11 @@ def test_run_verify_records_work_counters():
     # instrumented-differential oracle runs extra engine passes through
     # its own collectors, not this one
     assert report.stats.events == 8 * 2 * n_items
-    assert report.stats.fit_checks >= report.stats.candidate_scans
+    # exact dispatch work: one scan per arrival that found L non-empty,
+    # one fit check per open bin scanned (pinned; a change to how Any
+    # Fit keeps L must leave both untouched)
+    assert report.stats.candidate_scans == 881
+    assert report.stats.fit_checks == 2351
     assert report.stats.dispatch_time_s > 0
     assert collector.snapshot().events == report.stats.events
 
