@@ -4,21 +4,15 @@
 Runs the pinned-seed fastpath scenario grid (the three largest core
 cells plus one extra-large sweep cell) through every fast-kernel policy,
 timing the classic :class:`~repro.simulation.engine.Engine` against
-:class:`~repro.simulation.fastpath.FastEngine` on each available backend
-(numpy, pure-python, and — when importable — the numba JIT tier).  Each
-cell also re-asserts the bit-identity contract: the ``identical`` flag
-records whether fast and classic packings agreed on every item→bin
-assignment and the Eq. 1 cost.
-
-``--suite numba`` runs the JIT comparison instead (numpy vs numba per
-policy, plus the batched trial fan-out), nesting its payload under
-``fastpath.numba``; when numba is missing it writes an honest
-``{"available": false}`` stub rather than fabricated timings.
+:class:`~repro.simulation.fastpath.FastEngine` on each backend (numpy
+and pure-python).  Each cell also re-asserts the bit-identity contract:
+the ``identical`` flag records whether fast and classic packings agreed
+on every item→bin assignment and the Eq. 1 cost.
 
 The payload nests under the ``"fastpath"`` key of ``BENCH_core.json``
 when that file already holds a core-suite payload — carrying over any
-nested ``vectorized``/``numba`` records rather than clobbering them —
-so one file carries the whole perf trajectory.  The headline (largest
+nested ``vectorized`` record rather than clobbering it — so one file
+carries the whole perf trajectory.  The headline (largest
 scenario) is the number quoted in the README: the numpy backend must
 stay >= 3x classic and the pure-python fallback must not be slower than
 classic.
@@ -28,10 +22,8 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/bench_fastpath.py            # full grid
     PYTHONPATH=src python benchmarks/bench_fastpath.py --smoke    # seconds-fast
     PYTHONPATH=src python benchmarks/bench_fastpath.py --backend python
-    PYTHONPATH=src python benchmarks/bench_fastpath.py --suite numba
 
-Equivalent CLI forms: ``python -m repro bench --suite fastpath`` and
-``python -m repro bench --suite fastpath-numba``.
+Equivalent CLI form: ``python -m repro bench --suite fastpath``.
 """
 
 from __future__ import annotations
@@ -50,12 +42,8 @@ if _SRC not in sys.path:
 from repro.observability.bench import (  # noqa: E402
     FASTPATH_SCENARIOS,
     FASTPATH_SMOKE_SCENARIOS,
-    NUMBA_SMOKE_TRIALS,
-    NUMBA_TRIALS,
     merge_fastpath,
-    merge_numba,
     run_fastpath_suite,
-    run_numba_suite,
     write_bench,
 )
 from repro.observability.bench import SCHEMA as _CORE_SCHEMA  # noqa: E402
@@ -75,51 +63,18 @@ def _load_existing(path: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", default="fastpath",
-                        choices=["fastpath", "numba"],
-                        help="fastpath = classic-vs-FastEngine grid; numba = "
-                             "the JIT comparison (nested under fastpath.numba)")
     parser.add_argument("--smoke", action="store_true",
                         help="run the seconds-fast smoke grid instead of the full one")
     parser.add_argument("--repeats", type=int, default=3,
                         help="runs per (scenario, algorithm, engine); wall-time is the min")
     parser.add_argument("--backend", action="append", default=None,
-                        choices=["numpy", "python", "vectorized", "numba"],
-                        help="restrict to one backend (repeatable; default: all "
-                             "available; fastpath suite only)")
+                        choices=["numpy", "python"],
+                        help="restrict to one backend (repeatable; default: both)")
     parser.add_argument("--output", default=_DEFAULT_OUTPUT,
                         help="output JSON path (default: BENCH_core.json at the repo root)")
     args = parser.parse_args(argv)
 
     scenarios = FASTPATH_SMOKE_SCENARIOS if args.smoke else FASTPATH_SCENARIOS
-
-    if args.suite == "numba":
-        suite = "fastpath-numba-smoke" if args.smoke else "fastpath-numba"
-        n_trials = NUMBA_SMOKE_TRIALS if args.smoke else NUMBA_TRIALS
-        print(f"running {suite} suite ({len(scenarios)} scenarios, "
-              f"{n_trials} trials, repeats={args.repeats}) ...")
-        payload = run_numba_suite(
-            scenarios=scenarios, n_trials=n_trials,
-            repeats=args.repeats, suite=suite, progress=print,
-        )
-        existing = _load_existing(args.output)
-        if isinstance(existing, dict) and existing.get("schema") == _CORE_SCHEMA:
-            write_bench(merge_numba(existing, payload), args.output)
-        else:
-            write_bench(payload, args.output)
-        if not payload.get("available"):
-            print(f"numba unavailable ({payload['reason']}); wrote honest "
-                  f"stub; wrote {args.output}")
-            return 0
-        head = payload["headline"]
-        print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-              f"headline ({head['scenario']}): jit compile "
-              f"{head['jit_compile_s']:.2f} s (excluded), "
-              f"{head['speedup_numba']:.1f}x classic, "
-              f"{head['speedup_vs_numpy']:.1f}x numpy, "
-              f"{head['events_per_sec_numba']:.0f} events/s, "
-              f"identical={head['identical']}; wrote {args.output}")
-        return 0
 
     suite = "fastpath-smoke" if args.smoke else "fastpath"
     print(f"running {suite} suite ({len(scenarios)} scenarios, "
@@ -133,15 +88,13 @@ def main(argv=None) -> int:
     )
 
     # Nest under the core payload when the output file already holds one,
-    # carrying over nested vectorized/numba records from the prior
-    # fastpath block so a grid re-run never clobbers them.
+    # carrying over the nested vectorized record from the prior
+    # fastpath block so a grid re-run never clobbers it.
     existing = _load_existing(args.output)
     if isinstance(existing, dict):
         prior = existing.get("fastpath", {})
-        if isinstance(prior, dict):
-            for key in ("vectorized", "numba"):
-                if key in prior:
-                    payload[key] = prior[key]
+        if isinstance(prior, dict) and "vectorized" in prior:
+            payload["vectorized"] = prior["vectorized"]
     if isinstance(existing, dict) and existing.get("schema") == _CORE_SCHEMA:
         write_bench(merge_fastpath(existing, payload), args.output)
     else:

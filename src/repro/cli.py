@@ -193,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--suite",
                     choices=["core", "smoke", "fastpath", "fastpath-smoke",
                              "fastpath-vectorized", "fastpath-vectorized-smoke",
-                             "fastpath-numba", "fastpath-numba-smoke",
                              "batch", "batch-smoke",
                              "streaming", "streaming-smoke",
                              "adversary",
@@ -205,10 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "the output); fastpath-vectorized = the trial-lockstep "
                          "multi-trial kernel vs per-trial dispatch, plus the "
                          "L1/Lp measure-kernel cells (nested under "
-                         "'fastpath.vectorized'); fastpath-numba = the JIT-"
-                         "kernel grid vs numpy plus the numba trial fan-out "
-                         "(nested under 'fastpath.numba'; honest stub when "
-                         "numba is missing); batch = the per-unit-vs-batched sweep "
+                         "'fastpath.vectorized'); batch = the per-unit-vs-batched sweep "
                          "comparison grid (merged under the 'batch' key); "
                          "streaming = the bounded-memory long-stream grid "
                          "(events/sec + peak-RSS, merged under the "
@@ -493,16 +489,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             VECTORIZED_SMOKE_SCENARIO,
             VECTORIZED_SMOKE_TRIALS,
             VECTORIZED_TRIALS,
-            NUMBA_SMOKE_TRIALS,
-            NUMBA_TRIALS,
             measure_overhead,
-            merge_numba,
             merge_suite,
             merge_vectorized,
             run_adversary_suite,
             run_batch_suite,
             run_fastpath_suite,
-            run_numba_suite,
             run_repacking_suite,
             run_streaming_suite,
             run_suite,
@@ -643,36 +635,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"dispatch, {head['speedup_vs_classic']:.1f}x vs classic, "
                   f"identical={head['identical']}; wrote {args.output}")
             return 0
-        if args.suite in ("fastpath-numba", "fastpath-numba-smoke"):
-            smoke = args.suite == "fastpath-numba-smoke"
-            scenarios = FASTPATH_SMOKE_SCENARIOS if smoke else FASTPATH_SCENARIOS
-            n_trials = NUMBA_SMOKE_TRIALS if smoke else NUMBA_TRIALS
-            print(f"running {args.suite} suite ({len(scenarios)} scenarios, "
-                  f"{n_trials} trials, repeats={args.repeats}) ...")
-            payload = run_numba_suite(
-                scenarios=scenarios, n_trials=n_trials,
-                repeats=args.repeats, suite=args.suite, progress=print
-            )
-            # Nest under the 'fastpath' key of an existing core payload so
-            # BENCH_core.json stays the single trajectory file.
-            out = payload
-            existing = _load_existing()
-            if isinstance(existing, dict) and existing.get("schema") == SCHEMA:
-                out = merge_numba(existing, payload)
-            write_bench(out, args.output)
-            if not payload.get("available"):
-                print(f"numba unavailable ({payload['reason']}); wrote "
-                      f"honest stub; wrote {args.output}")
-                return 0
-            head = payload["headline"]
-            print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-                  f"headline ({head['scenario']}): jit compile "
-                  f"{head['jit_compile_s']:.2f} s (excluded from timings), "
-                  f"{head['speedup_numba']:.1f}x classic, "
-                  f"{head['speedup_vs_numpy']:.1f}x numpy, "
-                  f"{head['events_per_sec_numba']:.0f} events/s, "
-                  f"identical={head['identical']}; wrote {args.output}")
-            return 0
         if args.suite in ("fastpath", "fastpath-smoke"):
             scenarios = (
                 FASTPATH_SCENARIOS if args.suite == "fastpath"
@@ -687,16 +649,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             # Keep one trajectory file: nest under an existing core
             # payload (preserving its batch record) when present.  A
             # fastpath re-run must also carry over any nested vectorized
-            # or numba record rather than clobbering it with the fresh
-            # payload.
+            # record rather than clobbering it with the fresh payload.
             out = payload
             existing = _load_existing()
             if isinstance(existing, dict):
                 prior = existing.get("fastpath", {})
                 if isinstance(prior, dict):
-                    for key in ("vectorized", "numba"):
-                        if key in prior:
-                            payload[key] = prior[key]
+                    if "vectorized" in prior:
+                        payload["vectorized"] = prior["vectorized"]
                 if existing.get("schema") == SCHEMA:
                     out = merge_suite(existing, "fastpath", payload)
             write_bench(out, args.output)

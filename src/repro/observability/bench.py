@@ -83,11 +83,6 @@ __all__ = [
     "run_measure_kernel_cells",
     "run_vectorized_suite",
     "merge_vectorized",
-    "NUMBA_SCHEMA",
-    "NUMBA_TRIALS",
-    "NUMBA_SMOKE_TRIALS",
-    "run_numba_suite",
-    "merge_numba",
     "run_batch_scenario",
     "run_batch_suite",
     "run_streaming_scenario",
@@ -689,9 +684,12 @@ def run_vectorized_trials_scenario(
     """Time an M-trial ``random_fit`` fan-out: lockstep vs per-trial.
 
     Both timings go through :meth:`BatchRunner.run_trials` — the same
-    shared-context dispatch path — differing only in the ``vectorized``
-    flag, so the comparison isolates the trial-lockstep kernel from
-    per-trial re-dispatch.  The classic baseline is one seeded classic
+    shared-context dispatch path.  The per-trial baseline calls it once
+    per seed, so every trial replays alone through the shared
+    per-instance engine; the lockstep side passes all seeds in one call,
+    which the numpy backend's ``run_trials`` advances in lockstep.  The
+    comparison thus isolates the trial-lockstep kernel from per-trial
+    re-dispatch.  The classic baseline is one seeded classic
     run extrapolated to the fan-out width (running the full fan-out
     classically would dominate the whole suite's wall time for no
     information: classic trials are independent and identical in cost).
@@ -709,14 +707,14 @@ def run_vectorized_trials_scenario(
     for _ in range(max(1, repeats)):
         runner = BatchRunner(instance)
         t0 = time.perf_counter()
-        seq_units = runner.run_trials(seeds, vectorized=False)
+        seq_units = [u for s in seeds for u in runner.run_trials([s])]
         sequential_s = min(sequential_s, time.perf_counter() - t0)
     vectorized_s = float("inf")
     vec_units = None
     for _ in range(max(1, repeats)):
         runner = BatchRunner(instance)
         t0 = time.perf_counter()
-        vec_units = runner.run_trials(seeds, vectorized=True)
+        vec_units = runner.run_trials(seeds)
         vectorized_s = min(vectorized_s, time.perf_counter() - t0)
     classic_per_trial_s = float("inf")
     classic = None
@@ -730,8 +728,8 @@ def run_vectorized_trials_scenario(
         [(u.cost, u.num_bins) for u in seq_units]
         == [(u.cost, u.num_bins) for u in vec_units]
     )
-    lock0 = FastEngine(instance, "random_fit", backend="vectorized").run_trials(
-        seeds[:1]
+    lock0 = FastEngine(instance, "random_fit", backend="numpy").run_trials(
+        seeds[:2]
     )[0]
     identical = identical and lock0 == dict(classic.assignment)
     return {
@@ -861,178 +859,6 @@ def merge_vectorized(
     merged = dict(core_payload)
     fastpath = dict(merged.get("fastpath") or {})
     fastpath["vectorized"] = vectorized_payload
-    merged["fastpath"] = fastpath
-    return merged
-
-
-# ----------------------------------------------------------------------
-# the numba JIT suite (nested under fastpath/numba)
-# ----------------------------------------------------------------------
-
-#: Schema tag of the JIT-kernel comparison payload nested under
-#: ``BENCH_core.json``'s ``"fastpath"`` key as ``"numba"``.
-NUMBA_SCHEMA = "repro-bench-fastpath-numba/v1"
-
-#: Trial fan-out width of the numba trial-lockstep cell.
-NUMBA_TRIALS = 64
-
-#: Seconds-fast width for tests and the CI smoke leg.
-NUMBA_SMOKE_TRIALS = 8
-
-
-def run_numba_suite(
-    scenarios: Optional[Sequence[BenchScenario]] = None,
-    algorithms: Sequence[str] = tuple(PAPER_ALGORITHMS),
-    n_trials: int = NUMBA_TRIALS,
-    repeats: int = 3,
-    suite: str = "fastpath-numba",
-    progress=None,
-) -> Dict[str, Any]:
-    """Run the JIT-kernel comparison suite; return its JSON payload.
-
-    When numba is importable the suite first pays the one-off JIT cost
-    through an explicit :func:`~repro.simulation.kernels_numba.warmup`
-    — recorded separately as ``jit_compile_s``, never folded into the
-    per-run timings — then reuses :func:`run_fastpath_scenario` with
-    ``backends=("numpy", "numba")`` so every cell carries both the
-    classic speedup and the numba-vs-numpy ratio, plus a numba
-    trial-lockstep cell mirroring the vectorized one.
-
-    When numba is missing (or disabled via ``REPRO_NUMBA_DISABLE``) the
-    payload is an honest stub — ``{"available": false, "reason": ...}``
-    — never fabricated timings, so a re-run on a numba-less host leaves
-    an auditable record instead of silently skipping the suite.  The
-    ``pyfunc_mode`` flag marks runs taken with ``REPRO_NUMBA_PYFUNC``
-    (uncompiled kernels; timings are then plumbing checks, not perf).
-    """
-    from ..simulation import kernels_numba as _knl
-    from ..simulation.fastpath import FastEngine
-
-    t0 = time.perf_counter()
-    base: Dict[str, Any] = {
-        "schema": NUMBA_SCHEMA,
-        "suite": suite,
-        "generated_unix": time.time(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-    }
-    if not _knl.kernels_ready():
-        base.update(
-            available=False,
-            reason=_knl.unavailable_reason(),
-            total_wall_time_s=time.perf_counter() - t0,
-        )
-        if progress is not None:
-            progress(f"  numba unavailable: {base['reason']}")
-        return base
-    jit_compile_s = _knl.warmup()
-    scenarios = (
-        tuple(scenarios) if scenarios is not None else tuple(FASTPATH_SCENARIOS)
-    )
-    records = []
-    for scenario in scenarios:
-        record = run_fastpath_scenario(
-            scenario, algorithms, repeats=repeats, backends=("numpy", "numba")
-        )
-        events = 2 * record["params"]["n"]
-        for cell in record["results"].values():
-            cell["events"] = events
-            nmb = cell["fast_numba_s"]
-            cell["events_per_sec_numba"] = events / nmb if nmb > 0 else 0.0
-            cell["speedup_vs_numpy"] = (
-                cell["fast_numpy_s"] / nmb if nmb > 0 else 0.0
-            )
-        tot = record["totals"]
-        tot["speedup_vs_numpy"] = (
-            tot["fast_numpy_s"] / tot["fast_numba_s"]
-            if tot["fast_numba_s"] > 0
-            else 0.0
-        )
-        tot["events_per_sec_numba"] = (
-            events * len(record["results"]) / tot["fast_numba_s"]
-            if tot["fast_numba_s"] > 0
-            else 0.0
-        )
-        records.append(record)
-        if progress is not None:
-            progress(
-                f"  {record['name']}: numba {tot['speedup_numba']:.1f}x classic, "
-                f"{tot['speedup_vs_numpy']:.1f}x numpy, "
-                f"{tot['events_per_sec_numba']:.0f} events/s, "
-                f"identical={tot['identical']}"
-            )
-    largest = max(records, key=lambda r: r["params"]["n"])
-
-    # trial fan-out: one batched replay_trials call vs per-seed numpy runs
-    instance = next(
-        s for s in scenarios if s.name == largest["name"]
-    ).build_instance()
-    seeds = list(range(n_trials))
-    numba_trials_s = float("inf")
-    nmb_units = None
-    for _ in range(max(1, repeats)):
-        eng = FastEngine(instance, "random_fit", backend="numba")
-        t1 = time.perf_counter()
-        nmb_units = eng.run_trials(seeds)
-        numba_trials_s = min(numba_trials_s, time.perf_counter() - t1)
-    numpy_trials_s = float("inf")
-    ref_units = None
-    for _ in range(max(1, repeats)):
-        eng = FastEngine(instance, "random_fit", backend="numpy")
-        t1 = time.perf_counter()
-        ref_units = eng.run_trials(seeds)
-        numpy_trials_s = min(numpy_trials_s, time.perf_counter() - t1)
-    trials = {
-        "scenario": largest["name"],
-        "n_trials": n_trials,
-        "numba_s": numba_trials_s,
-        "numpy_s": numpy_trials_s,
-        "speedup_vs_numpy": (
-            numpy_trials_s / numba_trials_s if numba_trials_s > 0 else 0.0
-        ),
-        "identical": nmb_units == ref_units,
-    }
-    if progress is not None:
-        progress(
-            f"  trials x{n_trials}: numba {numba_trials_s:.2f} s vs numpy "
-            f"{numpy_trials_s:.2f} s ({trials['speedup_vs_numpy']:.1f}x), "
-            f"identical={trials['identical']}"
-        )
-
-    base.update(
-        available=True,
-        pyfunc_mode=_knl.pyfunc_mode(),
-        jit_compile_s=jit_compile_s,
-        repeats=repeats,
-        algorithms=list(algorithms),
-        scenarios=records,
-        trials=trials,
-        headline={
-            "scenario": largest["name"],
-            "jit_compile_s": jit_compile_s,
-            "speedup_numba": largest["totals"]["speedup_numba"],
-            "speedup_vs_numpy": largest["totals"]["speedup_vs_numpy"],
-            "events_per_sec_numba": largest["totals"]["events_per_sec_numba"],
-            "identical": largest["totals"]["identical"]
-            and trials["identical"],
-        },
-        total_wall_time_s=time.perf_counter() - t0,
-    )
-    return base
-
-
-def merge_numba(
-    core_payload: Dict[str, Any], numba_payload: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Nest a numba suite payload under ``fastpath.numba``.
-
-    Mirrors :func:`merge_vectorized`: the JIT record rides inside the
-    existing ``"fastpath"`` block of ``BENCH_core.json`` (creating it
-    when absent) so the twin-engine trajectory stays one sub-document.
-    """
-    merged = dict(core_payload)
-    fastpath = dict(merged.get("fastpath") or {})
-    fastpath["numba"] = numba_payload
     merged["fastpath"] = fastpath
     return merged
 

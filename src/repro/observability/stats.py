@@ -33,9 +33,9 @@ Counter semantics
     degraded gracefully.  Deterministic for a fixed (algorithm,
     instance, engine-request) triple.
 ``fastpath_backend``
-    Which kernel backend (``"numpy"``/``"python"``/``"vectorized"``/
-    ``"numba"``) executed the observed fastpath runs — ``""`` when no
-    fastpath run was observed, ``"mixed"`` when several backends were.
+    Which kernel backend (``"numpy"``/``"python"``) executed the
+    observed fastpath runs — ``""`` when no fastpath run was observed,
+    ``"mixed"`` when several backends were.
     Recorded so bench and sweep regressions are attributable to a tier
     without re-deriving the chooser's decision; an execution fact, so
     :meth:`RunStats.deterministic_part` zeroes it like

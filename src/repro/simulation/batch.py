@@ -59,7 +59,13 @@ from ..observability.stats import StatsCollector
 from ..optimum.lower_bounds import height_lower_bound
 from ..workloads.base import WorkloadGenerator
 from ..workloads.uniform import UniformWorkload
-from .fastpath import FastEngine, ReplayContext, choose_backend, fast_policy_for
+from .fastpath import (
+    FastEngine,
+    ReplayContext,
+    choose_backend,
+    default_backend,
+    fast_policy_for,
+)
 
 __all__ = [
     "InstanceSpec",
@@ -293,33 +299,21 @@ class BatchRunner:
     backend:
         Fastpath backend override; default is the per-instance
         :func:`~repro.simulation.fastpath.choose_backend` heuristic.
-    trials_backend:
-        Backend override for :meth:`run_trials` only (the
-        :envvar:`REPRO_TRIALS_BACKEND` environment variable is its
-        process-wide twin, consulted by
-        :func:`~repro.simulation.fastpath.choose_trials_backend`);
-        default auto-selects per call.
     """
 
     __slots__ = (
-        "source", "backend", "trials_backend",
-        "_instance", "_lb", "_ctx", "_engine", "_vec_engine",
+        "source", "backend",
+        "_instance", "_lb", "_ctx", "_engine", "_trials_eng",
     )
 
-    def __init__(
-        self,
-        source: BatchSource,
-        backend: Optional[str] = None,
-        trials_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, source: BatchSource, backend: Optional[str] = None) -> None:
         self.source = source
         self.backend = backend
-        self.trials_backend = trials_backend
         self._instance: Optional[Instance] = source if isinstance(source, Instance) else None
         self._lb: Optional[float] = None
         self._ctx: Optional[ReplayContext] = None
         self._engine: Optional[FastEngine] = None
-        self._vec_engine: Optional[FastEngine] = None
+        self._trials_eng: Optional[FastEngine] = None
 
     @property
     def instance(self) -> Instance:
@@ -455,35 +449,30 @@ class BatchRunner:
     def _trials_engine(self, backend: str, policy: str) -> FastEngine:
         """Build (or re-arm) the cached dedicated trials engine.
 
-        Generalises the old lockstep-only engine cache to any backend:
-        the context is rebuilt only when the cached one's array layout
-        is incompatible (python lists vs numpy arrays), and the engine
-        only when the backend actually changed.
+        The shared context is reused when it already has ``backend``'s
+        array layout (python lists vs numpy arrays), and the engine is
+        rebuilt only when the backend actually changed.
         """
-        from .fastpath import _context_compatible
-
         ctx = self._ctx
-        if ctx is None or not _context_compatible(ctx.backend, backend):
+        if ctx is None or ctx.backend != backend:
             # a fresh context doubles as the shared one when none is
-            # cached yet (all numpy-family layouts are identical)
+            # cached yet
             ctx = ReplayContext(self.instance, backend)
             if self._ctx is None:
                 self._ctx = ctx
-        if self._vec_engine is None or self._vec_engine.backend != backend:
-            self._vec_engine = FastEngine(
+        if self._trials_eng is None or self._trials_eng.backend != backend:
+            self._trials_eng = FastEngine(
                 ctx.instance, policy, seed=0, backend=backend, context=ctx,
             )
         else:
-            self._vec_engine.reset(policy=policy, seed=0, context=ctx)
-        return self._vec_engine
+            self._trials_eng.reset(policy=policy, seed=0, context=ctx)
+        return self._trials_eng
 
     def run_trials(
         self,
         seeds: Iterable[int],
         policy: str = "random_fit",
         instance_index: int = 0,
-        vectorized: Optional[bool] = None,
-        trials_backend: Optional[str] = None,
     ):
         """M seeded ``random_fit`` trials through one batched invocation.
 
@@ -492,43 +481,17 @@ class BatchRunner:
         every seed; each trial's aggregates are bit-identical to a fresh
         per-unit run with that seed.
 
-        ``trials_backend`` pins the kernel tier for this call (any
-        fastpath backend name; ``numba`` degrades gracefully), and the
-        constructor's ``trials_backend`` pins it for every call.  The
-        legacy ``vectorized`` flag is the boolean shorthand it
-        supersedes: ``True`` forces the trial-lockstep tier, ``False``
-        the sequential re-armed single-trial path.  The default
-        auto-selects via
-        :func:`~repro.simulation.fastpath.choose_trials_backend`
-        (which itself honours :envvar:`REPRO_TRIALS_BACKEND` and
-        :envvar:`REPRO_FASTPATH_BACKEND`): warm numba kernels first,
-        lockstep whenever numpy is available and more than one seed is
-        requested, unless this runner pins a different backend.
+        More than one seed runs on the numpy backend, whose
+        ``run_trials`` advances the trials in lockstep, unless this
+        runner's ``backend`` or :envvar:`REPRO_FASTPATH_BACKEND` pins
+        another; a single seed goes through the shared per-instance
+        engine.
         """
         from .parallel import UnitResult
-        from .fastpath import (
-            NUMBA_BACKEND,
-            VECTORIZED_BACKEND,
-            choose_trials_backend,
-            resolve_backend,
-        )
 
         seed_list = [int(s) for s in seeds]
-        pinned = trials_backend if trials_backend is not None else self.trials_backend
-        if pinned is not None:
-            backend: Optional[str] = resolve_backend(pinned)
-        elif vectorized is not None:
-            backend = VECTORIZED_BACKEND if vectorized else None
-        else:
-            chosen = self.backend
-            if chosen is None:
-                chosen = choose_trials_backend(self.instance, len(seed_list))
-            # the single-engine tiers go through the shared per-instance
-            # engine below, exactly as before the trials override existed
-            backend = chosen if chosen in (VECTORIZED_BACKEND, NUMBA_BACKEND) else None
-
-        if backend is not None:
-            engine = self._trials_engine(backend, policy)
+        if self.backend is None and len(seed_list) > 1:
+            engine = self._trials_engine(default_backend(), policy)
         else:
             engine = self._fast_engine(policy, 0, None)
         out: List["UnitResult"] = []

@@ -42,37 +42,24 @@ the same cost.  Two details make this non-trivial:
 
 Backends
 --------
-Four interchangeable kernel backends produce identical decisions:
+Two interchangeable kernel backends produce identical decisions:
 
-* ``"numpy"`` — vectorised mask/argmin/argmax kernels (auto-selected when
-  numpy is importable, i.e. always in a standard install);
+* ``"numpy"`` — vectorised mask/argmin/argmax kernels.  Its
+  :meth:`FastEngine.run_trials` advances *all* M ``random_fit`` trials
+  through the shared event array in lockstep — one 3-D residual tensor,
+  one vectorised fit-mask per arrival, one padded accumulate per
+  departure re-sum — with one per-trial :class:`numpy.random.Generator`
+  so every trial's draw stream (and therefore its assignment) is
+  reproduced bit-identically;
 * ``"python"`` — pure-Python short-circuit scans over lists of floats.
   The scans stop at the first fitting bin where the policy allows, which
   changes nothing observable: the *selected* bin is the same, and the
   per-dimension float adds/compares are the same IEEE-754 double
-  operations numpy performs elementwise;
-* ``"vectorized"`` — the trial-lockstep tier: single runs route through
-  the numpy kernels unchanged, while :meth:`FastEngine.run_trials`
-  advances *all* M ``random_fit`` trials through the shared event array
-  in lockstep — one 3-D residual tensor ``[trials, slots, d]``, one
-  vectorised fit-mask per arrival, one ``reduceat`` departure re-sum —
-  with one per-trial :class:`numpy.random.Generator` so every trial's
-  draw stream (and therefore its assignment) is reproduced
-  bit-identically;
-* ``"numba"`` — the JIT-compiled tier (:mod:`repro.simulation.kernels_numba`):
-  one ``@njit(cache=True)`` kernel replays any policy/measure over the
-  same flat arrays with no per-event Python dispatch at all.  Requires
-  the optional ``[fast]`` extra; auto-preferred by the choosers once
-  the kernels are compiled and warm, and degraded to ``numpy`` with a
-  once-per-cause warning when the extra is missing, too old, disabled
-  (:envvar:`REPRO_NUMBA_DISABLE`), or broken.  Multi-trial fan-outs run
-  the jitted kernel once per seed — the JIT removes the dispatch
-  overhead the lockstep tier exists to amortise.
+  operations numpy performs elementwise.
 
 Select explicitly via ``FastEngine(..., backend=...)`` or globally with
 the ``REPRO_FASTPATH_BACKEND`` environment variable (the CI fastpath
-matrix leg pins each backend in turn); ``REPRO_TRIALS_BACKEND``
-overrides only the M-trial chooser.  The replay loops are
+matrix leg pins each backend in turn).  The replay loops are
 deliberately written out long-hand per backend — factoring the shared
 bookkeeping through per-event callables would put several Python method
 calls back on the hot path, which is exactly the overhead this module
@@ -106,22 +93,10 @@ from __future__ import annotations
 
 import operator
 import os
-import warnings
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple, Union
 
-try:  # numpy is a hard dependency of repro.core, but the fast kernels
-    # degrade to the pure-python backend if it ever goes missing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
-
-if _np is not None:
-    # The jitted-tier module needs numpy at import time; in a numpy-less
-    # process the "numba" backend simply never appears.
-    from . import kernels_numba as _knl
-else:  # pragma: no cover - exercised via backend="python"
-    _knl = None
+import numpy as _np
 
 from ..core.errors import AlgorithmError, ConfigurationError
 from ..core.instance import Instance
@@ -131,19 +106,13 @@ from ..observability.stats import StatsCollector
 
 __all__ = [
     "BACKEND_ENV",
-    "TRIALS_BACKEND_ENV",
     "NUMPY_BACKEND",
     "PYTHON_BACKEND",
-    "VECTORIZED_BACKEND",
-    "NUMBA_BACKEND",
     "FAST_POLICIES",
     "available_backends",
     "default_backend",
     "choose_backend",
-    "choose_trials_backend",
     "resolve_backend",
-    "backend_ineligibility_reason",
-    "reset_backend_fallback_warnings",
     "register_kernel_class",
     "parse_policy_spec",
     "fast_policy_for",
@@ -155,27 +124,12 @@ __all__ = [
 
 NUMPY_BACKEND = "numpy"
 PYTHON_BACKEND = "python"
-#: The trial-lockstep tier: numpy kernels for single runs, plus the
-#: all-trials-in-lockstep ``run_trials`` kernel (numpy required).
-VECTORIZED_BACKEND = "vectorized"
-#: The JIT-compiled tier (:mod:`repro.simulation.kernels_numba`): one
-#: ``@njit(cache=True)`` replay kernel covering every registry policy
-#: and measure.  Requires the optional ``[fast]`` extra (or the
-#: uncompiled :envvar:`REPRO_NUMBA_PYFUNC` test mode); degrades to
-#: ``numpy`` with a once-per-cause warning when unavailable.
-NUMBA_BACKEND = "numba"
 
 #: Environment variable overriding backend auto-selection
-#: (``numpy`` | ``python`` | ``vectorized`` | ``numba``).  The CI
-#: fastpath matrix legs set it.
+#: (``numpy`` | ``python``).  The CI fastpath matrix legs set it.
 BACKEND_ENV = "REPRO_FASTPATH_BACKEND"
 
-#: Environment variable overriding the *trials* backend chooser only
-#: (:func:`choose_trials_backend`), so an M-trial fan-out can be pinned
-#: to a tier without also pinning single-run replays.
-TRIALS_BACKEND_ENV = "REPRO_TRIALS_BACKEND"
-
-_ALL_BACKENDS = (NUMPY_BACKEND, PYTHON_BACKEND, VECTORIZED_BACKEND, NUMBA_BACKEND)
+_ALL_BACKENDS = (NUMPY_BACKEND, PYTHON_BACKEND)
 
 #: The seven Section 7 registry policies the fast kernels implement.
 FAST_POLICIES = frozenset(
@@ -197,102 +151,29 @@ _COMPACT_MIN_DEAD = 32
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Kernel backends usable in this process, preferred first.
-
-    The ``numba`` tier appears (last) only when its kernels can execute
-    here — the ``[fast]`` extra is importable, or the uncompiled
-    :envvar:`REPRO_NUMBA_PYFUNC` test mode is on.
-    """
-    if _np is not None:
-        if _knl is not None and _knl.kernels_ready():
-            return (NUMPY_BACKEND, PYTHON_BACKEND, VECTORIZED_BACKEND, NUMBA_BACKEND)
-        return (NUMPY_BACKEND, PYTHON_BACKEND, VECTORIZED_BACKEND)
-    return (PYTHON_BACKEND,)
-
-
-#: Once-per-cause registry of backend-degradation warnings ("numba
-#: requested but not importable" and friends), mirroring the engine's
-#: fallback-observability pattern.  :func:`reset_backend_fallback_warnings`
-#: clears it (tests).
-_BACKEND_FALLBACK_WARNED: set = set()
-
-
-def reset_backend_fallback_warnings() -> None:
-    """Forget which backend-degradation causes already warned (tests)."""
-    _BACKEND_FALLBACK_WARNED.clear()
-
-
-def backend_ineligibility_reason(backend: str) -> Optional[str]:
-    """Why ``backend`` cannot execute in this process, or None if it can.
-
-    The named-cause twin of :func:`fast_ineligibility_reason` for
-    backends rather than algorithms: ``"numba"`` reports the probe
-    result of :mod:`repro.simulation.kernels_numba` (not importable,
-    too old, disabled, or marked broken), the numpy-family backends
-    report a missing numpy, and unknown names raise.
-    """
-    if backend not in _ALL_BACKENDS:
-        raise ConfigurationError(
-            f"unknown fastpath backend {backend!r}; expected one of "
-            f"{', '.join(repr(b) for b in _ALL_BACKENDS)}"
-        )
-    if backend != PYTHON_BACKEND and _np is None:
-        return f"{backend} backend needs numpy, which is not importable"
-    if backend == NUMBA_BACKEND:
-        if _knl is None:
-            return "numba kernels module unavailable (numpy missing)"
-        if not _knl.kernels_ready():
-            return _knl.unavailable_reason() or "numba is not importable"
-    return None
-
-
-def _numba_fallback(context: str) -> str:
-    """Degrade a ``numba`` request to the best available tier, warning once.
-
-    ``context`` names the request site (env var, constructor, chooser) so
-    each distinct cause warns exactly once per process, like the
-    engine's classic-fallback bookkeeping.
-    """
-    reason = backend_ineligibility_reason(NUMBA_BACKEND) or "numba unavailable"
-    fallback = NUMPY_BACKEND if _np is not None else PYTHON_BACKEND
-    key = (context, reason)
-    if key not in _BACKEND_FALLBACK_WARNED:
-        _BACKEND_FALLBACK_WARNED.add(key)
-        warnings.warn(
-            f"{context}: {reason}; falling back to the {fallback!r} backend "
-            "(bit-identical results, no compiled kernels)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return fallback
+    """Kernel backends usable in this process, preferred first."""
+    return _ALL_BACKENDS
 
 
 def resolve_backend(requested: str) -> str:
-    """Validate ``requested`` and degrade ``numba`` gracefully.
+    """Validate a backend name.
 
-    Unknown names and numpy-family backends without numpy raise
-    :class:`~repro.core.errors.ConfigurationError` exactly as before; a
-    ``numba`` request on a process where the kernels cannot execute
-    warns once per cause and returns the numpy fallback instead, so an
-    optional-extra install difference never turns into an error.
+    Unknown names raise :class:`~repro.core.errors.ConfigurationError`.
     """
-    reason = backend_ineligibility_reason(requested)
-    if reason is None:
-        return requested
-    if requested == NUMBA_BACKEND:
-        return _numba_fallback(f"fastpath backend {requested!r} requested")
-    raise ConfigurationError(reason)
+    if requested not in _ALL_BACKENDS:
+        raise ConfigurationError(
+            f"unknown fastpath backend {requested!r}; expected one of "
+            f"{', '.join(repr(b) for b in _ALL_BACKENDS)}"
+        )
+    return requested
 
 
 def default_backend() -> str:
     """Resolve the backend to use when none is requested explicitly.
 
     Honours :data:`BACKEND_ENV` when set (raising
-    :class:`~repro.core.errors.ConfigurationError` on an unknown or
-    unavailable value, except ``numba`` which degrades with a warning);
-    otherwise auto-selects ``"numba"`` once its kernels are warm,
-    ``"numpy"`` when numpy is importable, and ``"python"`` as the
-    fallback.
+    :class:`~repro.core.errors.ConfigurationError` on an unknown value);
+    otherwise ``"numpy"``.
     """
     env = os.environ.get(BACKEND_ENV, "").strip().lower()
     if env:
@@ -301,33 +182,8 @@ def default_backend() -> str:
                 f"{BACKEND_ENV}={env!r} is not a fastpath backend; "
                 f"expected one of {', '.join(repr(b) for b in _ALL_BACKENDS)}"
             )
-        if env == NUMBA_BACKEND:
-            if backend_ineligibility_reason(NUMBA_BACKEND) is not None:
-                return _numba_fallback(f"{BACKEND_ENV}={env!r}")
-            return env
-        if env != PYTHON_BACKEND and _np is None:
-            raise ConfigurationError(
-                f"{BACKEND_ENV}={env!r} but numpy is not importable"
-            )
         return env
-    if _numba_warm():
-        return NUMBA_BACKEND
-    return NUMPY_BACKEND if _np is not None else PYTHON_BACKEND
-
-
-def _numba_warm() -> bool:
-    """Whether auto-selection should prefer the compiled tier.
-
-    True only when the jitted kernels are compiled and ready — the
-    uncompiled :envvar:`REPRO_NUMBA_PYFUNC` mode is for testing, not
-    speed, so it is never auto-preferred (pin it via the env override).
-    """
-    return (
-        _np is not None
-        and _knl is not None
-        and _knl.is_warm()
-        and not _knl.pyfunc_mode()
-    )
+    return NUMPY_BACKEND
 
 
 #: Mean-concurrency threshold of :func:`choose_backend`.  Below it the
@@ -354,12 +210,6 @@ def choose_backend(instance: Instance) -> str:
     """
     if os.environ.get(BACKEND_ENV, "").strip():
         return default_backend()
-    if _np is None:
-        return PYTHON_BACKEND
-    if _numba_warm():
-        # compiled kernels beat both tiers at every concurrency once the
-        # JIT cost is already paid
-        return NUMBA_BACKEND
     length = instance.horizon.length
     if length <= 0.0:
         return NUMPY_BACKEND
@@ -367,49 +217,6 @@ def choose_backend(instance: Instance) -> str:
     if mean_concurrency <= _PYTHON_MAX_MEAN_CONCURRENCY:
         return PYTHON_BACKEND
     return NUMPY_BACKEND
-
-
-def choose_trials_backend(instance: Instance, n_trials: int) -> str:
-    """Pick the backend for an M-trial ``random_fit`` fan-out.
-
-    An explicit :data:`BACKEND_ENV` override always wins (so the CI
-    matrix legs pin every tier).  Otherwise the trial-lockstep
-    ``"vectorized"`` tier is auto-selected whenever numpy is importable
-    and there is more than one trial to amortise the event sweep over —
-    the lockstep kernel's per-arrival fit tensor costs the same numpy
-    call count as a *single* trial's mask, so two trials already win.
-    Single trials fall back to the per-instance
-    :func:`choose_backend` heuristic.
-
-    Overrides, strongest first: :data:`TRIALS_BACKEND_ENV` pins the
-    trials tier alone (``numba`` degrading gracefully like everywhere
-    else), then :data:`BACKEND_ENV` pins every tier.  With neither set,
-    warm compiled kernels beat the lockstep tier — the JIT removes the
-    per-event dispatch overhead lockstep exists to amortise.
-    """
-    env = os.environ.get(TRIALS_BACKEND_ENV, "").strip().lower()
-    if env:
-        if env not in _ALL_BACKENDS:
-            raise ConfigurationError(
-                f"{TRIALS_BACKEND_ENV}={env!r} is not a fastpath backend; "
-                f"expected one of {', '.join(repr(b) for b in _ALL_BACKENDS)}"
-            )
-        if env == NUMBA_BACKEND:
-            if backend_ineligibility_reason(NUMBA_BACKEND) is not None:
-                return _numba_fallback(f"{TRIALS_BACKEND_ENV}={env!r}")
-            return env
-        if env != PYTHON_BACKEND and _np is None:
-            raise ConfigurationError(
-                f"{TRIALS_BACKEND_ENV}={env!r} but numpy is not importable"
-            )
-        return env
-    if os.environ.get(BACKEND_ENV, "").strip():
-        return default_backend()
-    if _numba_warm() and n_trials > 1:
-        return NUMBA_BACKEND
-    if _np is not None and n_trials > 1:
-        return VECTORIZED_BACKEND
-    return choose_backend(instance)
 
 
 # ----------------------------------------------------------------------
@@ -647,7 +454,6 @@ class ReplayContext:
         "slack",
         "order",
         "uids",
-        "_order_arr",
     )
 
     def __init__(self, instance: Instance, backend: Optional[str] = None) -> None:
@@ -685,10 +491,7 @@ class ReplayContext:
             seqs[n:] = self.uids
             kinds[:n] = 1
             kinds[n:] = 0
-            order_arr = np.lexsort((seqs, kinds, times))
-            self.order = order_arr.tolist()
-            # int64 view of the same order for the jitted kernels
-            self._order_arr = order_arr.astype(np.int64, copy=False)
+            self.order = np.lexsort((seqs, kinds, times)).tolist()
         else:
             self.slack = [float(c) + EPS * max(float(c), 1.0) for c in instance.capacity]
             self.sizes = [it.size.tolist() for it in items]
@@ -698,36 +501,11 @@ class ReplayContext:
                 keys.append((it.departure, 0, it.uid, n + pos))
             keys.sort(key=lambda k: (k[0], k[1], k[2]))
             self.order = [k[3] for k in keys]
-            self._order_arr = None
-
-    def order_array(self):
-        """The lexsorted event indices as an int64 array (jitted kernels).
-
-        Python-layout contexts build it on first use; numpy-layout
-        contexts share the array the lexsort already produced.
-        """
-        arr = self._order_arr
-        if arr is None:
-            arr = self._order_arr = _np.asarray(self.order, dtype=_np.int64)
-        return arr
 
 
 #: Sentinel distinguishing "leave the collector alone" from "clear it"
 #: in :meth:`FastEngine.reset`.
 _UNSET = object()
-
-
-def _context_compatible(ctx_backend: str, engine_backend: str) -> bool:
-    """Whether a context's arrays serve an engine's backend.
-
-    The ``numpy`` and ``vectorized`` tiers share the same array layout
-    (the lockstep kernel reads the same sizes/slack/order arrays), so
-    their contexts are interchangeable; the ``python`` tier uses plain
-    lists and is not.
-    """
-    if ctx_backend == engine_backend:
-        return True
-    return ctx_backend != PYTHON_BACKEND and engine_backend != PYTHON_BACKEND
 
 
 # ----------------------------------------------------------------------
@@ -777,7 +555,6 @@ class FastEngine:
         "_p",
         "_ran",
         "_ctx",
-        "_kernel_backend",
         "_scratch_loads",
         "_scratch_fit",
         "_scratch_ok",
@@ -802,17 +579,12 @@ class FastEngine:
     ) -> None:
         resolved = default_backend() if backend is None else resolve_backend(backend)
         self._apply_policy(policy)
-        if self._base == "random_fit" and _np is None:
-            raise ConfigurationError(
-                "random_fit needs numpy's Generator to reproduce the classic "
-                "engine's random stream"
-            )
         if context is not None:
             if context.instance is not instance:
                 raise ConfigurationError(
                     "replay context was built for a different instance"
                 )
-            if not _context_compatible(context.backend, resolved):
+            if context.backend != resolved:
                 raise ConfigurationError(
                     f"replay context targets backend {context.backend!r}, "
                     f"engine uses {resolved!r}"
@@ -821,7 +593,6 @@ class FastEngine:
         self.seed = int(seed)
         self.collector = collector
         self.backend = resolved
-        self._kernel_backend = resolved
         self._ran = False
         self._ctx = context
         # numpy scratch buffers (residual matrix + bookkeeping), kept
@@ -886,7 +657,7 @@ class FastEngine:
                 raise ConfigurationError(
                     "reset(): context and instance arguments disagree"
                 )
-            if not _context_compatible(context.backend, self.backend):
+            if context.backend != self.backend:
                 raise ConfigurationError(
                     f"replay context targets backend {context.backend!r}, "
                     f"engine uses {self.backend!r}"
@@ -899,11 +670,6 @@ class FastEngine:
             self._ctx = context
         if policy is not None:
             self._apply_policy(policy)
-        if self._base == "random_fit" and _np is None:
-            raise ConfigurationError(
-                "random_fit needs numpy's Generator to reproduce the classic "
-                "engine's random stream"
-            )
         if seed is not None:
             self.seed = int(seed)
         if collector is not _UNSET:
@@ -943,14 +709,18 @@ class FastEngine:
         assignment per seed, each bit-identical to a fresh single run
         with that seed.
 
-        On the ``"vectorized"`` backend (and with no collector attached —
-        per-trial counters are per-trial by definition) all trials
-        advance through the event array **in lockstep**: one
-        ``[trials, slots, d]`` residual tensor, one vectorised fit-mask
-        per arrival, one per-trial :class:`numpy.random.Generator` so
-        each trial's draw stream is reproduced exactly.  The other
-        backends replay trials sequentially through the re-armed
-        single-trial kernels.
+        On the ``"numpy"`` backend, with more than one seed and no
+        collector attached (per-trial counters are per-trial by
+        definition), all trials advance through the event array **in
+        lockstep**: one ``[d, slots, trials]`` residual tensor, one
+        vectorised fit-mask per arrival, one per-trial
+        :class:`numpy.random.Generator` so each trial's draw stream is
+        reproduced exactly.  Otherwise the trials replay sequentially
+        through the re-armed single-trial kernels.
+
+        Either way the call re-arms the engine itself, so it also works
+        after a prior :meth:`run`; it leaves :attr:`seed` as it found it
+        and the engine spent, like :meth:`run`.
         """
         if self._base != "random_fit":
             raise ConfigurationError(
@@ -958,23 +728,22 @@ class FastEngine:
                 f"the seed (engine policy is {self.policy!r})"
             )
         seed_list = [int(s) for s in seeds]
-        if (
-            self.backend == VECTORIZED_BACKEND
-            and self.collector is None
-            and len(seed_list) > 0
-        ):
-            return self._replay_lockstep(seed_list)
-        if (
-            self.backend == NUMBA_BACKEND
-            and self.collector is None
-            and len(seed_list) > 0
-        ):
-            return self._replay_trials_numba(seed_list)
-        out: List[Dict[int, int]] = []
-        for s in seed_list:
-            self.reset(seed=s)
-            out.append(self._execute())
-        return out
+        seed = self.seed
+        try:
+            if (
+                self.backend == NUMPY_BACKEND
+                and self.collector is None
+                and len(seed_list) > 1
+            ):
+                self.reset()
+                return self._replay_lockstep(seed_list)
+            out: List[Dict[int, int]] = []
+            for s in seed_list:
+                self.reset(seed=s)
+                out.append(self._execute())
+            return out
+        finally:
+            self.seed = seed
 
     def _execute(self) -> Dict[int, int]:
         if self._ran:
@@ -986,27 +755,23 @@ class FastEngine:
         t_run = perf_counter() if col is not None else 0.0
         if col is not None:
             col.run_started(self.instance, self)
-        self._kernel_backend = self.backend
         if self.backend == PYTHON_BACKEND:
             assignment = self._replay_python(col)
-        elif self.backend == NUMBA_BACKEND:
-            assignment = self._replay_numba(col)
         elif self._base == "next_fit":
             # Next Fit inspects exactly one bin per arrival, so numpy
             # row operations cost more in dispatch overhead than they
-            # compute; the numpy-family backends route it to the scalar
-            # kernel (bit-identical: same IEEE-754 adds/compares).
+            # compute; the numpy backend routes it to the scalar kernel
+            # (bit-identical: same IEEE-754 adds/compares).
             assignment = self._replay_next_fit(col)
         else:
-            # the "vectorized" tier shares the numpy single-run kernels
             assignment = self._replay_numpy(col)
         if col is not None:
             col.fastpath_runs += 1
-            col.note_fastpath_backend(self._kernel_backend)
+            col.note_fastpath_backend(self.backend)
             col.run_finished(
                 perf_counter() - t_run,
                 context={"instance": self.instance.name, "n": self.instance.n,
-                         "engine": "fast", "backend": self._kernel_backend},
+                         "engine": "fast", "backend": self.backend},
             )
         return assignment
 
@@ -1015,134 +780,6 @@ class FastEngine:
         if ctx is None or ctx.instance is not self.instance:
             ctx = self._ctx = ReplayContext(self.instance, self.backend)
         return ctx
-
-    # ------------------------------------------------------------------
-    # numba backend
-    # ------------------------------------------------------------------
-    def _numba_degrade(self, reason: str) -> None:
-        """Fall off the compiled tier mid-run (kernel fault), warning once."""
-        key = ("numba runtime", reason)
-        if key not in _BACKEND_FALLBACK_WARNED:
-            _BACKEND_FALLBACK_WARNED.add(key)
-            warnings.warn(
-                f"numba kernel failed at runtime: {reason}; this process "
-                "falls back to the 'numpy' backend (bit-identical results)",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        self.backend = NUMPY_BACKEND
-        self._kernel_backend = NUMPY_BACKEND
-
-    def _replay_numba(self, col: Optional[StatsCollector]) -> Dict[int, int]:
-        """Replay through the jitted kernel of :mod:`kernels_numba`.
-
-        Counters come from inside the kernel (same integer semantics as
-        the numpy kernels — verified field by field by the collector
-        differential tests); ``dispatch_time_s`` is the whole-kernel
-        wall time, since there is no per-event Python boundary left to
-        time.  Two degradation paths both land on the numpy kernel with
-        results unchanged: a generic-exponent Lp spec whose compiled
-        ``pow`` drifts from numpy's on this host (probed once per
-        exponent), and a runtime kernel fault (which also marks the
-        tier broken for the process).
-        """
-        inst = self.instance
-        n = len(inst.items)
-        timing = col is not None
-        if n == 0:
-            if timing:
-                col.record_run_totals(0, 0, 0, 0, 0, 0.0)
-            return {}
-        if self._measure == "lp" and not _knl.lp_pow_exact(self._p):
-            # the compiled generic-exponent pow drifts from numpy's SIMD
-            # power loop on this host; keep the bit-identity contract by
-            # routing this spec to the numpy kernel
-            key = ("numba lp pow drift", float(self._p))
-            if key not in _BACKEND_FALLBACK_WARNED:
-                _BACKEND_FALLBACK_WARNED.add(key)
-                warnings.warn(
-                    f"numba lp(p={self._p:g}) kernel: compiled pow drifts "
-                    "from numpy's on this host; using the numpy kernel for "
-                    "this measure (bit-identical results)",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-            self._kernel_backend = NUMPY_BACKEND
-            return self._replay_numpy(col)
-        ctx = self._context()
-        try:
-            t0 = perf_counter() if timing else 0.0
-            bin_of, opened, closed, peak, scans, checks = _knl.replay(
-                ctx.order_array(),
-                ctx.sizes,
-                ctx.slack,
-                n,
-                inst.d,
-                self._base,
-                self._measure,
-                self._p or None,
-                seed=self.seed,
-                stale=self._stale_residual_bug,
-            )
-        except ConfigurationError:
-            raise
-        except Exception as exc:  # pragma: no cover - depends on install
-            reason = f"{exc.__class__.__name__}: {exc}"
-            _knl.mark_broken(f"runtime kernel failure ({reason})")
-            self._numba_degrade(reason)
-            if self._base == "next_fit":
-                return self._replay_next_fit(col)
-            return self._replay_numpy(col)
-        if timing:
-            col.record_run_totals(
-                arrivals=n,
-                departures=n,
-                bins_opened=int(opened),
-                bins_closed=int(closed),
-                peak_open_bins=int(peak),
-                dispatch_time_s=perf_counter() - t0,
-            )
-            col.candidate_scans += int(scans)
-            col.fit_checks += int(checks)
-        uids = ctx.uids
-        lst = bin_of.tolist()
-        return {uids[pos]: lst[pos] for pos in range(n)}
-
-    def _replay_trials_numba(self, seed_list: List[int]) -> List[Dict[int, int]]:
-        """Per-trial ``random_fit`` fan-out through the jitted kernel."""
-        self._ran = True
-        inst = self.instance
-        n = len(inst.items)
-        if n == 0:
-            return [{} for _ in seed_list]
-        ctx = self._context()
-        try:
-            mat = _knl.replay_trials(
-                ctx.order_array(),
-                ctx.sizes,
-                ctx.slack,
-                n,
-                inst.d,
-                seed_list,
-                stale=self._stale_residual_bug,
-            )
-        except ConfigurationError:
-            raise
-        except Exception as exc:  # pragma: no cover - depends on install
-            reason = f"{exc.__class__.__name__}: {exc}"
-            _knl.mark_broken(f"runtime kernel failure ({reason})")
-            self._numba_degrade(reason)
-            out: List[Dict[int, int]] = []
-            for s in seed_list:
-                self.reset(seed=s)
-                out.append(self._execute())
-            return out
-        uids = ctx.uids
-        out = []
-        for row in mat:
-            lst = row.tolist()
-            out.append({uids[pos]: lst[pos] for pos in range(n)})
-        return out
 
     # ------------------------------------------------------------------
     # numpy backend
@@ -1450,7 +1087,7 @@ class FastEngine:
         return {uids[pos]: bin_of[pos] for pos in range(n)}
 
     # ------------------------------------------------------------------
-    # scalar next_fit kernel (numpy-family backends)
+    # scalar next_fit kernel (numpy backend)
     # ------------------------------------------------------------------
     def _replay_next_fit(self, col: Optional[StatsCollector]) -> Dict[int, int]:
         """Next Fit replay on plain Python floats.
@@ -1891,7 +1528,7 @@ class FastEngine:
 
 
     # ------------------------------------------------------------------
-    # vectorized backend: trial-lockstep random_fit kernel
+    # numpy backend: trial-lockstep random_fit kernel
     # ------------------------------------------------------------------
     def _replay_lockstep(self, seeds: List[int]) -> List[Dict[int, int]]:
         """Advance all ``random_fit`` trials through one event pass.

@@ -188,10 +188,10 @@ class PlacementService:
         schedule the item's automatic departure; with neither the item
         is open-ended and departs only via :meth:`depart`.  ``at``
         defaults to the current clock and must not move it backwards.
-        ``item_id`` overrides the auto-assigned uid (must not collide
-        with an item still live at ``at``).  Every field is validated
-        before anything changes, so a rejected request leaves the
-        service exactly as it was.
+        ``item_id`` overrides the auto-assigned uid (an integer that must
+        not collide with an item still live at ``at``).  Every field is
+        validated before anything changes, so a rejected request leaves
+        the service exactly as it was.
         """
         at = self._check_time(at)
         if duration is not None and departure is not None:
@@ -214,7 +214,7 @@ class PlacementService:
         if item_id is None:
             uid = self._next_uid
         else:
-            uid = int(item_id)
+            uid = _check_item_id(item_id)
             if uid in self._items and not self._departs_by(uid, at):
                 raise ConfigurationError(f"item id {uid} is already live")
         item = Item(at, end, np.asarray(size, dtype=np.float64), uid=uid)
@@ -259,14 +259,15 @@ class PlacementService:
         departure scheduled at or before it), so departing an item at
         or after its scheduled time is rejected — it has already left.
         """
+        uid = _check_item_id(item_id)
         at = self._check_time(at)
-        if item_id not in self._items or self._departs_by(item_id, at):
+        if uid not in self._items or self._departs_by(uid, at):
             raise ConfigurationError(
-                f"item {item_id} is not live at t={at} (never placed, or "
+                f"item {uid} is not live at t={at} (never placed, or "
                 f"already departed)"
             )
         self._advance(at)
-        return self._process_departure(int(item_id), at)
+        return self._process_departure(uid, at)
 
     def advance(self, to: float) -> int:
         """Advance the clock to ``to``; return how many departures fired."""
@@ -470,6 +471,33 @@ class PlacementService:
         return cls.restore(document["state"], collector=collector)
 
 
+def _check_item_id(item_id) -> int:
+    """An item id is a Python or numpy integer, never a bool.
+
+    ``int()`` would silently truncate ``1.5`` to 1 and turn ``True`` or
+    ``"7"`` into an id, so anything else is rejected by name.
+    """
+    if isinstance(item_id, bool) or not isinstance(item_id, (int, np.integer)):
+        raise ConfigurationError(
+            f"item_id must be an integer, got {type(item_id).__name__} "
+            f"{item_id!r}"
+        )
+    return int(item_id)
+
+
+def _decode_request(raw: str) -> dict:
+    """Parse one protocol line, rejecting anything but a JSON object."""
+    try:
+        req = json.loads(raw)
+    except RecursionError:
+        raise ConfigurationError("request nests too deeply to decode") from None
+    if not isinstance(req, dict):
+        raise ConfigurationError(
+            f"a request must be a JSON object, got {type(req).__name__}"
+        )
+    return req
+
+
 def serve_loop(
     service: PlacementService,
     requests: Iterable[str],
@@ -497,7 +525,8 @@ def serve_loop(
     * ``{"op": "quit"}`` → ``{"ok": true, "bye": true}`` and the loop
       returns early.
 
-    A malformed or failing request yields ``{"ok": false, "error": msg}``
+    A malformed or failing request — an undecodable line or one that is
+    not a JSON object included — yields ``{"ok": false, "error": msg}``
     and the loop continues — one bad client line must not take the
     service down.  Blank lines are skipped.  Returns the number of
     requests handled.
@@ -511,7 +540,7 @@ def serve_loop(
             continue
         handled += 1
         try:
-            req = json.loads(raw)
+            req = _decode_request(raw)
             op = req.get("op")
             if op == "place":
                 uid = req["item_id"] if req.get("item_id") is not None \

@@ -57,7 +57,7 @@ from ..core.errors import ConfigurationError, SolverLimitError
 from ..observability.stats import RunStats, StatsCollector
 from ..optimum.lower_bounds import opt_lower_bound
 from ..optimum.opt_cost import optimum_cost, optimum_cost_bounds
-from ..simulation.fastpath import FastEngine, available_backends
+from ..simulation.fastpath import FastEngine
 from ..simulation.runner import run
 from .generators import corpus
 from .invariants import Violation, audit_instance, audit_run
@@ -328,60 +328,37 @@ def run_verify(
             report.violations.append((f"{where}/{vname}", v))
         report.checks += 1
 
-        # trial-lockstep oracle (strided): the vectorized tier's batched
-        # random_fit trials must reproduce the sequential numpy replays
-        # bit for bit — and seed 0 must match the classic packing above
-        if "vectorized" in available_backends() and entry.index % 4 == 0:
-            vec = FastEngine(inst, "random_fit", backend="vectorized").run_trials(
+        # trial-lockstep oracle (strided): the numpy backend's batched
+        # random_fit trials must reproduce independent per-seed single
+        # replays bit for bit — and seed 0 must match the classic packing
+        # above
+        if entry.index % 4 == 0:
+            lockstep = FastEngine(inst, "random_fit", backend="numpy").run_trials(
                 _LOCKSTEP_SEEDS
             )
-            ref = FastEngine(inst, "random_fit", backend="numpy").run_trials(
-                _LOCKSTEP_SEEDS
-            )
-            if vec != ref:
+            single = FastEngine(inst, "random_fit", backend="numpy")
+            ref = [single.reset(seed=s).run_assignment() for s in _LOCKSTEP_SEEDS]
+            if lockstep != ref:
                 report.violations.append((
                     f"{where}/lockstep",
                     Violation(
                         "lockstep",
-                        "vectorized run_trials diverged from sequential "
+                        "lockstep run_trials diverged from per-seed single "
                         f"numpy replays on seeds {_LOCKSTEP_SEEDS}",
                     ),
                 ))
             classic_rf = packing_by_policy.get("random_fit")
-            if classic_rf is not None and vec and vec[0] != dict(classic_rf.assignment):
+            if (
+                classic_rf is not None
+                and lockstep
+                and lockstep[0] != dict(classic_rf.assignment)
+            ):
                 report.violations.append((
                     f"{where}/lockstep",
                     Violation(
                         "lockstep",
-                        "vectorized run_trials seed 0 diverged from the "
+                        "lockstep run_trials seed 0 diverged from the "
                         "classic random_fit packing",
-                    ),
-                ))
-            report.checks += 1
-
-        # numba backend-parity oracle (strided, offset from the lockstep
-        # stride): the JIT tier must replay the classic packing bit for
-        # bit under the measure-variant spec of this instance, and its
-        # batched random_fit trials must match the sequential numpy
-        # replays exactly
-        if "numba" in available_backends() and entry.index % 4 == 2:
-            for v in compare_with_fastpath(
-                vpacking, vspec, seed=0, backend="numba"
-            ):
-                report.violations.append((f"{where}/numba-{vname}", v))
-            nmb = FastEngine(inst, "random_fit", backend="numba").run_trials(
-                _LOCKSTEP_SEEDS
-            )
-            ref_nmb = FastEngine(inst, "random_fit", backend="numpy").run_trials(
-                _LOCKSTEP_SEEDS
-            )
-            if nmb != ref_nmb:
-                report.violations.append((
-                    f"{where}/numba-lockstep",
-                    Violation(
-                        "lockstep",
-                        "numba run_trials diverged from sequential numpy "
-                        f"replays on seeds {_LOCKSTEP_SEEDS}",
                     ),
                 ))
             report.checks += 1

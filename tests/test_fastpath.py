@@ -57,8 +57,17 @@ def churny_instance():
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_numpy_preferred_when_available(self):
-        assert BACKENDS[0] == "numpy"
-        assert "python" in BACKENDS
+        assert BACKENDS == ("numpy", "python")
+
+    def test_vectorized_is_not_a_backend(self, monkeypatch, tiny_instance):
+        # lockstep is a run_trials strategy of the numpy backend, not a
+        # backend name of its own
+        monkeypatch.setenv(BACKEND_ENV, "vectorized")
+        with pytest.raises(ConfigurationError, match="not a fastpath backend"):
+            default_backend()
+        monkeypatch.delenv(BACKEND_ENV)
+        with pytest.raises(ConfigurationError, match="unknown fastpath backend"):
+            FastEngine(tiny_instance, "first_fit", backend="vectorized")
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "python")
@@ -202,6 +211,17 @@ class TestCollectorCounters:
                     "bins_closed", "peak_open_bins", "candidate_scans", "fit_checks",
                 ):
                     assert getattr(f, field) == getattr(c, field), (policy, backend, field)
+
+    def test_fastpath_backend_recorded_and_zeroed(self, churny_instance):
+        col = StatsCollector()
+        FastEngine(
+            churny_instance, "first_fit", backend="python", collector=col
+        ).run()
+        stats = col.snapshot()
+        assert stats.fastpath_backend == "python"
+        # an execution fact, not a result: zeroed from the deterministic
+        # part so trajectories stay backend-independent
+        assert stats.deterministic_part().fastpath_backend == ""
 
     def test_fastpath_runs_counter(self, tiny_instance):
         col = StatsCollector()
@@ -513,14 +533,27 @@ class TestMeasureKernels:
 
 
 # ----------------------------------------------------------------------
-# trial-lockstep vectorized tier
+# trial-lockstep strategy of the numpy backend's run_trials
 # ----------------------------------------------------------------------
+def _spy_lockstep(monkeypatch):
+    """Count calls into ``FastEngine._replay_lockstep``."""
+    calls = []
+    original = FastEngine._replay_lockstep
+
+    def spy(self, seeds):
+        calls.append(list(seeds))
+        return original(self, seeds)
+
+    monkeypatch.setattr(FastEngine, "_replay_lockstep", spy)
+    return calls
+
+
 class TestLockstepTrials:
     SEEDS = (0, 1, 2, 5, 11, 42)
 
     def test_lockstep_matches_per_seed_runs(self, churny_instance):
-        vec = FastEngine(churny_instance, "random_fit", backend="vectorized")
-        lockstep = vec.run_trials(self.SEEDS)
+        eng = FastEngine(churny_instance, "random_fit", backend="numpy")
+        lockstep = eng.run_trials(self.SEEDS)
         assert len(lockstep) == len(self.SEEDS)
         for seed, got in zip(self.SEEDS, lockstep):
             single = FastEngine(
@@ -535,18 +568,67 @@ class TestLockstepTrials:
     def test_lockstep_trials_differ_across_seeds(self, churny_instance):
         # distinct per-trial Generator streams: seeds must not collapse
         # onto one shared draw sequence
-        out = FastEngine(churny_instance, "random_fit", backend="vectorized").run_trials(
+        out = FastEngine(churny_instance, "random_fit", backend="numpy").run_trials(
             (0, 1)
         )
         assert out[0] != out[1]
 
-    def test_numpy_backend_run_trials_loops_sequentially(self, churny_instance):
+    def test_numpy_run_trials_enters_lockstep(self, churny_instance, monkeypatch):
+        # bit-identity tests cannot tell lockstep from a sequential loop,
+        # so pin the strategy itself: >= 2 seeds and no collector on the
+        # numpy backend must take the lockstep kernel
+        calls = _spy_lockstep(monkeypatch)
+        FastEngine(churny_instance, "random_fit", backend="numpy").run_trials(
+            (0, 1)
+        )
+        assert calls == [[0, 1]]
+
+    @pytest.mark.parametrize(
+        "backend,seeds,collector",
+        [("numpy", (3,), False), ("numpy", (0, 1), True), ("python", (0, 1), False)],
+        ids=["numpy-one-seed", "numpy-collector", "python"],
+    )
+    def test_other_run_trials_replay_sequentially(
+        self, backend, seeds, collector, churny_instance, monkeypatch
+    ):
+        calls = _spy_lockstep(monkeypatch)
+        eng = FastEngine(
+            churny_instance, "random_fit", backend=backend,
+            collector=StatsCollector() if collector else None,
+        )
+        out = eng.run_trials(seeds)
+        assert calls == []
+        for seed, got in zip(seeds, out):
+            assert got == FastEngine(
+                churny_instance, "random_fit", seed=seed, backend=backend
+            ).run_assignment()
+
+    def test_python_backend_run_trials_matches_numpy_lockstep(self, churny_instance):
+        py = FastEngine(churny_instance, "random_fit", backend="python")
         npy = FastEngine(churny_instance, "random_fit", backend="numpy")
-        vec = FastEngine(churny_instance, "random_fit", backend="vectorized")
-        assert npy.run_trials(self.SEEDS) == vec.run_trials(self.SEEDS)
+        assert py.run_trials(self.SEEDS) == npy.run_trials(self.SEEDS)
+
+    @pytest.mark.parametrize("n_seeds", [1, 4])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_run_trials_contract(self, backend, n_seeds, churny_instance):
+        # one contract for both strategies: run_trials re-arms after a
+        # prior run(), leaves ``seed`` untouched, and leaves the engine
+        # spent like run() does
+        seeds = [11, 12, 13, 14][:n_seeds]
+        eng = FastEngine(churny_instance, "random_fit", seed=7, backend=backend)
+        first = eng.run_assignment()
+        out = eng.run_trials(seeds)
+        assert eng.seed == 7
+        for seed, got in zip(seeds, out):
+            assert got == FastEngine(
+                churny_instance, "random_fit", seed=seed, backend=backend
+            ).run_assignment()
+        with pytest.raises(AlgorithmError):
+            eng.run_assignment()
+        assert eng.reset().run_assignment() == first
 
     def test_run_trials_rejects_non_random_policies(self, churny_instance):
-        eng = FastEngine(churny_instance, "first_fit", backend="vectorized")
+        eng = FastEngine(churny_instance, "first_fit", backend="numpy")
         with pytest.raises(ConfigurationError):
             eng.run_trials((0, 1))
 
@@ -555,7 +637,7 @@ class TestLockstepTrials:
         # capacity to double past the initial allocation mid-run
         items = [Item(0.0, 5.0, np.array([1.0]), uid) for uid in range(150)]
         inst = Instance(items)
-        out = FastEngine(inst, "random_fit", backend="vectorized").run_trials((0, 3))
+        out = FastEngine(inst, "random_fit", backend="numpy").run_trials((0, 3))
         for seed, got in zip((0, 3), out):
             single = FastEngine(inst, "random_fit", seed=seed).run_assignment()
             assert got == single
@@ -568,39 +650,47 @@ class TestLockstepTrials:
             for k in range(120)
         ]
         inst = Instance(items)
-        out = FastEngine(inst, "random_fit", backend="vectorized").run_trials((0, 7))
+        out = FastEngine(inst, "random_fit", backend="numpy").run_trials((0, 7))
         for seed, got in zip((0, 7), out):
             single = FastEngine(inst, "random_fit", seed=seed).run_assignment()
             assert got == single
-
-    def test_choose_trials_backend(self, churny_instance, monkeypatch):
-        from repro.simulation.fastpath import choose_trials_backend
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert choose_trials_backend(churny_instance, 8) == "vectorized"
-        assert choose_trials_backend(churny_instance, 2) == "vectorized"
-        assert choose_trials_backend(churny_instance, 1) != "vectorized"
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert choose_trials_backend(churny_instance, 8) == "python"
 
     def test_batch_runner_auto_selects_lockstep(self, churny_instance, monkeypatch):
         from repro.simulation.batch import BatchRunner
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
+        calls = _spy_lockstep(monkeypatch)
         seeds = list(range(6))
         auto = BatchRunner(churny_instance).run_trials(seeds)
-        forced_seq = BatchRunner(churny_instance).run_trials(seeds, vectorized=False)
+        assert calls == [seeds]
+        runner = BatchRunner(churny_instance)
+        per_seed = [u for s in seeds for u in runner.run_trials([s])]
+        assert calls == [seeds]  # one seed per call: no lockstep
         assert [(u.cost, u.num_bins) for u in auto] == \
-            [(u.cost, u.num_bins) for u in forced_seq]
+            [(u.cost, u.num_bins) for u in per_seed]
 
-    def test_batch_runner_vectorized_param_forces_lockstep(self, churny_instance):
+    @pytest.mark.parametrize("backend,lockstep", [("numpy", True), ("python", False)])
+    def test_batch_runner_backend_pins_trials(
+        self, backend, lockstep, churny_instance, monkeypatch
+    ):
         from repro.simulation.batch import BatchRunner
 
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         seeds = list(range(4))
-        vec = BatchRunner(churny_instance).run_trials(seeds, vectorized=True)
-        seq = BatchRunner(churny_instance).run_trials(seeds, vectorized=False)
-        assert [(u.cost, u.num_bins) for u in vec] == \
-            [(u.cost, u.num_bins) for u in seq]
+        auto = BatchRunner(churny_instance).run_trials(seeds)
+        calls = _spy_lockstep(monkeypatch)
+        pinned = BatchRunner(churny_instance, backend=backend).run_trials(seeds)
+        assert bool(calls) is lockstep
+        assert [(u.cost, u.num_bins) for u in pinned] == \
+            [(u.cost, u.num_bins) for u in auto]
+
+    def test_batch_runner_env_pins_trials(self, churny_instance, monkeypatch):
+        from repro.simulation.batch import BatchRunner
+
+        monkeypatch.setenv(BACKEND_ENV, "python")
+        calls = _spy_lockstep(monkeypatch)
+        BatchRunner(churny_instance).run_trials(list(range(4)))
+        assert calls == []
 
 
 # ----------------------------------------------------------------------
@@ -628,159 +718,3 @@ class TestSeedValidation:
 
         reason = fast_ineligibility_reason(algo)
         assert reason is not None and "seed" in reason
-
-
-# ----------------------------------------------------------------------
-# the numba JIT tier: selection, graceful degradation, warn-once
-# ----------------------------------------------------------------------
-class TestNumbaTier:
-    @pytest.fixture(autouse=True)
-    def _fresh_numba_state(self, monkeypatch):
-        from repro.simulation import kernels_numba as knl
-        from repro.simulation.fastpath import reset_backend_fallback_warnings
-
-        # host-level env pins (e.g. a CI leg exporting
-        # REPRO_NUMBA_DISABLE=1) must not leak into these tests
-        monkeypatch.delenv(knl.DISABLE_ENV, raising=False)
-        monkeypatch.delenv(knl.PYFUNC_ENV, raising=False)
-        knl.reset_state()
-        reset_backend_fallback_warnings()
-        yield
-        knl.reset_state()
-        reset_backend_fallback_warnings()
-
-    def test_disabled_numba_not_listed(self, monkeypatch):
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        assert "numba" not in available_backends()
-
-    def test_env_request_degrades_with_one_warning(self, monkeypatch):
-        """``REPRO_FASTPATH_BACKEND=numba`` on a numba-less host must
-        degrade to numpy with a once-per-cause RuntimeWarning — not
-        raise, and not warn again on the next resolution."""
-        import warnings as _warnings
-
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        monkeypatch.setenv(BACKEND_ENV, "numba")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert default_backend() == "numpy"
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            assert default_backend() == "numpy"  # warn-once: now silent
-
-    def test_explicit_backend_degrades_and_names_reason(
-        self, monkeypatch, tiny_instance
-    ):
-        from repro.simulation import kernels_numba as knl
-        from repro.simulation.fastpath import backend_ineligibility_reason
-
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            engine = FastEngine(tiny_instance, "first_fit", backend="numba")
-        assert engine.backend == "numpy"
-        reason = backend_ineligibility_reason("numba")
-        assert reason is not None and "numba" in reason
-
-    def test_backend_ineligibility_reason_rejects_unknown(self):
-        from repro.simulation.fastpath import backend_ineligibility_reason
-
-        with pytest.raises(ConfigurationError):
-            backend_ineligibility_reason("fortran")
-
-    def test_pyfunc_mode_runs_the_kernel_end_to_end(
-        self, monkeypatch, churny_instance
-    ):
-        """``REPRO_NUMBA_PYFUNC=1`` drives the numba kernel uncompiled:
-        the whole dispatch path is exercised (and must stay
-        bit-identical) even on hosts without numba installed."""
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.PYFUNC_ENV, "1")
-        assert "numba" in available_backends()
-        for spec in ("best_fit", "next_fit", "best_fit:lp:2.0"):
-            fast = FastEngine(churny_instance, spec, backend="numba").run()
-            algo = (
-                make_algorithm("best_fit", measure="lp", p=2.0)
-                if spec == "best_fit:lp:2.0"
-                else make_algorithm(spec)
-            )
-            classic = run(algo, churny_instance)
-            assert fast.assignment == classic.assignment, spec
-
-    def test_fastpath_backend_recorded_and_zeroed(
-        self, monkeypatch, churny_instance
-    ):
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.PYFUNC_ENV, "1")
-        col = StatsCollector()
-        FastEngine(
-            churny_instance, "first_fit", backend="numba", collector=col
-        ).run()
-        stats = col.snapshot()
-        assert stats.fastpath_backend == "numba"
-        # an execution fact, not a result: zeroed from the deterministic
-        # part so trajectories stay backend-independent
-        assert stats.deterministic_part().fastpath_backend == ""
-
-    def test_trials_backend_env_overrides(self, monkeypatch, churny_instance):
-        from repro.simulation.fastpath import (
-            TRIALS_BACKEND_ENV,
-            choose_trials_backend,
-        )
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setenv(TRIALS_BACKEND_ENV, "python")
-        assert choose_trials_backend(churny_instance.n, 8) == "python"
-        monkeypatch.setenv(TRIALS_BACKEND_ENV, "fortran")
-        with pytest.raises(ConfigurationError):
-            choose_trials_backend(churny_instance.n, 8)
-
-    def test_trials_backend_env_numba_degrades(
-        self, monkeypatch, churny_instance
-    ):
-        from repro.simulation import kernels_numba as knl
-        from repro.simulation.fastpath import (
-            TRIALS_BACKEND_ENV,
-            choose_trials_backend,
-        )
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        monkeypatch.setenv(TRIALS_BACKEND_ENV, "numba")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert choose_trials_backend(churny_instance.n, 8) == "numpy"
-
-    def test_batch_runner_trials_backend_param(
-        self, monkeypatch, churny_instance
-    ):
-        from repro.simulation.batch import BatchRunner
-
-        seeds = [0, 1, 2]
-        baseline = BatchRunner(churny_instance).run_trials(
-            seeds, vectorized=False
-        )
-        pinned = BatchRunner(
-            churny_instance, trials_backend="vectorized"
-        ).run_trials(seeds)
-        assert [(u.cost, u.num_bins) for u in pinned] == \
-            [(u.cost, u.num_bins) for u in baseline]
-        # per-call param wins over the runner-level pin
-        per_call = BatchRunner(
-            churny_instance, trials_backend="python"
-        ).run_trials(seeds, trials_backend="vectorized")
-        assert [(u.cost, u.num_bins) for u in per_call] == \
-            [(u.cost, u.num_bins) for u in baseline]
-
-    def test_numba_suite_writes_honest_stub_when_missing(self, monkeypatch):
-        from repro.observability.bench import run_numba_suite
-        from repro.simulation import kernels_numba as knl
-
-        monkeypatch.setenv(knl.DISABLE_ENV, "1")
-        payload = run_numba_suite(repeats=1)
-        assert payload["available"] is False
-        assert "numba" in payload["reason"]
-        assert "scenarios" not in payload  # no fabricated timings

@@ -9,7 +9,7 @@ implementations:
 * the brute-force :class:`~repro.verify.reference.ReferenceSimulator`
   (no shared engine code);
 * the flat-array :class:`~repro.simulation.fastpath.FastEngine`, on
-  every available kernel backend.
+  both kernel backends.
 
 All three must agree on the *exact* item → bin assignment — not merely
 the cost — and the Eq. 1 cost recomputed from first principles must
@@ -24,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm
-from repro.simulation.fastpath import FastEngine, available_backends
+from repro.simulation.fastpath import FastEngine
 from repro.simulation.runner import run
 from repro.verify.generators import CORPUS_RECIPES, corpus_list
 from repro.verify.oracles import eq1_cost
@@ -35,7 +35,7 @@ _TOL = 1e-9
 
 # One instance per recipe: the full corpus breadth, deterministic.
 CORPUS = corpus_list(len(CORPUS_RECIPES), seed=_SEED)
-BACKENDS = available_backends()
+BACKENDS = ("numpy", "python")
 
 
 def _ids(entries):
@@ -79,18 +79,6 @@ def test_random_fit_seed_stream_matches_classic(backend):
             assert fast.assignment == classic.assignment, (entry.recipe, seed)
 
 
-# The four-backend matrix names every kernel tier explicitly — numpy,
-# python, vectorized, numba — so a numba-equipped host runs the JIT legs
-# and a numba-less host *visibly skips* them instead of silently testing
-# three tiers and reporting green.
-_ALL_TIERS = ("numpy", "python", "vectorized", "numba")
-
-
-def _require(backend):
-    if backend not in BACKENDS:
-        pytest.skip(f"{backend} backend unavailable on this host")
-
-
 #: The L1/Lp measure-kernel legs of the matrix: every ranked-policy
 #: measure the registry accepts, including a generic (non-shortcut)
 #: Lp exponent where pow-identity is hardest to preserve.
@@ -103,7 +91,7 @@ _MEASURE_SPECS = (
 )
 
 
-@pytest.mark.parametrize("backend", _ALL_TIERS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "base,kwargs,spec", _MEASURE_SPECS, ids=[s[2] for s in _MEASURE_SPECS]
 )
@@ -111,7 +99,6 @@ def test_measure_kernel_matrix(backend, base, kwargs, spec):
     """L1/Lp ranked policies: every backend replays the classic engine
     bit for bit across the corpus (strided: the full-corpus sweep runs
     in the default-measure test above)."""
-    _require(backend)
     for entry in CORPUS[::3]:
         classic = run(make_algorithm(base, **kwargs), entry.instance)
         fast = FastEngine(entry.instance, spec, backend=backend).run()
@@ -119,11 +106,11 @@ def test_measure_kernel_matrix(backend, base, kwargs, spec):
         assert fast.num_bins == classic.num_bins
 
 
-@pytest.mark.parametrize("backend", _ALL_TIERS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_trials_lockstep_matrix(backend):
-    """Batched ``run_trials`` on every tier must equal per-seed classic
+    """Batched ``run_trials`` on every backend (numpy: the lockstep
+    kernel; python: sequential replays) must equal per-seed classic
     random_fit runs — same seeds, same assignments, in seed order."""
-    _require(backend)
     seeds = [0, 1, 2, 3]
     for entry in CORPUS[:6]:
         engine = FastEngine(entry.instance, "random_fit", backend=backend)

@@ -133,6 +133,30 @@ class TestServiceSemantics:
         assert_rejected(svc, ConfigurationError, svc.place, 1.0, at=2.0,
                         item_id=3)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [1.5, 1.0, True, "1", np.float64(1.0), np.bool_(True), [1]],
+        ids=["float", "integral-float", "bool", "str", "numpy-float",
+             "numpy-bool", "list"],
+    )
+    def test_non_integer_item_ids_are_rejected(self, bad):
+        # int() would truncate 1.5 to 1 and read True or "1" as id 1:
+        # both place and depart must refuse the id by name instead
+        svc = PlacementService(capacity=10.0)
+        svc.place(1.0, item_id=1, duration=5.0)
+        before = json.dumps(svc.snapshot(), sort_keys=True)
+        with pytest.raises(ConfigurationError, match="item_id"):
+            svc.place(1.0, at=1.0, item_id=bad)
+        with pytest.raises(ConfigurationError, match="item_id"):
+            svc.depart(bad, at=1.0)
+        assert json.dumps(svc.snapshot(), sort_keys=True) == before
+
+    def test_numpy_integer_item_ids_are_accepted(self):
+        svc = PlacementService(capacity=10.0)
+        svc.place(1.0, item_id=np.int64(4))
+        assert svc.snapshot()["next_uid"] == 5
+        assert svc.depart(np.int32(4)) is True
+
     def test_oversized_item_raises(self):
         svc = PlacementService(capacity=[4.0, 4.0])
         svc.place([1.0, 1.0], duration=1.0)
@@ -315,6 +339,44 @@ class TestServeLoop:
         serve_loop(svc, reqs, out.append)
         resp = [json.loads(line) for line in out]
         assert [r["ok"] for r in resp] == [False] * len(reqs)
+        assert json.dumps(svc.snapshot(), sort_keys=True) == before
+
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[1, 2]", '"x"', "42", "null", "[" * 200_000],
+        ids=["array", "string", "number", "null", "deeply-nested"],
+    )
+    def test_non_object_lines_do_not_kill_the_loop(self, line):
+        svc = PlacementService(capacity=10.0)
+        serve_loop(svc, ['{"op": "place", "size": 1.0, "duration": 4}'],
+                   lambda line: None)
+        before = json.dumps(svc.snapshot(), sort_keys=True)
+        out = []
+        assert serve_loop(svc, [line, '{"op": "stats"}'], out.append) == 2
+        resp = [json.loads(l) for l in out]
+        assert resp[0]["ok"] is False
+        assert "ConfigurationError" in resp[0]["error"]
+        assert resp[1]["ok"] is True and resp[1]["live_items"] == 1
+        assert json.dumps(svc.snapshot(), sort_keys=True) == before
+
+    def test_non_integer_item_id_lines_are_rejected(self):
+        svc = PlacementService(capacity=10.0)
+        serve_loop(svc, ['{"op": "place", "size": 1.0, "item_id": 1}'],
+                   lambda line: None)
+        before = json.dumps(svc.snapshot(), sort_keys=True)
+        out = []
+        reqs = [
+            '{"op": "place", "size": 1.0, "item_id": 1.7}',
+            '{"op": "place", "size": 1.0, "item_id": true}',
+            '{"op": "place", "size": 1.0, "item_id": "7"}',
+            '{"op": "depart", "item_id": 1.0}',
+            '{"op": "depart", "item_id": true}',
+        ]
+        serve_loop(svc, reqs, out.append)
+        resp = [json.loads(l) for l in out]
+        assert [r["ok"] for r in resp] == [False] * len(reqs)
+        assert all("item_id" in r["error"] for r in resp)
         assert json.dumps(svc.snapshot(), sort_keys=True) == before
 
 
