@@ -2,8 +2,9 @@
 
 :class:`AdversaryDriver` runs an attack in two passes.
 
-**Live pass** — an incremental twin of the classic engine's event loop:
-after every arrival the driver rebuilds an
+**Live pass** — the adversary's arrivals go through a
+:class:`~repro.simulation.live.LivePacking` core one at a time: after
+every arrival the driver rebuilds an
 :class:`~repro.adversaries.base.EngineView` (open bins, loads,
 residuals, the policy's candidate-list order, committed cost) and asks
 the adversary for the next arrival.  Departures due at or before the
@@ -44,6 +45,7 @@ from ..core.errors import AlgorithmError, ConfigurationError
 from ..core.instance import Instance
 from ..core.items import Item
 from ..optimum.opt_cost import optimum_cost_bounds
+from ..simulation.live import LivePacking
 from ..simulation.runner import run
 from .attacks import make_adversary
 from .base import Adversary, AttackConfig, BinView, EngineView, PackRecord
@@ -56,20 +58,6 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-
-
-class _CapacityContext:
-    """Duck-typed stand-in for an Instance carrying only the capacity.
-
-    The live loop has no materialised instance when the policy's
-    ``start`` runs (the adversary has not emitted anything yet); stock
-    policies only read ``instance.capacity`` there.
-    """
-
-    __slots__ = ("capacity",)
-
-    def __init__(self, capacity: np.ndarray) -> None:
-        self.capacity = capacity
 
 
 @dataclass(frozen=True)
@@ -172,17 +160,20 @@ class AdversaryDriver:
         kwargs = {"seed": 0} if self.policy == "random_fit" else {}
         algorithm = make_algorithm(self.policy, **kwargs)
         capacity = np.ones(config.d, dtype=np.float64)
-        algorithm.start(_CapacityContext(capacity))
+        core = LivePacking(algorithm, capacity)
 
         bins: List[Bin] = []
         heap: List[Tuple[float, int]] = []  # (departure, uid)
-        item_of: Dict[int, Item] = {}
-        bin_of: Dict[int, Bin] = {}
-        assignment: Dict[int, int] = {}
         emitted: List[Item] = []
         trajectory: List[TrajectoryPoint] = []
         now = 0.0
         last: Optional[PackRecord] = None
+
+        def depart_until(t: float) -> None:
+            # (time, uid) order — the classic engine's event ordering
+            while heap and heap[0][0] <= t:
+                dep_time, uid = heapq.heappop(heap)
+                core.depart(uid, dep_time)
 
         while True:
             view = self._view(algorithm, bins, capacity, now, len(emitted), last)
@@ -200,36 +191,16 @@ class AdversaryDriver:
                     f"{adversary.name} emitted a decreasing arrival "
                     f"({item.arrival} after {now})"
                 )
-            # departures at or before the arrival fire first, in
-            # (time, uid) order — the classic engine's event ordering
-            while heap and heap[0][0] <= item.arrival:
-                dep_time, uid = heapq.heappop(heap)
-                departed = item_of.pop(uid)
-                target = bin_of.pop(uid)
-                closed = target.remove(departed, dep_time)
-                algorithm.notify_departure(target, departed, dep_time, closed)
+            depart_until(item.arrival)  # departures at or before it first
             now = item.arrival
 
-            opened: List[Bin] = []
-
-            def open_new_bin() -> Bin:
-                fresh = Bin(capacity, index=len(bins), opened_at=now)
-                bins.append(fresh)
-                opened.append(fresh)
-                return fresh
-
-            target = algorithm.dispatch(item, now, open_new_bin)
-            if target is None:
-                raise AlgorithmError(
-                    f"{self.policy} returned no bin for item {item.uid}"
-                )
-            target.pack(item)
-            item_of[item.uid] = item
-            bin_of[item.uid] = target
-            assignment[item.uid] = target.index
+            target = core.place(item, now)
+            opened = target.index == len(bins)
+            if opened:
+                bins.append(target)
             heapq.heappush(heap, (item.departure, item.uid))
             emitted.append(item)
-            last = PackRecord(item.uid, target.index, bool(opened))
+            last = PackRecord(item.uid, target.index, opened)
 
             if self.record_trajectory:
                 committed = sum(b.usage_time for b in bins)
@@ -249,12 +220,7 @@ class AdversaryDriver:
             raise AlgorithmError(f"{adversary.name} emitted no items")
         # drain the remaining departures so the live policy state winds
         # down cleanly (cost is already committed — this changes nothing)
-        while heap:
-            dep_time, uid = heapq.heappop(heap)
-            departed = item_of.pop(uid)
-            target = bin_of.pop(uid)
-            closed = target.remove(departed, dep_time)
-            algorithm.notify_departure(target, departed, dep_time, closed)
+        depart_until(math.inf)
 
         instance = Instance(
             emitted, capacity=capacity,
@@ -265,7 +231,9 @@ class AdversaryDriver:
         # reproduce the live decisions bit for bit
         replay_algorithm = make_algorithm(self.policy, **kwargs)
         packing = run(replay_algorithm, instance)
-        replay_identical = dict(packing.assignment) == assignment
+        replay_identical = dict(packing.assignment) == {
+            it.uid: b.index for b in bins for it in b.history
+        }
 
         certificate = adversary.opt_upper()
         if certificate is None:

@@ -108,10 +108,10 @@ class OnlineAlgorithm(abc.ABC):
         """Hook invoked after the engine packs ``item`` into ``bin_``
         outside :meth:`dispatch` — the destination of a repacking move.
 
-        Together with :meth:`notify_departure` this is the rule every
-        engine keeps: a bin's load changes only through dispatch or a
-        call that tells the policy, so a policy may cache loads.  The
-        default implementation does nothing.
+        The :class:`~repro.simulation.live.LivePacking` core calls this,
+        :meth:`dispatch` and :meth:`notify_departure` for every load
+        change it makes, so a policy may cache loads.  The default
+        implementation does nothing.
         """
 
     # ------------------------------------------------------------------

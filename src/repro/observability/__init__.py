@@ -18,8 +18,8 @@ PRs against.  This package provides that measurement plane:
   behind ``benchmarks/harness.py`` and ``python -m repro bench``,
   which writes the ``BENCH_core.json`` perf trajectory file.
 
-Instrumentation is strictly opt-in: a ``None`` collector leaves the
-engine's event loop byte-for-byte on its original fast path, so tier-1
+Instrumentation is strictly opt-in: with a ``None`` collector the one
+engine loop reads no clock and counts no candidate scans, so tier-1
 test timings are unaffected (see docs/observability.md for the measured
 overhead protocol).
 """

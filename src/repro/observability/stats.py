@@ -283,7 +283,6 @@ class StatsCollector:
         "departures",
         "bins_opened",
         "bins_closed",
-        "open_bins",
         "peak_open_bins",
         "candidate_scans",
         "fit_checks",
@@ -313,7 +312,6 @@ class StatsCollector:
         self.departures = 0
         self.bins_opened = 0
         self.bins_closed = 0
-        self.open_bins = 0
         self.peak_open_bins = 0
         self.candidate_scans = 0
         self.fit_checks = 0
@@ -357,28 +355,10 @@ class StatsCollector:
         else:
             raise ValueError(f"unknown fault event kind {kind!r}")
 
-    # -- engine hooks (called once per event; keep them lean) -----------
+    # -- engine hooks -------------------------------------------------------
     def run_started(self, instance, algorithm) -> None:
-        """Reset the per-run open-bin gauge and note the policy name."""
+        """Note the policy name of the run that starts."""
         self.algorithm = getattr(algorithm, "name", type(algorithm).__name__)
-        self.open_bins = 0
-
-    def record_arrival(self, elapsed_s: float, opened_new: bool) -> None:
-        """One arrival dispatched in ``elapsed_s`` seconds."""
-        self.arrivals += 1
-        self.dispatch_time_s += elapsed_s
-        if opened_new:
-            self.bins_opened += 1
-            self.open_bins += 1
-            if self.open_bins > self.peak_open_bins:
-                self.peak_open_bins = self.open_bins
-
-    def record_departure(self, closed: bool) -> None:
-        """One departure processed (``closed`` iff it emptied its bin)."""
-        self.departures += 1
-        if closed:
-            self.bins_closed += 1
-            self.open_bins -= 1
 
     def record_run_totals(
         self,
@@ -389,13 +369,11 @@ class StatsCollector:
         peak_open_bins: int,
         dispatch_time_s: float,
     ) -> None:
-        """Bulk variant of the per-event hooks.
+        """Add one run's lifecycle totals.
 
-        The engine accumulates per-event state in loop locals and pushes
-        the totals once per run through this method — functionally
-        identical to calling :meth:`record_arrival` /
-        :meth:`record_departure` per event, but without a method call on
-        the hot path.
+        An engine's :class:`~repro.simulation.live.LivePacking` core
+        counts per event in its own collector, and the engine pushes the
+        totals here once per run.
         """
         self.arrivals += arrivals
         self.departures += departures
@@ -473,7 +451,6 @@ class StatsCollector:
         self.departures = 0
         self.bins_opened = 0
         self.bins_closed = 0
-        self.open_bins = 0
         self.peak_open_bins = 0
         self.candidate_scans = 0
         self.fit_checks = 0

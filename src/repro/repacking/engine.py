@@ -42,6 +42,7 @@ from ..core.instance import Instance
 from ..core.items import Item
 from ..core.packing import BinRecord, Packing
 from ..observability.stats import StatsCollector
+from ..simulation.live import LivePacking
 from .ledger import MigrationLedger, MoveRecord
 from .policies import RepackPolicy, make_repacker
 
@@ -163,11 +164,11 @@ class RepackContext:
 
     def open_bins(self) -> List[Bin]:
         """Currently open bins, in opening-index order."""
-        return [b for b in self._engine.bins if b.is_open]
+        return list(self._engine._core.open.values())
 
     def bin_of(self, item: Item) -> Bin:
         """The bin ``item`` currently resides in."""
-        return self._engine._bin_of_item[item.uid]
+        return self._engine._core.live[item.uid][1]
 
     def remaining_budget(self) -> float:
         """Moves still admissible within this event's window."""
@@ -192,12 +193,11 @@ class RepackContext:
         projection can only extend, by ``max(0, departure - projected)``.
         """
         src = self.bin_of(item)
-        src_before = self.projected_close(src)
         others = [it.departure for it in src.active_items() if it.uid != item.uid]
         src_after = max(others) if others else self.now
         dst_before = self.projected_close(dst)
         dst_after = max(dst_before, item.departure)
-        return (src_after - src_before) + (dst_after - dst_before)
+        return (src_after - self.projected_close(src)) + (dst_after - dst_before)
 
     # -- write side ----------------------------------------------------
     def move(self, item: Item, dst: Bin) -> bool:
@@ -209,7 +209,39 @@ class RepackContext:
         :class:`~repro.core.errors.CapacityExceededError`).  Returns
         ``True`` when the move emptied (closed) the source bin.
         """
-        return self._engine._checked_move(item, dst, self.now)
+        engine, now = self._engine, self.now
+        if item.uid not in engine._core.live:
+            raise AlgorithmError(f"cannot move item {item.uid}: not live")
+        src = self.bin_of(item)
+        if dst is src:
+            raise ConfigurationError(
+                f"cannot move item {item.uid} into its own bin {src.index}"
+            )
+        if item.departure <= now:
+            raise ConfigurationError(
+                f"cannot move item {item.uid} at t={now:g}: it departs at "
+                f"{item.departure:g} (same-instant departers are already gone)"
+            )
+        if not dst.is_open:
+            raise ConfigurationError(
+                f"cannot move item {item.uid} into closed bin {dst.index}; "
+                f"closed bins are never reused (Section 2.1)"
+            )
+        if not dst.can_fit(item):
+            raise CapacityExceededError(
+                f"item {item.uid} does not fit bin {dst.index}'s residual capacity"
+            )
+        record = MoveRecord(
+            event_index=engine._event_index,
+            time=now,
+            uid=item.uid,
+            src=src.index,
+            dst=dst.index,
+            cost_delta=self.move_delta(item, dst),
+            closed_src=src.num_active == 1,
+        )
+        engine.ledger.record(record)  # raises MigrationBudgetError untouched
+        return engine._apply_move(item, dst, now, record)
 
 
 class RepackingEngine:
@@ -242,8 +274,7 @@ class RepackingEngine:
         self.observers = list(observers)
         self.collector = collector
         self.bins: List[Bin] = []
-        self._bin_of_item: Dict[int, Bin] = {}
-        self._assignment: Dict[int, int] = {}
+        self._core: Optional[LivePacking] = None
         self._segments: Dict[int, List[List[float]]] = {}
         self._moves: List[MoveRecord] = []
         self._event_index = -1
@@ -264,22 +295,32 @@ class RepackingEngine:
 
         ctx = RepackContext(self)
         try:
-            self.algorithm.start(self.instance)
+            self._core = core = LivePacking(
+                self.algorithm,
+                self.instance.capacity,
+                instance=self.instance,
+                observers=self.observers,
+            )
             self.repacker.start(self.instance)
-            for obs in self.observers:
-                obs.on_start(self.instance, self.algorithm)
 
+            arrival = EventKind.ARRIVAL
+            bins = self.bins
             for event in event_stream(self.instance):
                 self._event_index += 1
-                if event.kind is EventKind.ARRIVAL:
-                    self._handle_arrival(event.item, event.time)
+                item, now = event.item, event.time
+                if event.kind is arrival:
+                    target = core.place(item, now)
+                    if target.index == len(bins):
+                        bins.append(target)
+                    self._segments[item.uid] = [[target.index, now, item.departure]]
                 else:
-                    self._handle_departure(event.item, event.time)
+                    core.depart(item.uid, now)
+                    self._segments[item.uid][-1][2] = now
                 # the repack window: budget accrues per event whether or
                 # not the policy uses it (amortized credits accumulate)
                 self.ledger.begin_event()
-                ctx.now = event.time
-                self.repacker.after_event(ctx, event.kind, event.time)
+                ctx.now = now
+                self.repacker.after_event(ctx, event.kind, now)
         finally:
             if col is not None:
                 self.algorithm.bind_collector(None)
@@ -301,110 +342,19 @@ class RepackingEngine:
         )
 
     # ------------------------------------------------------------------
-    # event handling (mirrors the classic Engine, plus segment tracking)
-    # ------------------------------------------------------------------
-    def _handle_arrival(self, item: Item, now: float) -> None:
-        opened: List[Bin] = []
-
-        def open_new_bin() -> Bin:
-            if opened:
-                raise AlgorithmError(
-                    f"{self.algorithm.name} opened two bins for one item "
-                    f"(item {item.uid})"
-                )
-            fresh = Bin(self.instance.capacity, index=len(self.bins), opened_at=now)
-            self.bins.append(fresh)
-            opened.append(fresh)
-            for obs in self.observers:
-                obs.on_bin_opened(fresh, now)
-            return fresh
-
-        target = self.algorithm.dispatch(item, now, open_new_bin)
-        if target is None:
-            raise AlgorithmError(
-                f"{self.algorithm.name} returned no bin for item {item.uid}"
-            )
-        target.pack(item)
-        self._bin_of_item[item.uid] = target
-        self._assignment[item.uid] = target.index
-        self._segments[item.uid] = [[target.index, now, item.departure]]
-        for obs in self.observers:
-            obs.on_packed(target, item, now, opened_new=bool(opened))
-
-    def _handle_departure(self, item: Item, now: float) -> bool:
-        bin_ = self._bin_of_item.pop(item.uid)
-        closed = bin_.remove(item, now)
-        self._segments[item.uid][-1][2] = now
-        self.algorithm.notify_departure(bin_, item, now, closed)
-        for obs in self.observers:
-            obs.on_departed(bin_, item, now, closed)
-        return closed
-
-    # ------------------------------------------------------------------
     # migrations
     # ------------------------------------------------------------------
-    def _checked_move(self, item: Item, dst: Bin, now: float) -> bool:
-        """Budget-enforced move: ledger admission *then* mutation."""
-        src = self._bin_of_item.get(item.uid)
-        if src is None:
-            raise AlgorithmError(f"cannot move item {item.uid}: not live")
-        if dst is src:
-            raise ConfigurationError(
-                f"cannot move item {item.uid} into its own bin {src.index}"
-            )
-        if item.departure <= now:
-            raise ConfigurationError(
-                f"cannot move item {item.uid} at t={now:g}: it departs at "
-                f"{item.departure:g} (same-instant departers are already gone)"
-            )
-        if not dst.is_open:
-            raise ConfigurationError(
-                f"cannot move item {item.uid} into closed bin {dst.index}; "
-                f"closed bins are never reused (Section 2.1)"
-            )
-        if not dst.can_fit(item):
-            raise CapacityExceededError(
-                f"item {item.uid} does not fit bin {dst.index}'s residual capacity"
-            )
-        ctx_delta = RepackContext.projected_close  # reuse the same projection
-        src_before = max((it.departure for it in src.active_items()), default=now)
-        others = [it.departure for it in src.active_items() if it.uid != item.uid]
-        src_after = max(others) if others else now
-        dst_before = ctx_delta(dst)
-        dst_after = max(dst_before, item.departure)
-        will_close = len(others) == 0
-        record = MoveRecord(
-            event_index=self._event_index,
-            time=now,
-            uid=item.uid,
-            src=src.index,
-            dst=dst.index,
-            cost_delta=(src_after - src_before) + (dst_after - dst_before),
-            closed_src=will_close,
-        )
-        self.ledger.record(record)  # raises MigrationBudgetError untouched
-        return self._apply_move(item, src, dst, now, record)
-
     def _apply_move(
-        self, item: Item, src: Bin, dst: Bin, now: float, record: MoveRecord
+        self, item: Item, dst: Bin, now: float, record: MoveRecord
     ) -> bool:
         """Unchecked move primitive; always logs into the engine move log.
 
-        Split from :meth:`_checked_move` so the verify harness's
+        Split from :meth:`RepackContext.move` so the verify harness's
         ``BudgetIgnoringRepacker`` mutant can model an enforcement
         bypass — its moves still land in ``self._moves``, which is the
         log the budget auditor replays.
         """
-        # tell the dispatch policy about each load change as it happens
-        # (the rule every engine keeps): an emptied source leaves L, the
-        # same contract as a real departure, and the destination's load
-        # changes outside dispatch
-        closed = src.remove(item, now)
-        self.algorithm.notify_departure(src, item, now, closed)
-        dst.pack(item)
-        self.algorithm.notify_packed(dst, item, now)
-        self._bin_of_item[item.uid] = dst
-        self._assignment[item.uid] = dst.index
+        closed = self._core.move(item.uid, dst, now)
         segs = self._segments[item.uid]
         segs[-1][2] = now
         if segs[-1][1] == now:
@@ -420,21 +370,20 @@ class RepackingEngine:
         self._moves.append(record)
         if self.collector is not None:
             self.collector.migrations += 1
-        for obs in self.observers:
-            obs.on_departed(src, item, now, closed)
-            obs.on_packed(dst, item, now, opened_new=False)
         return closed
 
     # ------------------------------------------------------------------
     # result assembly
     # ------------------------------------------------------------------
     def _final_packing(self) -> Packing:
+        # an item's last residency segment is the bin it ends in
+        assignment = {uid: segs[-1][0] for uid, segs in self._segments.items()}
         if not self._moves:
             # zero moves -> the classic derivation applies verbatim; use
             # it so NoRepack's Packing is structurally identical to the
             # classic engine's (the budget-0 bit-identity contract)
             return Packing.from_assignment(
-                self.instance, self._assignment, algorithm=self.algorithm.name
+                self.instance, assignment, algorithm=self.algorithm.name
             )
         records = []
         for bin_ in self.bins:
@@ -453,7 +402,7 @@ class RepackingEngine:
             )
         return Packing(
             instance=self.instance,
-            assignment=dict(self._assignment),
+            assignment=assignment,
             bins=tuple(records),
             algorithm=self.algorithm.name,
         )

@@ -1,10 +1,9 @@
 """Discrete-event simulation engine for online DVBP.
 
-The engine owns everything Algorithm 1's outer loop does that is *not* a
-policy decision: replaying the event stream in order, bin lifecycle
-(creation, packing, closure), irrevocability (an item never moves once
-packed), and usage-time accounting (Eq. 1).  The policy — which bin an
-arriving item goes to — is delegated to an
+The engine replays the event stream in order through a
+:class:`~repro.simulation.live.LivePacking` core, which owns bin
+lifecycle, irrevocability and usage-time accounting (Eq. 1); the policy
+— which bin an arriving item goes to — is an
 :class:`~repro.algorithms.base.OnlineAlgorithm`.
 
 Observers can subscribe to every state transition; the analysis layers
@@ -27,6 +26,7 @@ from ..core.instance import Instance
 from ..core.items import Item
 from ..core.packing import Packing
 from ..observability.stats import StatsCollector
+from .live import LivePacking
 
 __all__ = [
     "SimulationObserver",
@@ -108,145 +108,63 @@ class Engine:
         self.observers = list(observers)
         self.collector = collector
         self.bins: List[Bin] = []
-        self._bin_of_item: Dict[int, Bin] = {}
-        self._assignment: Dict[int, int] = {}
         self._ran = False
 
     # ------------------------------------------------------------------
     def run(self) -> Packing:
         """Execute the full event stream and return the final packing.
 
-        With ``collector=None`` (the default) the event loop is the
-        original uninstrumented fast path; with a collector the loop
-        additionally times each dispatch and feeds the per-event
-        counters (see docs/observability.md).
+        One loop feeds every event to a
+        :class:`~repro.simulation.live.LivePacking` core.  A collector
+        is bound to the (reusable) algorithm for the run only, so Any
+        Fit counts its candidate scans; the core then times dispatch,
+        and the run's totals reach the collector once, at the end.
         """
         if self._ran:
             raise AlgorithmError("Engine instances are single-use; build a new one")
         self._ran = True
-        if self.collector is not None:
-            return self._run_instrumented(self.collector)
-
-        self.algorithm.start(self.instance)
-        for obs in self.observers:
-            obs.on_start(self.instance, self.algorithm)
-
-        for event in event_stream(self.instance):
-            if event.kind is EventKind.ARRIVAL:
-                self._handle_arrival(event.item, event.time)
-            else:
-                self._handle_departure(event.item, event.time)
-
-        packing = Packing.from_assignment(
-            self.instance, self._assignment, algorithm=self.algorithm.name
-        )
-        for obs in self.observers:
-            obs.on_finish(packing)
-        return packing
-
-    def _run_instrumented(self, col: StatsCollector) -> Packing:
-        """The instrumented twin of :meth:`run`'s event loop.
-
-        Kept as a separate loop (rather than per-event ``if`` checks on
-        the shared path) so disabling instrumentation costs literally
-        nothing.  The collector is bound to the algorithm for the
-        duration of the run so the Any Fit hot path can count its
-        candidate scans, and unbound afterwards because algorithm
-        objects are reusable across engines.
-        """
+        col = self.collector
         t_run = perf_counter()
-        self.algorithm.bind_collector(col)
-        # Per-event state lives in locals and is pushed to the collector
-        # once at the end: local integer arithmetic keeps the overhead of
-        # an instrumented run within the documented <= 2% budget.
-        arrivals = departures = opened = closed_count = 0
-        open_bins = peak_open = 0
-        dispatch_s = 0.0
-        # Hot names bound to locals: the per-event lookups this saves
-        # (vs. the plain loop's attribute walks) pay for the two clock
-        # reads per arrival.
-        arrival_kind = EventKind.ARRIVAL
-        bins = self.bins
-        pc = perf_counter
-        handle_arrival = self._handle_arrival
-        handle_departure = self._handle_departure
-        try:
+        if col is not None:
             col.run_started(self.instance, self.algorithm)
-            self.algorithm.start(self.instance)
-            for obs in self.observers:
-                obs.on_start(self.instance, self.algorithm)
+            self.algorithm.bind_collector(col)
+        try:
+            core = LivePacking(
+                self.algorithm,
+                self.instance.capacity,
+                instance=self.instance,
+                observers=self.observers,
+                timed=col is not None,
+            )
 
+            arrival = EventKind.ARRIVAL
+            bins = self.bins
+            assignment: Dict[int, int] = {}
             for event in event_stream(self.instance):
-                if event.kind is arrival_kind:
-                    t0 = pc()
-                    handle_arrival(event.item, event.time)
-                    dispatch_s += pc() - t0
-                    arrivals += 1
-                    if len(bins) > opened:
-                        opened += 1
-                        open_bins += 1
-                        if open_bins > peak_open:
-                            peak_open = open_bins
+                item = event.item
+                if event.kind is arrival:
+                    target = core.place(item, event.time)
+                    if target.index == len(bins):
+                        bins.append(target)
+                    assignment[item.uid] = target.index
                 else:
-                    departures += 1
-                    if handle_departure(event.item, event.time):
-                        closed_count += 1
-                        open_bins -= 1
+                    core.depart(item.uid, event.time)
 
             packing = Packing.from_assignment(
-                self.instance, self._assignment, algorithm=self.algorithm.name
+                self.instance, assignment, algorithm=self.algorithm.name
             )
             for obs in self.observers:
                 obs.on_finish(packing)
         finally:
-            self.algorithm.bind_collector(None)
-        col.record_run_totals(
-            arrivals=arrivals,
-            departures=departures,
-            bins_opened=opened,
-            bins_closed=closed_count,
-            peak_open_bins=peak_open,
-            dispatch_time_s=dispatch_s,
-        )
-        col.run_finished(
-            perf_counter() - t_run,
-            context={"instance": self.instance.name, "n": self.instance.n},
-        )
+            if col is not None:
+                self.algorithm.bind_collector(None)
+        if col is not None:
+            core.record_run(col)
+            col.run_finished(
+                perf_counter() - t_run,
+                context={"instance": self.instance.name, "n": self.instance.n},
+            )
         return packing
-
-    # ------------------------------------------------------------------
-    def _handle_arrival(self, item: Item, now: float) -> None:
-        opened: List[Bin] = []
-
-        def open_new_bin() -> Bin:
-            if opened:
-                raise AlgorithmError(
-                    f"{self.algorithm.name} opened two bins for one item "
-                    f"(item {item.uid})"
-                )
-            fresh = Bin(self.instance.capacity, index=len(self.bins), opened_at=now)
-            self.bins.append(fresh)
-            opened.append(fresh)
-            for obs in self.observers:
-                obs.on_bin_opened(fresh, now)
-            return fresh
-
-        target = self.algorithm.dispatch(item, now, open_new_bin)
-        if target is None:
-            raise AlgorithmError(f"{self.algorithm.name} returned no bin for item {item.uid}")
-        target.pack(item)  # raises CapacityExceededError on a bad policy
-        self._bin_of_item[item.uid] = target
-        self._assignment[item.uid] = target.index
-        for obs in self.observers:
-            obs.on_packed(target, item, now, opened_new=bool(opened))
-
-    def _handle_departure(self, item: Item, now: float) -> bool:
-        bin_ = self._bin_of_item.pop(item.uid)
-        closed = bin_.remove(item, now)
-        self.algorithm.notify_departure(bin_, item, now, closed)
-        for obs in self.observers:
-            obs.on_departed(bin_, item, now, closed)
-        return closed
 
 
 def simulate(

@@ -1,19 +1,17 @@
 """The streaming engine: O(peak-open-items) replay of an item stream.
 
-Twin number three.  The classic engine (and its flat-array and batched
-siblings) materialise the full instance and lexsort all ``2n`` events up
-front; this engine consumes an *iterator* of items in arrival order,
-merges departures in on the fly (:mod:`repro.streaming.merge`), and
-keeps only live state:
+Where the classic engine materialises the instance and sorts all ``2n``
+events up front, this engine consumes an *iterator* of items in arrival
+order, merges departures in on the fly with a pending-departure heap
+(:mod:`repro.streaming.merge` pins the order against
+:func:`repro.core.events.event_stream`), and feeds both to a
+:class:`~repro.simulation.live.LivePacking` core.  It holds live state
+only:
 
-* open bins live in a dict keyed by bin index and are dropped the moment
-  they close (tombstone reclamation) — a closed bin's Eq. 1 cost
-  contribution is exactly ``closed_at - opened_at``, because a bin opens
-  with its first item, stays non-empty until it closes, and is never
-  reused, so the contribution is folded into a running total and the
-  object freed;
-* the item → bin map already pops on departure, so it too holds only
-  live items;
+* the core drops a bin the moment it closes and folds its exact Eq. 1
+  contribution, ``closed_at - opened_at``, into a running total (a bin
+  opens with its first item, stays non-empty until it closes, and is
+  never reused), and its item map holds live items only;
 * bins are :class:`StreamBin` — a :class:`~repro.core.bins.Bin` that
   tracks the latest member departure instead of appending every member
   to an unbounded audit ``history`` list;
@@ -22,12 +20,10 @@ keeps only live state:
   ``release_log`` otherwise pins every released bin's residents for
   the life of the run.
 
-Decisions are bit-identical to the classic engine: the same
-:class:`~repro.algorithms.base.OnlineAlgorithm` object makes the same
-calls in the same event order over bins with the same float loads, so
-the assignment (and therefore the Eq. 1 cost) is the same — the
-``compare_with_streaming`` oracle in :mod:`repro.verify.oracles`
-enforces this on every corpus instance.
+Decisions are bit-identical to the classic engine: the same policy
+object makes the same calls in the same event order over bins with the
+same float loads — the ``compare_with_streaming`` oracle in
+:mod:`repro.verify.oracles` enforces this on every corpus instance.
 """
 
 from __future__ import annotations
@@ -47,24 +43,11 @@ from ..core.intervals import Interval
 from ..core.items import Item
 from ..core.packing import Packing
 from ..observability.stats import StatsCollector
+from ..simulation.live import LivePacking
 
 __all__ = ["StreamBin", "StreamResult", "StreamingEngine", "streaming_run"]
 
 _TOL = 1e-9
-
-
-class _CapacityContext:
-    """Duck-typed stand-in for an :class:`~repro.core.instance.Instance`.
-
-    Every stock algorithm's :meth:`~repro.algorithms.base.OnlineAlgorithm.start`
-    reads only ``instance.capacity``; streaming has no instance to offer,
-    so this shim carries the capacity vector and nothing else.
-    """
-
-    __slots__ = ("capacity",)
-
-    def __init__(self, capacity: np.ndarray) -> None:
-        self.capacity = capacity
 
 
 class StreamBin(Bin):
@@ -164,7 +147,6 @@ class StreamingEngine:
         self.collector = collector
         self.record_assignment = record_assignment
         self.flush_every = int(flush_every)
-        self._dispatch_s = 0.0
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -178,7 +160,7 @@ class StreamingEngine:
         col = self.collector
         t_run = perf_counter()
         if col is not None:
-            col.run_started(_CapacityContext(self.capacity), self.algorithm)
+            col.run_started(None, self.algorithm)
             self.algorithm.bind_collector(col)
         # suspend unbounded proof bookkeeping (e.g. next_fit's
         # release_log) for the duration of the replay: it is never read
@@ -186,20 +168,17 @@ class StreamingEngine:
         prev_audit = self.algorithm.audit_mode
         self.algorithm.audit_mode = False
         try:
-            result = self._event_loop(items, col)
+            core = LivePacking(
+                self.algorithm, self.capacity, bin_type=StreamBin,
+                timed=col is not None,
+            )
+            result = self._event_loop(core, items, col)
         finally:
             self.algorithm.audit_mode = prev_audit
             if col is not None:
                 self.algorithm.bind_collector(None)
         if col is not None:
-            col.record_run_totals(
-                arrivals=result.arrivals,
-                departures=result.departures,
-                bins_opened=result.bins_opened,
-                bins_closed=result.bins_closed,
-                peak_open_bins=result.peak_open_bins,
-                dispatch_time_s=self._dispatch_s,
-            )
+            core.record_run(col)
             col.streaming_runs += 1
             col.stream_flushes += result.flushes
             if result.peak_live_items > col.peak_live_items:
@@ -212,46 +191,28 @@ class StreamingEngine:
 
     # ------------------------------------------------------------------
     def _event_loop(
-        self, items: Iterable[Item], col: Optional[StatsCollector]
+        self,
+        core: LivePacking,
+        items: Iterable[Item],
+        col: Optional[StatsCollector],
     ) -> StreamResult:
         # Inline streaming merge: same drain conditions and tie-breaks as
         # repro.streaming.merge.merge_events (pinned against
         # core.events.event_stream by tests), without allocating an Event
         # object per event on the hot path.
-        algorithm = self.algorithm
-        capacity = self.capacity
-        algorithm.start(_CapacityContext(capacity))
-
-        heap: List[Tuple[float, int, Item]] = []
+        heap: List[Tuple[float, int]] = []
         heappush, heappop = heapq.heappush, heapq.heappop
-        open_bins: Dict[int, StreamBin] = {}
-        bin_of_item: Dict[int, StreamBin] = {}
+        place, depart = core.place, core.depart
         assignment: Optional[Dict[int, int]] = (
             {} if self.record_assignment else None
         )
-        next_index = 0
-        events = arrivals = departures = 0
-        closed_count = peak_open = peak_live = 0
-        cost_closed = 0.0
-        dispatch_s = 0.0
+        st = core.stats
         flushes = 0
         flush_every = self.flush_every
         next_flush = flush_every if flush_every else float("inf")
         last_arrival = float("-inf")
-        instrumented = col is not None
-        pc = perf_counter
 
-        def handle_departure(item: Item, now: float) -> None:
-            nonlocal closed_count, cost_closed
-            bin_ = bin_of_item.pop(item.uid)
-            closed = bin_.remove(item, now)
-            algorithm.notify_departure(bin_, item, now, closed)
-            if closed:
-                closed_count += 1
-                cost_closed += bin_.closed_at - bin_.opened_at
-                del open_bins[bin_.index]  # tombstone reclamation
-
-        for pos, item in enumerate(items):
+        for item in items:
             if item.arrival < last_arrival:
                 raise StreamOrderError(
                     f"arrival stream is out of order: item {item.uid} arrives "
@@ -260,103 +221,51 @@ class StreamingEngine:
             now = last_arrival = item.arrival
             # departures-first at equal times (core.events rule 2)
             while heap and heap[0][0] <= now:
-                t, _, departed = heappop(heap)
-                handle_departure(departed, t)
-                departures += 1
-                events += 1
+                t, uid = heappop(heap)
+                depart(uid, t)
 
-            opened: List[StreamBin] = []
-
-            def open_new_bin() -> StreamBin:
-                nonlocal next_index
-                if opened:
-                    raise AlgorithmError(
-                        f"{algorithm.name} opened two bins for one item "
-                        f"(item {item.uid})"
-                    )
-                fresh = StreamBin(capacity, index=next_index, opened_at=now)
-                next_index += 1
-                open_bins[fresh.index] = fresh
-                opened.append(fresh)
-                return fresh
-
-            if instrumented:
-                t0 = pc()
-                target = algorithm.dispatch(item, now, open_new_bin)
-                dispatch_s += pc() - t0
-            else:
-                target = algorithm.dispatch(item, now, open_new_bin)
-            if target is None:
-                raise AlgorithmError(
-                    f"{algorithm.name} returned no bin for item {item.uid}"
-                )
-            target.pack(item)
-            bin_of_item[item.uid] = target
+            target = place(item, now)
             if assignment is not None:
                 assignment[item.uid] = target.index
-            heappush(heap, (item.departure, item.uid, item))
-
-            arrivals += 1
-            events += 1
-            if len(open_bins) > peak_open:
-                peak_open = len(open_bins)
-            if len(bin_of_item) > peak_live:
-                peak_live = len(bin_of_item)
+            heappush(heap, (item.departure, item.uid))
+            events = st.arrivals + st.departures
             if events >= next_flush:
                 # one flush per crossed threshold, however many events
                 # the departure drain advanced past it in one iteration
                 while events >= next_flush:
                     next_flush += flush_every
                 flushes += 1
-                self._emit_flush(col, events, cost_closed, open_bins, bin_of_item)
+                if col is not None and col.sink is not None:
+                    col.sink.emit("stream_flush", {
+                        "events": events,
+                        "cost_closed": core.cost_closed,
+                        "open_bins": len(core.open),
+                        "live_items": len(core.live),
+                    })
 
         while heap:
-            t, _, departed = heappop(heap)
-            handle_departure(departed, t)
-            departures += 1
-            events += 1
+            t, uid = heappop(heap)
+            depart(uid, t)
 
         # accrued usage of bins the stream left open (empty stream tail):
         # latest known departure bounds what they have certainly accrued
-        cost = cost_closed
-        for bin_ in open_bins.values():
+        cost = core.cost_closed
+        for bin_ in core.open.values():
             cost += bin_.latest_departure - bin_.opened_at
 
-        self._dispatch_s = dispatch_s
         return StreamResult(
-            algorithm=algorithm.name,
+            algorithm=self.algorithm.name,
             cost=cost,
-            events=events,
-            arrivals=arrivals,
-            departures=departures,
-            bins_opened=next_index,
-            bins_closed=closed_count,
-            open_bins=len(open_bins),
-            peak_open_bins=peak_open,
-            peak_live_items=peak_live,
+            events=st.arrivals + st.departures,
+            arrivals=st.arrivals,
+            departures=st.departures,
+            bins_opened=st.bins_opened,
+            bins_closed=st.bins_closed,
+            open_bins=len(core.open),
+            peak_open_bins=st.peak_open_bins,
+            peak_live_items=st.peak_live_items,
             flushes=flushes,
             assignment=assignment,
-        )
-
-    def _emit_flush(
-        self,
-        col: Optional[StatsCollector],
-        events: int,
-        cost_closed: float,
-        open_bins: Dict[int, StreamBin],
-        live_items: Dict[int, StreamBin],
-    ) -> None:
-        """Emit one periodic progress record through the trace sink."""
-        if col is None or col.sink is None:
-            return
-        col.sink.emit(
-            "stream_flush",
-            {
-                "events": events,
-                "cost_closed": cost_closed,
-                "open_bins": len(open_bins),
-                "live_items": len(live_items),
-            },
         )
 
 

@@ -4,9 +4,10 @@
 an online server: callers ``place`` items and ``depart`` them one call
 at a time, against a monotonic service clock, with no instance and no
 pre-declared horizon.  State is exactly the streaming engine's live
-state — open :class:`~repro.streaming.engine.StreamBin` objects, the
-live item → bin map, a scheduled-departure heap — plus the dispatch
-policy's own exported state, so the whole service can be snapshotted to
+state — a :class:`~repro.simulation.live.LivePacking` core over
+:class:`~repro.streaming.engine.StreamBin` objects and a
+scheduled-departure heap — plus the dispatch policy's own exported
+state, so the whole service can be snapshotted to
 a JSON document and restored bit-identically (same future decisions,
 same costs), persisted through the same crash-safe
 :func:`~repro.orchestration.checkpoint.atomic_write` primitive the
@@ -38,7 +39,8 @@ import heapq
 import json
 import math
 import sys
-from time import perf_counter
+from collections import Counter
+from dataclasses import asdict, replace
 from typing import (
     Any,
     Callable,
@@ -60,7 +62,8 @@ from ..core.errors import ConfigurationError, DVBPError, InvalidItemError
 from ..core.items import Item
 from ..observability.stats import RunStats, StatsCollector
 from ..orchestration.checkpoint import atomic_write
-from .engine import StreamBin, _CapacityContext
+from ..simulation.live import LivePacking
+from .engine import StreamBin
 
 __all__ = ["OPEN_ENDED", "PlacementService"]
 
@@ -95,7 +98,8 @@ class PlacementService:
     collector:
         Optional shared :class:`~repro.observability.stats.StatsCollector`
         (e.g. to fan service telemetry into an existing trace sink); a
-        private one is created when omitted.
+        private one is created when omitted.  It is the service's one
+        counter set: :meth:`stats` and the snapshot counters read it.
     """
 
     def __init__(
@@ -124,21 +128,17 @@ class PlacementService:
         # bookkeeping (next_fit's release_log) permanently, same as the
         # streaming engine does per run
         self._algorithm.audit_mode = False
-        self._algorithm.start(_CapacityContext(cap))
-        self.collector.run_started(_CapacityContext(cap), self._algorithm)
+        # the collector is the service's one counter set: the core counts
+        # the lifecycle into it, the policy its candidate scans
+        self._core = LivePacking(
+            self._algorithm, cap, bin_type=StreamBin, stats=self.collector,
+            timed=True,
+        )
+        self.collector.run_started(None, self._algorithm)
         self._algorithm.bind_collector(self.collector)
         self._now = 0.0
         self._next_uid = 0
-        self._next_bin_index = 0
-        self._open_bins: Dict[int, StreamBin] = {}
-        self._items: Dict[int, Tuple[Item, StreamBin]] = {}
         self._pending: List[Tuple[float, int]] = []
-        self._cost_closed = 0.0
-        self._arrivals = 0
-        self._departures = 0
-        self._bins_closed = 0
-        self._peak_open_bins = 0
-        self._peak_live_items = 0
 
     # ------------------------------------------------------------------
     # clock and state queries
@@ -151,12 +151,12 @@ class PlacementService:
     @property
     def live_items(self) -> int:
         """Number of currently resident items."""
-        return len(self._items)
+        return len(self._core.live)
 
     @property
     def open_bins(self) -> int:
         """Number of currently open bins."""
-        return len(self._open_bins)
+        return len(self._core.open)
 
     @property
     def cost(self) -> float:
@@ -167,8 +167,8 @@ class PlacementService:
         continuously non-empty since they opened, so that is their exact
         accrued usage — no estimate involved).
         """
-        return self._cost_closed + sum(
-            self._now - b.opened_at for b in self._open_bins.values()
+        return self._core.cost_closed + sum(
+            self._now - b.opened_at for b in self._core.open.values()
         )
 
     # ------------------------------------------------------------------
@@ -215,7 +215,7 @@ class PlacementService:
             uid = self._next_uid
         else:
             uid = _check_item_id(item_id)
-            if uid in self._items and not self._departs_by(uid, at):
+            if uid in self._core.live and not self._departs_by(uid, at):
                 raise ConfigurationError(f"item id {uid} is already live")
         item = Item(at, end, np.asarray(size, dtype=np.float64), uid=uid)
         if item.size.shape != self.capacity.shape or np.any(item.size > self.capacity):
@@ -225,31 +225,9 @@ class PlacementService:
             )
         self._advance(at)
         self._next_uid = max(self._next_uid, uid + 1)
-
-        opened: List[StreamBin] = []
-
-        def open_new_bin() -> StreamBin:
-            fresh = StreamBin(self.capacity, index=self._next_bin_index, opened_at=at)
-            self._next_bin_index += 1
-            self._open_bins[fresh.index] = fresh
-            opened.append(fresh)
-            return fresh
-
-        t0 = perf_counter()
-        target = self._algorithm.dispatch(item, at, open_new_bin)
-        target.pack(item)
-        elapsed = perf_counter() - t0
-        self._items[uid] = (item, target)
+        target = self._core.place(item, at)
         if end != OPEN_ENDED:
             heapq.heappush(self._pending, (end, uid))
-        self._arrivals += 1
-        if len(self._open_bins) > self._peak_open_bins:
-            self._peak_open_bins = len(self._open_bins)
-        if len(self._items) > self._peak_live_items:
-            self._peak_live_items = len(self._items)
-        self.collector.record_arrival(elapsed, opened_new=bool(opened))
-        if len(self._items) > self.collector.peak_live_items:
-            self.collector.peak_live_items = len(self._items)
         return target.index
 
     def depart(self, item_id: int, at: Optional[float] = None) -> bool:
@@ -261,32 +239,28 @@ class PlacementService:
         """
         uid = _check_item_id(item_id)
         at = self._check_time(at)
-        if uid not in self._items or self._departs_by(uid, at):
+        if uid not in self._core.live or self._departs_by(uid, at):
             raise ConfigurationError(
                 f"item {uid} is not live at t={at} (never placed, or "
                 f"already departed)"
             )
         self._advance(at)
-        return self._process_departure(uid, at)
+        return self._core.depart(uid, at)
 
     def advance(self, to: float) -> int:
         """Advance the clock to ``to``; return how many departures fired."""
-        before = self._departures
+        before = self.collector.departures
         self._advance(self._check_time(float(to)))
-        return self._departures - before
+        return self.collector.departures - before
 
     def stats(self) -> RunStats:
-        """Lifecycle counters in the library's standard stats currency."""
-        return RunStats(
-            algorithm=self._algorithm.name,
-            runs=1,
-            events=self._arrivals + self._departures,
-            arrivals=self._arrivals,
-            departures=self._departures,
-            bins_opened=self._next_bin_index,
-            bins_closed=self._bins_closed,
-            peak_open_bins=self._peak_open_bins,
-            peak_live_items=self._peak_live_items,
+        """The collector's counters in the library's standard stats currency.
+
+        Lifecycle counters, candidate scans, fit checks and dispatch
+        time all come from the one collector the service counts into.
+        """
+        return replace(
+            self.collector.snapshot(), algorithm=self._algorithm.name, runs=1
         )
 
     # ------------------------------------------------------------------
@@ -306,7 +280,7 @@ class PlacementService:
 
     def _departs_by(self, uid: int, at: float) -> bool:
         """Whether live item ``uid``'s scheduled departure fires by ``at``."""
-        departure = self._items[uid][0].departure
+        departure = self._core.live[uid][0].departure
         return departure != OPEN_ENDED and departure <= at
 
     def _advance(self, at: float) -> None:
@@ -315,23 +289,11 @@ class PlacementService:
         # whatever op requested the advance (departures-first tie-break)
         while self._pending and self._pending[0][0] <= at:
             t, uid = heapq.heappop(self._pending)
-            entry = self._items.get(uid)
+            entry = self._core.live.get(uid)
             if entry is None or entry[0].departure != t:
                 continue  # stale entry: the item departed explicitly
-            self._process_departure(uid, t)
+            self._core.depart(uid, t)
         self._now = at
-
-    def _process_departure(self, uid: int, now: float) -> bool:
-        item, bin_ = self._items.pop(uid)
-        closed = bin_.remove(item, now)
-        self._algorithm.notify_departure(bin_, item, now, closed)
-        self._departures += 1
-        if closed:
-            self._bins_closed += 1
-            self._cost_closed += bin_.closed_at - bin_.opened_at
-            del self._open_bins[bin_.index]
-        self.collector.record_departure(closed)
-        return closed
 
     # ------------------------------------------------------------------
     # snapshot / restore
@@ -345,9 +307,11 @@ class PlacementService:
         loads re-fold identically), and the policy re-adopts its own
         exported state (open-list order, RNG stream position, …).
         """
+        core = self._core
+        col = self.collector
         bins = []
-        for index in sorted(self._open_bins):
-            b = self._open_bins[index]
+        for index in sorted(core.open):
+            b = core.open[index]
             bins.append({
                 "index": index,
                 "opened_at": b.opened_at,
@@ -364,7 +328,7 @@ class PlacementService:
             })
         pending = sorted(
             (t, uid) for t, uid in self._pending
-            if uid in self._items and self._items[uid][0].departure == t
+            if uid in core.live and core.live[uid][0].departure == t
         )
         return {
             "schema": SNAPSHOT_SCHEMA,
@@ -373,14 +337,14 @@ class PlacementService:
             "capacity": [float(x) for x in self.capacity],
             "now": self._now,
             "next_uid": self._next_uid,
-            "next_bin_index": self._next_bin_index,
-            "cost_closed": self._cost_closed,
+            "next_bin_index": core.next_index,
+            "cost_closed": core.cost_closed,
             "counters": {
-                "arrivals": self._arrivals,
-                "departures": self._departures,
-                "bins_closed": self._bins_closed,
-                "peak_open_bins": self._peak_open_bins,
-                "peak_live_items": self._peak_live_items,
+                "arrivals": col.arrivals,
+                "departures": col.departures,
+                "bins_closed": col.bins_closed,
+                "peak_open_bins": col.peak_open_bins,
+                "peak_live_items": col.peak_live_items,
             },
             "bins": bins,
             "pending": [[t, uid] for t, uid in pending],
@@ -393,28 +357,33 @@ class PlacementService:
         state: Mapping[str, Any],
         collector: Optional[StatsCollector] = None,
     ) -> "PlacementService":
-        """Rebuild a service from a :meth:`snapshot` document."""
+        """Rebuild a service from a :meth:`snapshot` document.
+
+        The document is checked for self-contradictions before anything
+        is built: an item in two bins (or twice in one), an empty or
+        duplicated bin, and a ``next_uid`` or ``next_bin_index`` that
+        does not lie above every live item or open bin are each rejected
+        with a :class:`~repro.core.errors.ConfigurationError` naming the
+        field.  Its counters replace those of ``collector`` (a fresh one
+        when omitted), which keeps counting from there.
+        """
         if state.get("schema") != SNAPSHOT_SCHEMA:
             raise ConfigurationError(
                 f"not a service snapshot (schema {state.get('schema')!r}, "
                 f"expected {SNAPSHOT_SCHEMA!r})"
             )
+        _check_snapshot(state)
         svc = cls(
             policy=state["policy"],
             capacity=state["capacity"],
             seed=state.get("seed", 0),
             collector=collector,
         )
+        core = svc._core
         svc._now = float(state["now"])
         svc._next_uid = int(state["next_uid"])
-        svc._next_bin_index = int(state["next_bin_index"])
-        svc._cost_closed = float(state["cost_closed"])
-        counters = state["counters"]
-        svc._arrivals = int(counters["arrivals"])
-        svc._departures = int(counters["departures"])
-        svc._bins_closed = int(counters["bins_closed"])
-        svc._peak_open_bins = int(counters["peak_open_bins"])
-        svc._peak_live_items = int(counters["peak_live_items"])
+        core.next_index = int(state["next_bin_index"])
+        core.cost_closed = float(state["cost_closed"])
         for rec in state["bins"]:
             b = StreamBin(
                 svc.capacity, index=int(rec["index"]), opened_at=float(rec["opened_at"])
@@ -427,14 +396,19 @@ class PlacementService:
                     uid=int(it_rec["uid"]),
                 )
                 b.pack(item)  # re-folds the load in original pack order
-                svc._items[item.uid] = (item, b)
+                core.live[item.uid] = (item, b)
             # pack() tracked only the residents' max departure; the true
             # high-water mark may come from an already-departed member
             b.latest_departure = float(rec["latest_departure"])
-            svc._open_bins[b.index] = b
+            core.open[b.index] = b
         svc._pending = [(float(t), int(uid)) for t, uid in state["pending"]]
         heapq.heapify(svc._pending)
-        svc._algorithm.import_state(state["algorithm"], svc._open_bins)
+        svc._algorithm.import_state(state["algorithm"], core.open)
+        col = svc.collector
+        for name in ("arrivals", "departures", "bins_closed", "peak_open_bins",
+                     "peak_live_items"):
+            setattr(col, name, int(state["counters"][name]))
+        col.bins_opened = core.next_index
         return svc
 
     def snapshot_to(self, path: str) -> str:
@@ -469,6 +443,27 @@ class PlacementService:
                 f"(stored {document['sha256'][:12]}…, computed {digest[:12]}…)"
             )
         return cls.restore(document["state"], collector=collector)
+
+
+def _check_snapshot(state: Mapping[str, Any]) -> None:
+    """Reject a snapshot whose bins, uids and counters contradict each other."""
+    bins = state["bins"]
+    indexes = Counter(int(rec["index"]) for rec in bins)
+    uids = Counter(int(it["uid"]) for rec in bins for it in rec["items"])
+    for what, counts in (("bin", indexes), ("item", uids)):
+        twice = [key for key, n in counts.items() if n > 1]
+        if twice:
+            raise ConfigurationError(f"snapshot field 'bins' lists {what} {twice[0]} twice")
+    if not all(rec["items"] for rec in bins):
+        raise ConfigurationError("snapshot field 'bins' lists a bin with no items")
+    for field, taken, what in (
+        ("next_uid", uids, "live item"), ("next_bin_index", indexes, "open bin")
+    ):
+        if taken and int(state[field]) <= max(taken):
+            raise ConfigurationError(
+                f"snapshot field {field!r} is {state[field]!r}, not above "
+                f"{what} {max(taken)}"
+            )
 
 
 def _check_item_id(item_id) -> int:
@@ -531,8 +526,6 @@ def serve_loop(
     service down.  Blank lines are skipped.  Returns the number of
     requests handled.
     """
-    import dataclasses
-
     handled = 0
     for raw in requests:
         raw = raw.strip()
@@ -565,7 +558,7 @@ def serve_loop(
             elif op == "stats":
                 resp = {
                     "ok": True,
-                    "stats": dataclasses.asdict(service.stats()),
+                    "stats": asdict(service.stats()),
                     "cost": service.cost,
                     "live_items": service.live_items,
                     "open_bins": service.open_bins,

@@ -181,7 +181,7 @@ class BudgetIgnoringRepacker(RepackPolicy):
                 )
                 # the bug: straight to the unchecked primitive, skipping
                 # ledger admission entirely
-                engine._apply_move(item, src, dst, now, record)
+                engine._apply_move(item, dst, now, record)
             return
 
 

@@ -30,9 +30,9 @@ counterpart and requires the two to agree exactly:
   exceed its budget, residency segments must tile each item's lifetime,
   capacity must hold under every intermediate load, and the engine's
   cost must equal the first-principles segment recomputation;
-* :func:`instrumented_equality_check` — the engine's plain event loop
-  versus its instrumented twin (identical packing; run counters that
-  agree with ground truth derived from the packing itself);
+* :func:`instrumented_equality_check` — the engine run without and with
+  a collector (identical packing; run counters that agree with ground
+  truth derived from the packing itself);
 * :func:`cost_check` — the packing's Eq. 1 cost recomputed from first
   principles as a sum of member-interval union lengths, using only the
   instance and the assignment;
@@ -436,9 +436,9 @@ def differential_check(
 def instrumented_equality_check(
     instance: Instance, policy: str, seed: int = 0
 ) -> List[Violation]:
-    """Plain vs instrumented engine loop on one (instance, policy) pair.
+    """Plain vs instrumented engine run on one (instance, policy) pair.
 
-    The instrumented twin loop must not change any decision, and its
+    Attaching a collector must not change any decision, and the run's
     counters must match ground truth recomputed from the packing.
     """
     kwargs = {"seed": seed} if policy == "random_fit" else {}

@@ -2,7 +2,8 @@
 
 The production engine (:mod:`repro.simulation.engine`) is optimised: it
 shares a vectorised fit check across all Any Fit policies, recycles
-algorithm objects, and (when instrumented) runs a twin event loop.  Every
+algorithm objects, and shares one per-item step with four other engines
+(:class:`~repro.simulation.live.LivePacking`).  Every
 one of those optimisations is a place a refactor can silently change
 behaviour.  This module re-implements the paper's Algorithm 1 *from the
 text alone* — plain Python loops, no :class:`~repro.core.bins.Bin`, no

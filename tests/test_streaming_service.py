@@ -15,8 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
-from repro.core.errors import ConfigurationError, InvalidItemError
+from repro.algorithms.registry import make_algorithm
+from repro.core.errors import ConfigurationError, DVBPError, InvalidItemError
+from repro.core.instance import Instance
+from repro.core.items import Item
 from repro.observability.stats import StatsCollector
 from repro.simulation.runner import run
 from repro.streaming import OPEN_ENDED, PlacementService, serve_loop
@@ -220,6 +232,35 @@ class TestServiceSemantics:
         assert stats.peak_live_items == 2
         assert svc.stats().events == 4
 
+    def test_stats_op_reports_the_scans_of_a_classic_run(self):
+        # stats() reads the one collector the service counts into, so the
+        # candidate scans and fit checks its policy made show up there
+        inst = UniformWorkload(d=2, n=80, mu=10).sample_seeded(3)
+        col = StatsCollector()
+        run("first_fit", inst, collector=col)
+        classic = col.snapshot()
+        reqs = [
+            json.dumps({
+                "op": "place", "size": [float(x) for x in it.size],
+                "at": it.arrival, "departure": it.departure, "item_id": it.uid,
+            })
+            for it in inst.items
+        ]
+        reqs.append(json.dumps(
+            {"op": "advance", "to": max(it.departure for it in inst.items)}
+        ))
+        reqs.append('{"op": "stats"}')
+        out = []
+        svc = PlacementService(policy="first_fit", capacity=inst.capacity)
+        serve_loop(svc, reqs, out.append)
+        stats = json.loads(out[-1])["stats"]
+        assert stats["candidate_scans"] == classic.candidate_scans > 0
+        assert stats["fit_checks"] == classic.fit_checks
+        assert stats["dispatch_time_s"] > 0.0
+        for field in ("arrivals", "departures", "bins_opened", "bins_closed",
+                      "peak_open_bins"):
+            assert stats[field] == getattr(classic, field), field
+
 
 class TestSnapshotRestore:
     def _drive(self, svc, seed):
@@ -233,7 +274,7 @@ class TestSnapshotRestore:
             fired = svc.advance(svc.now + float(rng.uniform(0.0, 0.5)))
             decisions.append(("advance", fired))
             if svc.live_items and rng.random() < 0.25:
-                live = sorted(svc._items)
+                live = sorted(svc._core.live)
                 uid = int(live[int(rng.integers(len(live)))])
                 closed = svc.depart(uid)
                 decisions.append(("depart", uid, closed))
@@ -263,6 +304,42 @@ class TestSnapshotRestore:
     def test_restore_rejects_wrong_schema(self):
         with pytest.raises(ConfigurationError):
             PlacementService.restore({"schema": "bogus/v9"})
+
+    @staticmethod
+    def _two_bin_state():
+        svc = PlacementService(policy="first_fit", capacity=10.0)
+        svc.place(6.0, duration=5.0)           # bin 0
+        svc.place(6.0, duration=5.0, at=1.0)   # bin 1
+        svc.place(3.0, at=2.0)                 # bin 0, open-ended
+        return json.loads(json.dumps(svc.snapshot()))
+
+    def test_restore_rejects_an_item_in_two_bins(self):
+        state = self._two_bin_state()
+        state["bins"][1]["items"].append(state["bins"][0]["items"][1])
+        with pytest.raises(ConfigurationError, match="'bins'.*item 2"):
+            PlacementService.restore(state)
+
+    def test_restore_rejects_next_uid_at_a_live_uid(self):
+        state = self._two_bin_state()
+        state["next_uid"] = 2
+        with pytest.raises(ConfigurationError, match="next_uid"):
+            PlacementService.restore(state)
+
+    def test_restore_rejects_next_bin_index_at_an_open_bin(self):
+        state = self._two_bin_state()
+        state["next_bin_index"] = 1
+        with pytest.raises(ConfigurationError, match="next_bin_index"):
+            PlacementService.restore(state)
+
+    @pytest.mark.parametrize("corrupt", ["duplicate-bin", "empty-bin"])
+    def test_restore_rejects_malformed_bin_lists(self, corrupt):
+        state = self._two_bin_state()
+        if corrupt == "duplicate-bin":
+            state["bins"][1]["index"] = 0
+        else:
+            state["bins"][1]["items"] = []
+        with pytest.raises(ConfigurationError, match="'bins'"):
+            PlacementService.restore(state)
 
     def test_snapshot_file_round_trip_and_checksum(self, tmp_path):
         svc = PlacementService(policy="move_to_front", capacity=50.0, d=1)
@@ -406,3 +483,173 @@ class TestServeCLI:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert lines[0] == {"ok": True, "restored": snap}
         assert lines[1]["live_items"] == 1
+
+
+# ----------------------------------------------------------------------
+# stateful differential test of the service boundary
+# ----------------------------------------------------------------------
+MACHINE_POLICIES = ["first_fit", "best_fit", "move_to_front", "next_fit",
+                    "random_fit"]
+MACHINE_CAPACITY = 10.0
+sizes = st.lists(st.integers(1, 7).map(float), min_size=2, max_size=2)
+gaps = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+
+
+class ServiceMachine(RuleBasedStateMachine):
+    """Random place/depart/advance/snapshot-restore sequences, with
+    malformed requests mixed in, against one :class:`PlacementService`
+    (the regression test for the service's move onto the live core).
+
+    The machine models only the clock and which items are live, so it
+    knows the exact order in which the service applies departures
+    (scheduled ones fire in ``(time, uid)`` order before the request
+    that moved the clock past them).  Every rejected request must leave
+    ``snapshot()`` byte-identical.  At teardown every item is departed
+    and the bins the service returned, and the closed flags of its
+    explicit departs, are compared with a classic ``run`` of the
+    accepted items.
+    """
+
+    @initialize(policy=st.sampled_from(MACHINE_POLICIES))
+    def start(self, policy):
+        self.policy = policy
+        self.svc = PlacementService(policy=policy, capacity=MACHINE_CAPACITY, d=2)
+        self.now = 0.0
+        self.next_uid = 0
+        self.live = {}       # uid -> scheduled departure (None: open-ended)
+        self.items = {}      # uid -> [arrival, departure, size]
+        self.log = []        # ("place" | "depart", uid) in service order
+        self.bins = {}       # uid -> bin index the service returned
+        self.closed = {}     # log position of an explicit depart -> flag
+
+    # -- model ---------------------------------------------------------
+    def _advance(self, at):
+        due = sorted((t, uid) for uid, t in self.live.items()
+                     if t is not None and t <= at)
+        for t, uid in due:
+            self._departed(uid, t)
+        self.now = at
+
+    def _departed(self, uid, t):
+        del self.live[uid]
+        self.items[uid][1] = t
+        self.log.append(("depart", uid))
+
+    def _snapshot_bytes(self):
+        return json.dumps(self.svc.snapshot(), sort_keys=True)
+
+    def _rejected(self, call, *args, **kwargs):
+        before = self._snapshot_bytes()
+        with pytest.raises(DVBPError):
+            call(*args, **kwargs)
+        assert self._snapshot_bytes() == before
+
+    # -- accepted requests ---------------------------------------------
+    @rule(size=sizes, gap=gaps, explicit_id=st.booleans(),
+          duration=st.sampled_from([None, 0.5, 1.0, 3.0, 7.5]))
+    def place(self, size, gap, explicit_id, duration):
+        at = self.now + gap
+        uid = self.next_uid + (3 if explicit_id else 0)
+        got = self.svc.place(size, duration=duration, at=at,
+                             item_id=uid if explicit_id else None)
+        self._advance(at)
+        self.next_uid = uid + 1
+        self.live[uid] = None if duration is None else at + duration
+        self.items[uid] = [at, None, size]
+        self.log.append(("place", uid))
+        self.bins[uid] = got
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data(), gap=st.sampled_from([0.5, 1.0, 2.0]))
+    def depart(self, data, gap):
+        # strictly after the clock, so no arrival shares the instant
+        at = self.now + gap
+        departable = sorted(uid for uid, t in self.live.items()
+                            if t is None or t > at)
+        if not departable:
+            return
+        uid = data.draw(st.sampled_from(departable))
+        closed = self.svc.depart(uid, at=at)
+        self._advance(at)
+        self._departed(uid, at)
+        self.closed[len(self.log) - 1] = closed
+
+    @rule(gap=st.sampled_from([0.5, 1.0, 4.0]))
+    def advance(self, gap):
+        fired = self.svc.advance(self.now + gap)
+        before = len(self.log)
+        self._advance(self.now + gap)
+        assert fired == len(self.log) - before
+
+    @rule()
+    def snapshot_then_restore(self):
+        state = json.loads(self._snapshot_bytes())
+        self.svc = PlacementService.restore(state)
+        assert json.loads(self._snapshot_bytes()) == state
+
+    # -- rejected requests ---------------------------------------------
+    @rule(kind=st.sampled_from(["nan", "inf", "negative", "oversize",
+                                "backwards", "duplicate", "unknown"]),
+          gap=gaps, data=st.data())
+    def malformed(self, kind, gap, data):
+        # at a later time where the request allows one, so a service that
+        # moved its clock (firing departures) before validating shows up
+        at = self.now + gap
+        bad_size = {"nan": float("nan"), "inf": float("inf"),
+                    "negative": -1.0, "oversize": MACHINE_CAPACITY + 1.0}
+        if kind in bad_size:
+            self._rejected(self.svc.place, [1.0, bad_size[kind]], at=at)
+        elif kind == "backwards":
+            back = self.now - 1.0
+            self._rejected(self.svc.place, [1.0, 1.0], at=back)
+            self._rejected(self.svc.advance, back)
+            self._rejected(self.svc.depart, self.next_uid, at=back)
+        elif kind == "duplicate":
+            still_live = sorted(uid for uid, t in self.live.items()
+                                if t is None or t > at)
+            if still_live:
+                uid = data.draw(st.sampled_from(still_live))
+                self._rejected(self.svc.place, [1.0, 1.0], at=at, item_id=uid)
+        else:
+            self._rejected(self.svc.depart, self.next_uid + 100, at=at)
+
+    # -- the differential check ----------------------------------------
+    def teardown(self):
+        if not getattr(self, "items", None):
+            return
+        end = self.now + 100.0
+        self.svc.advance(end)
+        self._advance(end)
+        for uid in sorted(self.live):
+            self.closed[len(self.log)] = self.svc.depart(uid, at=end)
+            self._departed(uid, end)
+        assert self.svc.live_items == 0 and self.svc.open_bins == 0
+        order = [uid for kind, uid in self.log if kind == "place"]
+        instance = Instance(
+            [Item(self.items[u][0], self.items[u][1], np.asarray(self.items[u][2]),
+                  uid=u) for u in order],
+            capacity=[MACHINE_CAPACITY] * 2,
+        )
+        kwargs = {"seed": 0} if self.policy == "random_fit" else {}
+        classic = run(make_algorithm(self.policy, **kwargs), instance)
+        assert self.bins == dict(classic.assignment)
+        residents = {}
+        for pos, (kind, uid) in enumerate(self.log):
+            b = classic.assignment[uid]
+            residents[b] = residents.get(b, 0) + (1 if kind == "place" else -1)
+            if pos in self.closed:
+                assert self.closed[pos] == (residents[b] == 0), (pos, uid)
+
+
+def test_service_state_machine():
+    run_state_machine_as_test(
+        ServiceMachine, settings=settings(stateful_step_count=20)
+    )
+
+
+@pytest.mark.fuzz
+def test_service_state_machine_deep():
+    run_state_machine_as_test(
+        ServiceMachine,
+        settings=settings(max_examples=300, stateful_step_count=60),
+    )

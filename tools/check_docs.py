@@ -21,11 +21,17 @@ Three checks, any failure exits non-zero with a per-item report:
 3. **API coverage** — every module under ``src/repro`` is mentioned by
    its dotted name in ``docs/api.md``; new modules must be documented
    before CI goes green.
+4. **Names** — every ``repro.``-qualified dotted name inside an inline
+   code span (``repro.simulation.live.LivePacking.place``, say) imports
+   and resolves: the longest importable module prefix is imported and
+   the rest looked up attribute by attribute, so no doc can name a
+   module or symbol that no longer exists.
 """
 
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -47,6 +53,8 @@ CHECKED_FILES = [
 LINK_RE = re.compile(r"\[[^\]\[]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+REPRO_NAME_RE = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 
 
 def heading_slugs(text: str) -> set:
@@ -150,6 +158,50 @@ def check_code_blocks(path: Path, text: str, errors: List[str]) -> None:
         )
 
 
+def unresolved(dotted: str) -> str:
+    """Why ``dotted`` does not resolve, or ``""`` when it does."""
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):
+        module = ".".join(parts[:k])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name and module.startswith(exc.name):
+                continue  # not a module: try the next shorter prefix
+            raise
+        for i in range(k, len(parts)):
+            if not hasattr(obj, parts[i]):
+                return f"{'.'.join(parts[:i])} has no attribute {parts[i]!r}"
+            obj = getattr(obj, parts[i])
+        return ""
+    return "no such module"
+
+
+def check_names(path: Path, text: str, errors: List[str]) -> int:
+    """Resolve every ``repro.`` name in the inline code spans of ``text``."""
+    lines = text.splitlines()
+    in_fence = False
+    for i, line in enumerate(lines):  # fenced blocks belong to check 2
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            lines[i] = ""
+        elif in_fence:
+            lines[i] = ""
+    prose = "\n".join(lines)
+    count = 0
+    for span in CODE_SPAN_RE.finditer(prose):
+        for name in REPRO_NAME_RE.findall(span.group(1)):
+            count += 1
+            why = unresolved(name)
+            if why:
+                lineno = prose.count("\n", 0, span.start()) + 1
+                errors.append(
+                    f"{path.relative_to(REPO)}:{lineno}: `{name}` does not "
+                    f"resolve ({why})"
+                )
+    return count
+
+
 def public_modules() -> Dict[str, Path]:
     """Dotted name -> path for every module under ``src/repro``."""
     out: Dict[str, Path] = {}
@@ -181,6 +233,7 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     errors: List[str] = []
     slug_cache: Dict[Path, set] = {}
+    n_names = 0
     for path in CHECKED_FILES:
         if not path.exists():
             errors.append(f"missing checked file: {path.relative_to(REPO)}")
@@ -189,6 +242,7 @@ def main() -> int:
         slug_cache.setdefault(path.resolve(), heading_slugs(text))
         check_links(path.resolve(), text, errors, slug_cache)
         check_code_blocks(path, text, errors)
+        n_names += check_names(path, text, errors)
     n_modules = check_api_coverage(errors)
     if errors:
         print(f"check_docs: {len(errors)} problem(s)")
@@ -197,7 +251,8 @@ def main() -> int:
         return 1
     print(
         f"check_docs: OK ({len(CHECKED_FILES)} files, "
-        f"{n_modules} modules covered by docs/api.md)"
+        f"{n_modules} modules covered by docs/api.md, "
+        f"{n_names} repro names resolved)"
     )
     return 0
 
