@@ -14,8 +14,8 @@ Subcommands regenerate each paper artefact:
   through the fault-tolerant driver (:mod:`repro.experiments.driver`);
 * ``compare`` — run all registered algorithms on one generated instance
   and print the metric table (a quick interactive probe);
-* ``bench``   — the pinned-seed perf-baseline suite (writes the
-  ``BENCH_core.json`` trajectory file; see docs/observability.md);
+* ``bench``   — one registered pinned-seed perf suite per run, written
+  under its own key of ``BENCH_core.json`` (see docs/observability.md);
 * ``verify``  — the differential/invariant fuzzing harness
   (``--profile quick|deep``; see docs/verification.md) or a single
   Theorem 2/4 proof decomposition (``--theorem``);
@@ -188,42 +188,31 @@ def _build_parser() -> argparse.ArgumentParser:
                          "gets a fresh budget; SIGALRM-based, POSIX only)")
 
     pb = sub.add_parser(
-        "bench", help="run the pinned-seed perf-baseline suite (writes JSON)"
+        "bench", help="run one pinned-seed perf suite (writes JSON)"
     )
-    pb.add_argument("--suite",
-                    choices=["core", "smoke", "fastpath", "fastpath-smoke",
-                             "fastpath-vectorized", "fastpath-vectorized-smoke",
-                             "batch", "batch-smoke",
-                             "streaming", "streaming-smoke",
-                             "adversary",
-                             "repacking", "repacking-smoke"],
-                    default="core",
-                    help="core = the BENCH_core.json grid; smoke = seconds-fast "
-                         "subset; fastpath = the classic-vs-FastEngine "
-                         "comparison grid (merged under the 'fastpath' key of "
-                         "the output); fastpath-vectorized = the trial-lockstep "
-                         "multi-trial kernel vs per-trial dispatch, plus the "
-                         "L1/Lp measure-kernel cells (nested under "
-                         "'fastpath.vectorized'); batch = the per-unit-vs-batched sweep "
-                         "comparison grid (merged under the 'batch' key); "
-                         "streaming = the bounded-memory long-stream grid "
-                         "(events/sec + peak-RSS, merged under the "
-                         "'streaming' key); adversary = the adaptive "
-                         "must-exceed-bound attack grid (certified ratios + "
-                         "wall time, merged under the 'adversary' key); "
-                         "repacking = the migration-budget cost frontier "
-                         "vs the no-recourse baseline and offline/"
-                         "clairvoyant yardsticks (merged under the "
-                         "'repacking' key); *-smoke = their seconds-fast "
-                         "subsets")
-    pb.add_argument("--repeats", type=int, default=3,
-                    help="runs per (scenario, algorithm); wall-time is the min")
+    pb.add_argument("--suite", default="core", metavar="SUITE",
+                    help="core = the Section 7 grid through all seven Any "
+                         "Fit variants; fastpath = classic vs FastEngine; "
+                         "fastpath-vectorized = lockstep vs per-trial "
+                         "random_fit trials plus the L1/Lp measure kernels; "
+                         "batch = per-unit vs batched sweep dispatch; "
+                         "streaming = the bounded-memory long stream; "
+                         "adversary = the must-exceed-bound attack grid; "
+                         "repacking = the migration-budget cost frontier; "
+                         "overhead = the cost of attaching a stats "
+                         "collector.  smoke and *-smoke are seconds-fast "
+                         "subsets that write their full suite's key; an "
+                         "unknown name exits 2 and lists every name")
+    pb.add_argument("--repeats", type=int, default=None,
+                    help="runs per timed cell; wall-time is the min "
+                         "(default: the suite's own, 1 for streaming, "
+                         "adversary and repacking, 5 for overhead, 3 "
+                         "otherwise)")
     pb.add_argument("--output", default="BENCH_core.json",
-                    help="output JSON path (defaults to ./BENCH_core.json)")
+                    help="output JSON path (defaults to ./BENCH_core.json); "
+                         "the run replaces only its suite's key")
     pb.add_argument("--trace", default=None,
                     help="also emit per-run records to this JSON-lines file")
-    pb.add_argument("--overhead", action="store_true",
-                    help="measure and report instrumented-vs-plain engine overhead")
 
     pss = sub.add_parser(
         "serve",
@@ -470,233 +459,45 @@ def main(argv: Optional[List[str]] = None) -> int:
                            title=f"{args.algorithm} on {instance!r} "
                                  f"({engine_note})"))
     elif args.command == "bench":
-        import json as _json
-        import os as _os
+        from .bench import get_suite, read_bench, run_bench, write_record
+        from .core.errors import ConfigurationError
+        from .observability.sinks import JsonLinesSink
 
-        from .observability.bench import (
-            BATCH_SCENARIOS,
-            BATCH_SMOKE_SCENARIOS,
-            CORE_SCENARIOS,
-            FASTPATH_SCENARIOS,
-            FASTPATH_SMOKE_SCENARIOS,
-            REPACKING_SCENARIOS,
-            REPACKING_SMOKE_SCENARIOS,
-            SCHEMA,
-            SMOKE_SCENARIOS,
-            STREAMING_SCENARIOS,
-            STREAMING_SMOKE_SCENARIOS,
-            VECTORIZED_SCENARIO,
-            VECTORIZED_SMOKE_SCENARIO,
-            VECTORIZED_SMOKE_TRIALS,
-            VECTORIZED_TRIALS,
-            measure_overhead,
-            merge_suite,
-            merge_vectorized,
-            run_adversary_suite,
-            run_batch_suite,
-            run_fastpath_suite,
-            run_repacking_suite,
-            run_streaming_suite,
-            run_suite,
-            run_vectorized_suite,
-            write_bench,
-        )
-        from .observability.sinks import JsonLinesSink, NullSink
-
-        def _load_existing():
-            if not _os.path.exists(args.output):
-                return None
-            try:
-                with open(args.output, "r", encoding="utf-8") as fh:
-                    return _json.load(fh)
-            except (OSError, ValueError):
-                return None
-
-        if args.suite == "adversary":
-            print(f"running {args.suite} suite (repeats={args.repeats}) ...")
-            payload = run_adversary_suite(repeats=args.repeats,
-                                          suite=args.suite, progress=print)
-            # Keep one trajectory file: nest under an existing core
-            # payload (preserving its companion records) when present.
-            out = payload
-            existing = _load_existing()
-            if isinstance(existing, dict) and existing.get("schema") == SCHEMA:
-                out = merge_suite(existing, "adversary", payload)
-            write_bench(out, args.output)
-            head = payload["headline"]
-            print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-                  f"{head['scenarios']} scenarios, "
-                  f"all_passed={head['all_passed']}, tightest margin "
-                  f"{head['tightest_margin']:.3f} "
-                  f"({head['tightest_scenario']}), max amplifier ratio "
-                  f"{head['max_amplifier_ratio']:.1f}; wrote {args.output}")
-            return 0 if head["all_passed"] else 1
-        if args.suite in ("repacking", "repacking-smoke"):
-            scenarios = (
-                REPACKING_SCENARIOS if args.suite == "repacking"
-                else REPACKING_SMOKE_SCENARIOS
-            )
-            print(f"running {args.suite} suite ({len(scenarios)} scenarios, "
-                  f"repeats={args.repeats}) ...")
-            payload = run_repacking_suite(
-                scenarios=scenarios, repeats=args.repeats,
-                suite=args.suite, progress=print
-            )
-            # Keep one trajectory file: nest under an existing core
-            # payload (preserving its companion records) when present.
-            out = payload
-            existing = _load_existing()
-            if isinstance(existing, dict) and existing.get("schema") == SCHEMA:
-                out = merge_suite(existing, "repacking", payload)
-            write_bench(out, args.output)
-            head = payload["headline"]
-            print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-                  f"{head['scenarios']} scenarios, "
-                  f"gadgets_improved={head['gadgets_improved']}, biggest "
-                  f"saving {head['biggest_improvement']:.0%} "
-                  f"({head['biggest_improvement_scenario']}); "
-                  f"wrote {args.output}")
-            return 0 if head["gadgets_improved"] else 1
-        if args.suite in ("streaming", "streaming-smoke"):
-            scenarios = (
-                STREAMING_SCENARIOS if args.suite == "streaming"
-                else STREAMING_SMOKE_SCENARIOS
-            )
-            print(f"running {args.suite} suite ({len(scenarios)} scenarios, "
-                  f"repeats={args.repeats}) ...")
-            payload = run_streaming_suite(
-                scenarios=scenarios, repeats=args.repeats,
-                suite=args.suite, progress=print
-            )
-            # Keep one trajectory file: nest under an existing core
-            # payload (preserving its companion records) when present.
-            out = payload
-            existing = _load_existing()
-            if isinstance(existing, dict) and existing.get("schema") == SCHEMA:
-                out = merge_suite(existing, "streaming", payload)
-            write_bench(out, args.output)
-            head = payload["headline"]
-            print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-                  f"headline ({head['scenario']}): "
-                  f"{head['events']} events at "
-                  f"{head['events_per_sec']:.0f}/s, peak live "
-                  f"{head['peak_live_items']} of {head['items']} items, "
-                  f"rss {head['peak_rss_mb']:.0f} MiB; wrote {args.output}")
-            return 0
-        if args.suite in ("batch", "batch-smoke"):
-            scenarios = (
-                BATCH_SCENARIOS if args.suite == "batch"
-                else BATCH_SMOKE_SCENARIOS
-            )
-            print(f"running {args.suite} suite ({len(scenarios)} scenarios, "
-                  f"repeats={args.repeats}) ...")
-            payload = run_batch_suite(
-                scenarios=scenarios, repeats=args.repeats,
-                suite=args.suite, progress=print
-            )
-            # Keep one trajectory file: nest under an existing core
-            # payload (preserving its fastpath record) when present.
-            out = payload
-            existing = _load_existing()
-            if isinstance(existing, dict) and existing.get("schema") == SCHEMA:
-                out = merge_suite(existing, "batch", payload)
-            write_bench(out, args.output)
-            head = payload["headline"]
-            mem = payload["item_memory"]
-            print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-                  f"headline: per-unit {head['per_unit_s']:.2f} s vs batch "
-                  f"{head['batch_s']:.2f} s ({head['speedup']:.1f}x), "
-                  f"identical={head['identical']}; slots save "
-                  f"{mem['savings_bytes_per_item']:.0f} B/item; "
-                  f"wrote {args.output}")
-            return 0
-        if args.suite in ("fastpath-vectorized", "fastpath-vectorized-smoke"):
-            smoke = args.suite == "fastpath-vectorized-smoke"
-            scenario = VECTORIZED_SMOKE_SCENARIO if smoke else VECTORIZED_SCENARIO
-            n_trials = VECTORIZED_SMOKE_TRIALS if smoke else VECTORIZED_TRIALS
-            print(f"running {args.suite} suite ({scenario.name}, "
-                  f"{n_trials} trials, repeats={args.repeats}) ...")
-            payload = run_vectorized_suite(
-                trials_scenario=scenario, measure_scenario=scenario,
-                n_trials=n_trials, repeats=args.repeats,
-                suite=args.suite, progress=print
-            )
-            # Nest under the 'fastpath' key of an existing core payload so
-            # BENCH_core.json stays the single trajectory file.
-            out = payload
-            existing = _load_existing()
-            if isinstance(existing, dict) and existing.get("schema") == SCHEMA:
-                out = merge_vectorized(existing, payload)
-            write_bench(out, args.output)
-            head = payload["headline"]
-            print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-                  f"headline ({head['scenario']}, {head['n_trials']} trials): "
-                  f"lockstep {head['speedup_vs_sequential']:.1f}x vs per-trial "
-                  f"dispatch, {head['speedup_vs_classic']:.1f}x vs classic, "
-                  f"identical={head['identical']}; wrote {args.output}")
-            return 0
-        if args.suite in ("fastpath", "fastpath-smoke"):
-            scenarios = (
-                FASTPATH_SCENARIOS if args.suite == "fastpath"
-                else FASTPATH_SMOKE_SCENARIOS
-            )
-            print(f"running {args.suite} suite ({len(scenarios)} scenarios, "
-                  f"repeats={args.repeats}) ...")
-            payload = run_fastpath_suite(
-                scenarios=scenarios, repeats=args.repeats,
-                suite=args.suite, progress=print
-            )
-            # Keep one trajectory file: nest under an existing core
-            # payload (preserving its batch record) when present.  A
-            # fastpath re-run must also carry over any nested vectorized
-            # record rather than clobbering it with the fresh payload.
-            out = payload
-            existing = _load_existing()
-            if isinstance(existing, dict):
-                prior = existing.get("fastpath", {})
-                if isinstance(prior, dict):
-                    if "vectorized" in prior:
-                        payload["vectorized"] = prior["vectorized"]
-                if existing.get("schema") == SCHEMA:
-                    out = merge_suite(existing, "fastpath", payload)
-            write_bench(out, args.output)
-            head = payload["headline"]
-            speedups = ", ".join(
-                f"{b} {head[f'speedup_{b}']:.1f}x" for b in payload["backends"]
-            )
-            print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-                  f"headline ({head['scenario']}): {speedups}, "
-                  f"identical={head['identical']}; wrote {args.output}")
-            return 0
-        scenarios = CORE_SCENARIOS if args.suite == "core" else SMOKE_SCENARIOS
-        sink = JsonLinesSink(args.trace) if args.trace else NullSink()
         try:
-            print(f"running {args.suite} suite ({len(scenarios)} scenarios, "
-                  f"repeats={args.repeats}) ...")
-            payload = run_suite(scenarios=scenarios, repeats=args.repeats,
-                                suite=args.suite, sink=sink, progress=print)
+            suite = get_suite(args.suite)
+            read_bench(args.output)  # refuse a foreign file before the run
+        except ConfigurationError as exc:
+            print(f"bench: {exc}", file=sys.stderr)
+            return 2
+        sink = JsonLinesSink(args.trace) if args.trace else None
+        print(f"running {args.suite} suite ...")
+        try:
+            record = run_bench(args.suite, repeats=args.repeats,
+                               progress=print, sink=sink)
         finally:
-            sink.close()
-        if args.overhead:
-            report = measure_overhead()
-            payload["overhead"] = report
-            print(f"instrumentation overhead on {report['scenario']} "
-                  f"({report['algorithm']}): {report['overhead_frac'] * 100:+.2f}%")
-        # A core re-run must not discard existing companion records.
-        existing = _load_existing()
-        if isinstance(existing, dict):
-            from .observability.bench import COMPANION_SUITES
-            for key in COMPANION_SUITES:
-                if key in existing:
-                    payload = merge_suite(payload, key, existing[key])
-        write_bench(payload, args.output)
-        print(f"suite finished in {payload['total_wall_time_s']:.1f} s; "
-              f"wrote {args.output}")
+            if sink is not None:
+                sink.close()
+        write_record(args.output, suite.key, record)
+        headline = ", ".join(
+            f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in record.get("headline", {}).items()
+        )
+        print(f"suite finished in {record['total_wall_time_s']:.1f} s "
+              f"(repeats={record['repeats']}); {headline or 'no headline'}; "
+              f"wrote {args.output} [{suite.key}]")
+        return 0 if suite.passed(record) else 1
     elif args.command == "serve":
+        import json as _json
+
+        from .core.errors import DVBPError
         from .streaming.service import PlacementService, serve_loop
 
         if args.restore:
-            svc = PlacementService.restore_from(args.restore)
+            try:
+                svc = PlacementService.restore_from(args.restore)
+            except (DVBPError, OSError) as exc:
+                print(_json.dumps({"ok": False, "error": str(exc)}), flush=True)
+                return 2
             print(f'{{"ok": true, "restored": "{args.restore}"}}', flush=True)
         else:
             cap = (args.capacity[0] if len(args.capacity) == 1

@@ -359,17 +359,20 @@ class PlacementService:
     ) -> "PlacementService":
         """Rebuild a service from a :meth:`snapshot` document.
 
-        The document is checked for self-contradictions before anything
-        is built: an item in two bins (or twice in one), an empty or
-        duplicated bin, and a ``next_uid`` or ``next_bin_index`` that
-        does not lie above every live item or open bin are each rejected
-        with a :class:`~repro.core.errors.ConfigurationError` naming the
-        field.  Its counters replace those of ``collector`` (a fresh one
-        when omitted), which keeps counting from there.
+        The document is checked before anything is built: a missing
+        field, an item whose dimension differs from the capacity's, an
+        item in two bins (or twice in one), an empty or duplicated bin,
+        a ``next_uid`` or ``next_bin_index`` that does not lie above
+        every live item or open bin, and policy state that does not fit
+        the named policy are each rejected with a
+        :class:`~repro.core.errors.ConfigurationError` naming the field.
+        Its counters replace those of ``collector`` (a fresh one when
+        omitted), which keeps counting from there.
         """
-        if state.get("schema") != SNAPSHOT_SCHEMA:
+        schema = state.get("schema") if isinstance(state, Mapping) else None
+        if schema != SNAPSHOT_SCHEMA:
             raise ConfigurationError(
-                f"not a service snapshot (schema {state.get('schema')!r}, "
+                f"not a service snapshot (schema {schema!r}, "
                 f"expected {SNAPSHOT_SCHEMA!r})"
             )
         _check_snapshot(state)
@@ -403,7 +406,13 @@ class PlacementService:
             core.open[b.index] = b
         svc._pending = [(float(t), int(uid)) for t, uid in state["pending"]]
         heapq.heapify(svc._pending)
-        svc._algorithm.import_state(state["algorithm"], core.open)
+        try:
+            svc._algorithm.import_state(state["algorithm"], core.open)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"snapshot field 'algorithm' does not fit policy "
+                f"{svc.policy!r} ({type(exc).__name__}: {exc})"
+            ) from None
         col = svc.collector
         for name in ("arrivals", "departures", "bins_closed", "peak_open_bins",
                      "peak_live_items"):
@@ -432,22 +441,50 @@ class PlacementService:
     def restore_from(
         cls, path: str, collector: Optional[StatsCollector] = None
     ) -> "PlacementService":
-        """Load a :meth:`snapshot_to` file, verifying its checksum."""
-        with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-        body = json.dumps(document["state"], sort_keys=True)
+        """Load a :meth:`snapshot_to` file, verifying its checksum.
+
+        A file that is not JSON, not a ``{"sha256", "state"}`` object, or
+        fails its checksum raises
+        :class:`~repro.core.errors.ConfigurationError` naming the path.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                document = json.load(fh)
+            body = json.dumps(document["state"], sort_keys=True)
+            stored = str(document["sha256"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigurationError(
+                f"service snapshot {path!r} is not a JSON object with "
+                f"'sha256' and 'state' ({type(exc).__name__}: {exc})"
+            ) from None
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        if digest != document["sha256"]:
+        if digest != stored:
             raise ConfigurationError(
                 f"service snapshot {path!r} failed its checksum "
-                f"(stored {document['sha256'][:12]}…, computed {digest[:12]}…)"
+                f"(stored {stored[:12]}…, computed {digest[:12]}…)"
             )
         return cls.restore(document["state"], collector=collector)
 
 
+#: Fields every snapshot carries besides ``schema`` (``seed`` is optional).
+_SNAPSHOT_FIELDS = ("policy", "capacity", "now", "next_uid", "next_bin_index",
+                    "cost_closed", "counters", "bins", "pending", "algorithm")
+
+
 def _check_snapshot(state: Mapping[str, Any]) -> None:
-    """Reject a snapshot whose bins, uids and counters contradict each other."""
+    """Reject a snapshot that lacks a field or contradicts itself."""
+    missing = [field for field in _SNAPSHOT_FIELDS if field not in state]
+    if missing:
+        raise ConfigurationError(f"snapshot field {missing[0]!r} is missing")
     bins = state["bins"]
+    d = len(state["capacity"])
+    for rec in bins:
+        for it in rec["items"]:
+            if len(it["size"]) != d:
+                raise ConfigurationError(
+                    f"snapshot field 'bins' holds item {it['uid']} of "
+                    f"dimension {len(it['size'])}, but 'capacity' has {d}"
+                )
     indexes = Counter(int(rec["index"]) for rec in bins)
     uids = Counter(int(it["uid"]) for rec in bins for it in rec["items"])
     for what, counts in (("bin", indexes), ("item", uids)):

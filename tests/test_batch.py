@@ -370,7 +370,7 @@ def test_sweep_cell_computes_lower_bound_once_per_instance(monkeypatch):
 
 
 def test_bench_scenario_computes_lower_bound_once(monkeypatch):
-    import repro.observability.bench as bench_mod
+    import repro.bench as bench_mod
 
     calls = _counting(monkeypatch, bench_mod)
     scenario = bench_mod.SMOKE_SCENARIOS[0]

@@ -1,33 +1,50 @@
-"""Tests for the perf-baseline bench suite and its CLI/script entry points.
+"""Tests for the perf suites of :mod:`repro.bench` and ``repro bench``.
 
-Everything runs at smoke scale (seconds) — the core suite's shape is
-identical, only the scenario grid differs.
+Everything runs at smoke scale (seconds) — the full suites' records
+have the same shape, only the scenario grids differ.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from dataclasses import replace
+from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.adversaries.scenarios import MUST_EXCEED_SCENARIOS
 from repro.algorithms.registry import PAPER_ALGORITHMS
-from repro.cli import main
-from repro.observability import MemorySink
-from repro.observability.bench import (
+from repro.bench import (
     BASE_SEED,
     CORE_SCENARIOS,
     MEDIUM_SCENARIO,
     SCHEMA,
     SMOKE_SCENARIOS,
+    SUITES,
     BenchScenario,
+    list_suites,
     measure_overhead,
+    run_adversary_suite,
+    run_bench,
     run_scenario,
     run_suite,
-    write_bench,
+    write_record,
 )
+from repro.cli import main
+from repro.observability import MemorySink
 
 FAST = BenchScenario(name="tiny", d=1, n=30, size="small", mu=5, T=100, B=10,
                      seed=BASE_SEED)
+
+REPO = Path(__file__).resolve().parents[1]
+#: The committed trajectory file, one record per suite key.
+COMMITTED = REPO / "BENCH_core.json"
 
 
 class TestScenarios:
@@ -76,17 +93,23 @@ class TestRunScenario:
 
 
 class TestRunSuite:
-    def test_payload_schema(self, tmp_path):
-        payload = run_suite(scenarios=[FAST], algorithms=["first_fit", "next_fit"],
-                            repeats=1, suite="smoke")
-        assert payload["schema"] == SCHEMA
-        assert payload["suite"] == "smoke"
-        assert payload["algorithms"] == ["first_fit", "next_fit"]
-        assert len(payload["scenarios"]) == 1
+    def test_payload_schema(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(SUITES, "smoke", replace(
+            SUITES["smoke"],
+            run=partial(run_suite, [FAST], ["first_fit", "next_fit"]),
+        ))
+        record = run_bench("smoke", repeats=1)
+        assert set(record) == {
+            "suite", "generated_unix", "python", "platform", "repeats",
+            "total_wall_time_s", "algorithms", "scenarios",
+        }
+        assert record["suite"] == "smoke" and record["repeats"] == 1
+        assert record["algorithms"] == ["first_fit", "next_fit"]
+        assert len(record["scenarios"]) == 1
         path = tmp_path / "BENCH_test.json"
-        write_bench(payload, str(path))
+        write_record(str(path), "core", record)
         reread = json.loads(path.read_text())
-        assert reread == json.loads(json.dumps(payload))  # JSON-stable
+        assert reread == {"schema": SCHEMA, "core": json.loads(json.dumps(record))}
 
     def test_progress_callback_invoked(self):
         lines = []
@@ -115,8 +138,9 @@ class TestCliBench:
                      "--output", str(out), "--trace", str(trace)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["suite"] == "smoke"
-        assert {s["name"] for s in payload["scenarios"]} == \
+        assert set(payload) == {"schema", "core"}
+        assert payload["core"]["suite"] == "smoke"
+        assert {s["name"] for s in payload["core"]["scenarios"]} == \
             {s.name for s in SMOKE_SCENARIOS}
         # trace got one run record per (scenario, algorithm, repeat)
         kinds = [json.loads(line)["kind"] for line in trace.read_text().splitlines()]
@@ -126,41 +150,54 @@ class TestCliBench:
 
     def test_bench_overhead_flag(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
-        code = main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", str(out), "--overhead"])
+        code = main(["bench", "--suite", "overhead", "--repeats", "1",
+                     "--output", str(out)])
         assert code == 0
-        payload = json.loads(out.read_text())
-        assert "overhead" in payload
+        record = json.loads(out.read_text())["overhead"]
+        assert record["repeats"] == 1
+        assert record["headline"]["scenario"] == MEDIUM_SCENARIO.name
         assert "overhead" in capsys.readouterr().out
 
+    def test_other_commands_do_not_import_the_bench_module(self):
+        # Only `bench` needs the bench module: parsing another command
+        # must not load it into, say, a long-lived `serve` process.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        code = ("import sys; from repro.cli import _build_parser; "
+                "_build_parser().parse_args(['serve', '--policy', 'first_fit']); "
+                "sys.exit('repro.bench' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
-class TestHarnessScript:
-    def test_script_main_smoke(self, tmp_path, capsys):
-        import importlib.util
-        import pathlib
+    def test_an_unknown_suite_exits_2_listing_the_names(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--suite", "nope", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in list_suites())
+        assert not out.exists()
 
-        script = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "harness.py"
-        spec = importlib.util.spec_from_file_location("bench_harness_script", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        out = tmp_path / "BENCH_core.json"
-        assert module.main(["--suite", "smoke", "--repeats", "1",
-                            "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == SCHEMA
+    def test_repeats_default_to_each_suites_own(self):
+        from inspect import signature
+
+        defaults = {name: signature(s.run).parameters["repeats"].default
+                    for name, s in SUITES.items()}
+        assert defaults == {
+            name: (1 if s.key in ("streaming", "adversary", "repacking")
+                   else 5 if s.key == "overhead" else 3)
+            for name, s in SUITES.items()
+        }
 
 
 class TestAdversarySuite:
     def test_run_adversary_suite_payload(self):
-        from repro.adversaries.scenarios import MUST_EXCEED_SCENARIOS
-        from repro.observability.bench import ADVERSARY_SCHEMA, run_adversary_suite
-
-        # two scenarios keep the test in tier-1 time; the full grid is
-        # covered by the CLI merge test below (slow) and repro verify
+        # two scenarios keep the test in tier-1 time; the full grid runs
+        # in the CI adversary job and in repro verify
         payload = run_adversary_suite(
             scenarios=MUST_EXCEED_SCENARIOS[2:4], repeats=1
         )
-        assert payload["schema"] == ADVERSARY_SCHEMA
         assert payload["headline"]["all_passed"] is True
         assert len(payload["scenarios"]) == 2
         for rec in payload["scenarios"]:
@@ -170,37 +207,16 @@ class TestAdversarySuite:
         # payload must be strict JSON (no Infinity literals)
         json.loads(json.dumps(payload, allow_nan=False))
 
-    @pytest.mark.slow
-    def test_cli_merges_adversary_under_core(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_core.json"
-        assert main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        assert main(["bench", "--suite", "adversary", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == SCHEMA  # core stays top-level
-        assert payload["adversary"]["headline"]["all_passed"] is True
-        assert payload["adversary"]["headline"]["max_amplifier_ratio"] >= 50.0
-        # a core re-run preserves the nested adversary record
-        assert main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert "adversary" in payload
-        capsys.readouterr()
-
 
 class TestRepackingSuite:
     def test_run_repacking_suite_payload(self):
-        from repro.observability.bench import (
+        from repro.bench import (
             REPACK_FRONTIER_GRID,
-            REPACKING_SCHEMA,
             REPACKING_SMOKE_SCENARIOS,
             run_repacking_suite,
         )
 
-        payload = run_repacking_suite(REPACKING_SMOKE_SCENARIOS, repeats=1,
-                                      suite="repacking-smoke")
-        assert payload["schema"] == REPACKING_SCHEMA
+        payload = run_repacking_suite(REPACKING_SMOKE_SCENARIOS, repeats=1)
         assert payload["headline"]["gadgets_improved"] is True
         assert len(payload["scenarios"]) == len(REPACKING_SMOKE_SCENARIOS)
         for rec in payload["scenarios"]:
@@ -221,37 +237,18 @@ class TestRepackingSuite:
             assert rec["best"]["cost"] < rec["no_recourse_cost"]
         json.loads(json.dumps(payload, allow_nan=False))
 
-    def test_cli_merges_repacking_under_core(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_core.json"
-        assert main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        assert main(["bench", "--suite", "repacking-smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == SCHEMA  # core stays top-level
-        assert payload["repacking"]["headline"]["gadgets_improved"] is True
-        # a core re-run preserves the nested repacking record
-        assert main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert "repacking" in payload
-        capsys.readouterr()
 
 class TestVectorizedSuite:
     def test_run_vectorized_suite_payload(self):
-        from repro.observability.bench import (
+        from repro.bench import (
             MEASURE_KERNEL_SPECS,
-            VECTORIZED_SCHEMA,
             VECTORIZED_SMOKE_SCENARIO,
             run_vectorized_suite,
         )
 
         payload = run_vectorized_suite(
-            trials_scenario=VECTORIZED_SMOKE_SCENARIO,
-            measure_scenario=VECTORIZED_SMOKE_SCENARIO,
-            n_trials=8, repeats=1, suite="fastpath-vectorized-smoke",
+            VECTORIZED_SMOKE_SCENARIO, n_trials=8, repeats=1
         )
-        assert payload["schema"] == VECTORIZED_SCHEMA
         head = payload["headline"]
         assert head["n_trials"] == 8
         # bit-identity is the acceptance bar; speed is asserted only at
@@ -265,39 +262,119 @@ class TestVectorizedSuite:
             assert cell["fast_numpy_s"] > 0 and cell["classic_s"] > 0
         json.loads(json.dumps(payload, allow_nan=False))
 
-    def test_cli_merges_vectorized_under_fastpath(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_core.json"
-        assert main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        assert main(["bench", "--suite", "fastpath-smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        assert main(["bench", "--suite", "fastpath-vectorized-smoke",
-                     "--repeats", "1", "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == SCHEMA  # core stays top-level
-        vec = payload["fastpath"]["vectorized"]
-        assert vec["suite"] == "fastpath-vectorized-smoke"
-        assert vec["headline"]["identical"] is True
-        # a fastpath re-run must carry the nested vectorized record over
-        assert main(["bench", "--suite", "fastpath-smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["fastpath"]["suite"] == "fastpath-smoke"
-        assert "vectorized" in payload["fastpath"]
-        # ... and a core re-run carries the whole fastpath record (with
-        # the nested vectorized payload) as a companion suite
-        assert main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert "vectorized" in payload["fastpath"]
-        capsys.readouterr()
 
-    def test_vectorized_without_core_writes_standalone(self, tmp_path, capsys):
-        from repro.observability.bench import VECTORIZED_SCHEMA
+# ----------------------------------------------------------------------
+# one write path: a run replaces its own key and nothing else
+# ----------------------------------------------------------------------
 
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--suite", "fastpath-vectorized-smoke",
-                     "--repeats", "1", "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == VECTORIZED_SCHEMA
-        capsys.readouterr()
+#: Seconds-fast stand-ins for the full suites (their smoke forms).
+FAST_FORMS = {
+    "core": "smoke",
+    "fastpath": "fastpath-smoke",
+    "fastpath-vectorized": "fastpath-vectorized-smoke",
+    "batch": "batch-smoke",
+    "streaming": "streaming-smoke",
+    "repacking": "repacking-smoke",
+}
+
+
+@pytest.fixture
+def fast_suites(monkeypatch):
+    """Point every full suite at a seconds-fast run of the same shape."""
+    for name, fast in FAST_FORMS.items():
+        monkeypatch.setitem(SUITES, name, replace(SUITES[name], run=SUITES[fast].run))
+    monkeypatch.setitem(SUITES, "adversary", replace(
+        SUITES["adversary"],
+        run=partial(run_adversary_suite, MUST_EXCEED_SCENARIOS[2:3]),
+    ))
+
+
+def bench(name, out):
+    return main(["bench", "--suite", name, "--repeats", "1", "--output", str(out)])
+
+
+def test_committed_file_holds_one_record_per_suite_key():
+    committed = json.loads(COMMITTED.read_text())
+    assert committed["schema"] == SCHEMA
+    assert set(committed) == {"schema"} | {s.key for s in SUITES.values()}
+
+
+@pytest.mark.parametrize("name", list_suites())
+def test_a_run_replaces_only_its_own_key(name, fast_suites, tmp_path, capsys):
+    out = tmp_path / "BENCH_core.json"
+    shutil.copy(COMMITTED, out)
+    before = json.loads(out.read_text())
+    assert bench(name, out) == 0
+    after = json.loads(out.read_text())
+    key = SUITES[name].key
+    assert after[key]["suite"] == name and "schema" not in after[key]
+    assert {k: v for k, v in after.items() if k != key} == \
+        {k: v for k, v in before.items() if k != key}
+    assert f"[{key}]" in capsys.readouterr().out
+
+
+def test_fastpath_then_batch_into_a_fresh_file(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert bench("fastpath-smoke", out) == 0
+    fastpath = json.loads(out.read_text())["fastpath"]
+    assert bench("batch-smoke", out) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"schema", "fastpath", "batch"}
+    assert payload["fastpath"] == fastpath
+    capsys.readouterr()
+
+
+def test_overhead_then_core(fast_suites, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert bench("overhead", out) == 0
+    overhead = json.loads(out.read_text())["overhead"]
+    assert bench("core", out) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"schema", "overhead", "core"}
+    assert payload["overhead"] == overhead
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [
+    '{"schema": "repro-bench/v1", "suite": "core"}\n',
+    '{"schema": "repro-bench/v2", "co',
+    "[1, 2]\n",
+    "",
+])
+def test_a_non_v2_output_file_is_refused(content, tmp_path, capsys):
+    out = tmp_path / "foreign.json"
+    out.write_text(content)
+    assert bench("repacking-smoke", out) == 2
+    assert out.read_text() == content
+    assert str(out) in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# the headline gates decide the exit code
+# ----------------------------------------------------------------------
+def test_fastpath_gate_fails_when_a_fast_result_disagrees(monkeypatch, tmp_path, capsys):
+    import repro.bench as bench_mod
+
+    real = bench_mod.fast_simulate
+
+    def disagreeing(*args, **kwargs):
+        packing = real(*args, **kwargs)
+        return SimpleNamespace(
+            assignment={uid: b + 1 for uid, b in dict(packing.assignment).items()}
+        )
+
+    monkeypatch.setattr(bench_mod, "fast_simulate", disagreeing)
+    out = tmp_path / "bench.json"
+    assert bench("fastpath-smoke", out) == 1
+    assert json.loads(out.read_text())["fastpath"]["headline"]["identical"] is False
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", [n for n in list_suites() if SUITES[n].gate])
+def test_a_false_gate_flag_exits_1(name, monkeypatch, tmp_path, capsys):
+    suite = SUITES[name]
+    monkeypatch.setitem(SUITES, name, replace(
+        suite, run=lambda repeats=1, progress=None: {"headline": {suite.gate: False}}
+    ))
+    assert bench(name, tmp_path / "bench.json") == 1
+    capsys.readouterr()

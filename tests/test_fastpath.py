@@ -10,9 +10,6 @@ runner / parallel-sweep / bench / CLI integration points.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -22,11 +19,7 @@ from repro.cli import main
 from repro.core.errors import AlgorithmError, ConfigurationError
 from repro.core.instance import Instance
 from repro.core.items import Item
-from repro.observability.bench import (
-    FASTPATH_SMOKE_SCENARIOS,
-    merge_fastpath,
-    run_fastpath_scenario,
-)
+from repro.bench import FASTPATH_SMOKE_SCENARIOS, run_fastpath_scenario
 from repro.observability.stats import StatsCollector
 from repro.simulation.billing import QuantumAwareMoveToFront
 from repro.simulation.engine import Engine, simulate
@@ -347,14 +340,6 @@ class TestBenchAndCli:
                 assert res[f"speedup_{backend}"] > 0
         assert record["totals"]["identical"] is True
 
-    def test_merge_fastpath_nests_without_clobbering(self):
-        core = {"schema": "repro-bench/v1", "scenarios": [1, 2]}
-        merged = merge_fastpath(core, {"schema": "repro-bench-fastpath/v1"})
-        assert merged["schema"] == "repro-bench/v1"
-        assert merged["scenarios"] == [1, 2]
-        assert merged["fastpath"]["schema"] == "repro-bench-fastpath/v1"
-        assert "fastpath" not in core  # input not mutated
-
     def test_cli_run_engine_flag(self, tmp_path, capsys):
         path = str(tmp_path / "inst.json")
         assert main(["generate", path, "--d", "2", "--n", "30"]) == 0
@@ -362,25 +347,6 @@ class TestBenchAndCli:
         out_fast = capsys.readouterr().out
         assert "fast engine" in out_fast
         assert main(["run", path, "--engine", "classic"]) == 0
-
-    def test_cli_bench_fastpath_smoke_merges(self, tmp_path, capsys):
-        out = str(tmp_path / "bench.json")
-        assert main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", out]) == 0
-        assert main(["bench", "--suite", "fastpath-smoke", "--repeats", "1",
-                     "--output", out]) == 0
-        payload = json.loads(Path(out).read_text())
-        assert payload["schema"] == "repro-bench/v1"
-        fp = payload["fastpath"]
-        assert fp["schema"] == "repro-bench-fastpath/v1"
-        assert fp["suite"] == "fastpath-smoke"
-        assert fp["headline"]["identical"] is True
-        # a core re-run must keep the nested fastpath payload
-        assert main(["bench", "--suite", "smoke", "--repeats", "1",
-                     "--output", out]) == 0
-        payload = json.loads(Path(out).read_text())
-        assert payload["fastpath"]["suite"] == "fastpath-smoke"
-        capsys.readouterr()
 
 
 class TestIneligibilityGap:

@@ -9,9 +9,11 @@ decisions* — including the ``random_fit`` RNG stream position.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -356,6 +358,59 @@ class TestSnapshotRestore:
             json.dump(doc, fh)
         with pytest.raises(ConfigurationError):
             PlacementService.restore_from(path)
+
+
+def _signed(state) -> str:
+    """A snapshot file body around ``state`` with a matching checksum."""
+    body = json.dumps(state, sort_keys=True)
+    return json.dumps({"sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+                       "state": state})
+
+
+def _bad_snapshot(case: str) -> Tuple[str, str]:
+    """``(file text, message pattern)`` of one unusable snapshot file."""
+    svc = PlacementService(policy="move_to_front", capacity=10.0)
+    for at in (0.0, 1.0, 2.0):
+        svc.place(3.0, duration=5.0, at=at)
+    state = json.loads(json.dumps(svc.snapshot()))
+    if case == "truncated":
+        text = _signed(state)
+        return text[: len(text) // 2], "JSONDecodeError"
+    if case == "empty":
+        return "", "JSONDecodeError"
+    if case == "not-an-object":
+        return "[1, 2]", "'sha256' and 'state'"
+    if case == "no-sha256":
+        return json.dumps({"state": state}), "'sha256' and 'state'"
+    if case == "no-pending":
+        del state["pending"]
+        return _signed(state), "field 'pending' is missing"
+    if case == "foreign-policy":
+        state["policy"] = "random_fit"
+        return _signed(state), "field 'algorithm' does not fit policy 'random_fit'"
+    assert case == "dimension-mismatch"
+    state["capacity"] = [10.0, 10.0]
+    return _signed(state), "'bins' holds item 0 of dimension 1, but 'capacity' has 2"
+
+
+@pytest.mark.parametrize("case", [
+    "truncated", "empty", "not-an-object", "no-sha256", "no-pending",
+    "foreign-policy", "dimension-mismatch",
+])
+def test_a_bad_snapshot_file_is_rejected_by_name(case, tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+
+    text, pattern = _bad_snapshot(case)
+    path = tmp_path / "snap.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=pattern) as info:
+        PlacementService.restore_from(str(path))
+    if case in ("truncated", "empty", "not-an-object", "no-sha256"):
+        assert str(path) in str(info.value)
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"op": "stats"}\n'))
+    assert main(["serve", "--restore", str(path)]) == 2
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert lines == [{"ok": False, "error": str(info.value)}]
 
 
 class TestServeLoop:

@@ -5,7 +5,7 @@ Run from anywhere (the repo root is derived from this file's location):
 
     python tools/check_docs.py
 
-Three checks, any failure exits non-zero with a per-item report:
+Five checks, any failure exits non-zero with a per-item report:
 
 1. **Links** — every intra-repo markdown link (``[text](relative/path)``)
    in the checked files points at a file that exists, and every anchor
@@ -26,6 +26,10 @@ Three checks, any failure exits non-zero with a per-item report:
    and resolves: the longest importable module prefix is imported and
    the rest looked up attribute by attribute, so no doc can name a
    module or symbol that no longer exists.
+5. **Script paths** — every repo-relative ``.py`` path under
+   ``benchmarks/``, ``tools/``, ``perfbench/`` or ``examples/`` named
+   anywhere in a checked file, code blocks included, exists, so no doc
+   can tell a reader to run a deleted script.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 REPRO_NAME_RE = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+SCRIPT_PATH_RE = re.compile(
+    r"(?<![\w./-])(?:benchmarks|tools|perfbench|examples)/[\w./-]*?\.py\b"
+)
 
 
 def heading_slugs(text: str) -> set:
@@ -202,6 +209,17 @@ def check_names(path: Path, text: str, errors: List[str]) -> int:
     return count
 
 
+def check_script_paths(path: Path, text: str, errors: List[str]) -> None:
+    """Every script path named in ``text`` must exist in the repo."""
+    for m in SCRIPT_PATH_RE.finditer(text):
+        if not (REPO / m.group(0)).is_file():
+            lineno = text.count("\n", 0, m.start()) + 1
+            errors.append(
+                f"{path.relative_to(REPO)}:{lineno}: script {m.group(0)} "
+                f"does not exist"
+            )
+
+
 def public_modules() -> Dict[str, Path]:
     """Dotted name -> path for every module under ``src/repro``."""
     out: Dict[str, Path] = {}
@@ -243,6 +261,7 @@ def main() -> int:
         check_links(path.resolve(), text, errors, slug_cache)
         check_code_blocks(path, text, errors)
         n_names += check_names(path, text, errors)
+        check_script_paths(path, text, errors)
     n_modules = check_api_coverage(errors)
     if errors:
         print(f"check_docs: {len(errors)} problem(s)")
