@@ -108,9 +108,12 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> SampleStats:
         )
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
-    std_pop = float(np.std(arr))
-    std_sample = float(np.std(arr, ddof=1)) if n > 1 else 0.0
-    q = np.percentile(arr, [0, 25, 50, 75, 100])
+    # a ratio sample may hold UnitResult.ratio's ``inf`` sentinel (a
+    # zero lower bound); its spread and interpolated quantiles are nan
+    with np.errstate(invalid="ignore"):
+        std_pop = float(np.std(arr))
+        std_sample = float(np.std(arr, ddof=1)) if n > 1 else 0.0
+        q = np.percentile(arr, [0, 25, 50, 75, 100])
     return SampleStats(
         count=int(n),
         mean=float(np.mean(arr)),

@@ -16,10 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..algorithms.registry import make_algorithm
 from ..core.instance import Instance
-from ..optimum.lower_bounds import height_lower_bound
-from ..simulation.runner import run
 from .aggregate import SampleStats, summarize
 from .theory import TABLE1, lower_bound, upper_bound
 
@@ -82,6 +79,11 @@ def sweep_cell(
 ) -> SweepCell:
     """Run ``algorithms`` over ``instances`` and aggregate ratios.
 
+    The units run through
+    :func:`repro.simulation.parallel.parallel_sweep`, and each ratio is
+    :attr:`UnitResult.ratio <repro.simulation.parallel.UnitResult.ratio>`
+    (``inf`` for a positive cost over a zero lower bound).
+
     Parameters
     ----------
     algorithms:
@@ -93,89 +95,41 @@ def sweep_cell(
     algorithm_kwargs:
         Optional per-algorithm constructor kwargs, keyed by name.  A
         ``seed`` kwarg is a *base* seed: every (algorithm, instance)
-        unit runs with its own seed spawned from it (identically on the
-        serial and process-pool paths), so seeded policies draw from
-        independent streams per instance.
+        unit runs with its own seed spawned from it, so seeded policies
+        draw from independent streams per instance.
     processes:
-        ``0`` (default) runs in-process; any other value fans the
-        (algorithm, instance) units out across a process pool via
-        :func:`repro.simulation.parallel.parallel_sweep` (``None``-like
-        behaviour is available there; here a positive integer is the
-        worker count).  Results are identical either way.
+        ``0`` (default) runs in-process; a positive integer is the
+        worker count of a process pool.  Results are identical either
+        way.
     engine:
-        ``"classic"`` (default), ``"fast"``, or ``"batch"`` — forwarded
-        to the run / sweep layer; all engines are bit-identical.
-        ``"batch"`` always routes through
-        :func:`~repro.simulation.parallel.parallel_sweep` (even with
-        ``processes=0``) so the whole policy fan-out of each instance
-        shares one :class:`~repro.simulation.batch.BatchRunner`, and
-        ``instances`` may then be compact
-        :class:`~repro.simulation.batch.InstanceSpec` sources.
+        ``"classic"`` (default), ``"fast"``, ``"batch"``, or any other
+        engine :func:`~repro.simulation.parallel.parallel_sweep` accepts;
+        all engines are bit-identical.  With ``"batch"`` the whole policy
+        fan-out of each instance shares one
+        :class:`~repro.simulation.batch.BatchRunner`, and ``instances``
+        may be compact :class:`~repro.simulation.batch.InstanceSpec`
+        sources.
     checkpoint_dir / resume / retries / unit_timeout:
         Fault-tolerance knobs, forwarded to
-        :func:`repro.simulation.parallel.parallel_sweep` (which routes
-        to :func:`repro.orchestration.resumable_sweep` when any is
-        set).  Setting any of them moves even a ``processes=0`` cell
-        onto the checkpointed path so interrupted cells can resume.
+        :func:`~repro.simulation.parallel.parallel_sweep`, so an
+        interrupted cell can resume from its checkpoint.
     """
-    algorithm_kwargs = algorithm_kwargs or {}
-    orchestrated = (
-        checkpoint_dir is not None or resume or retries or unit_timeout is not None
+    # imported per call, so a wrapper installed on the module attribute
+    # (a tracer's, say) sees every sweep
+    from ..simulation.parallel import parallel_sweep
+
+    unit_results = parallel_sweep(
+        algorithms,
+        list(instances),
+        processes=processes,
+        algorithm_kwargs=algorithm_kwargs,
+        engine=engine,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        retries=retries,
+        unit_timeout=unit_timeout,
     )
-    if processes or orchestrated or engine == "batch":
-        from ..simulation.parallel import parallel_sweep
-
-        batch = list(instances)
-        unit_results = parallel_sweep(
-            algorithms,
-            batch,
-            processes=processes,
-            algorithm_kwargs=algorithm_kwargs,
-            engine=engine,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            retries=retries,
-            unit_timeout=unit_timeout,
-        )
-        ratios = {
-            name: [r.ratio for r in unit_results[name]] for name in algorithms
-        }
-        stats = {name: summarize(vals) for name, vals in ratios.items() if vals}
-        return SweepCell(params=dict(params or {}), ratios=ratios, stats=stats)
-
-    from ..simulation.parallel import algorithm_accepts_seed, derive_unit_seeds
-
-    batch = list(instances)
-    # Per-unit seeds for seeded policies, spawned exactly as the worker
-    # path does it (build_payloads) so serial and pooled cells agree.
-    unit_seeds = {
-        name: derive_unit_seeds(
-            int(algorithm_kwargs.get(name, {}).get("seed", 0)), len(batch)
-        )
-        for name in algorithms
-        if algorithm_accepts_seed(name)
-    }
-    algos = {
-        name: make_algorithm(name, **algorithm_kwargs.get(name, {}))
-        for name in algorithms
-        if name not in unit_seeds
-    }
-    ratios: Dict[str, List[float]] = {name: [] for name in algorithms}
-    for i, instance in enumerate(batch):
-        lb = height_lower_bound(instance)
-        if lb <= 0:
-            # degenerate (an instance can only reach lb == 0 if it has no
-            # load at all, which Instance validation precludes); skip
-            continue
-        for name in algorithms:
-            if name in unit_seeds:
-                kwargs = dict(algorithm_kwargs.get(name, {}))
-                kwargs["seed"] = unit_seeds[name][i]
-                algo = make_algorithm(name, **kwargs)
-            else:
-                algo = algos[name]
-            packing = run(algo, instance, engine=engine)
-            ratios[name].append(packing.cost / lb)
+    ratios = {name: [r.ratio for r in unit_results[name]] for name in algorithms}
     stats = {name: summarize(vals) for name, vals in ratios.items() if vals}
     return SweepCell(params=dict(params or {}), ratios=ratios, stats=stats)
 

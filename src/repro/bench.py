@@ -1049,11 +1049,12 @@ def run_repacking_scenario(
 ) -> Dict[str, Any]:
     """Sweep one scenario's cost-vs-migration frontier; return its record.
 
-    The whole :data:`REPACK_FRONTIER_GRID` runs through a single
-    :class:`~repro.simulation.batch.BatchRunner` pass using the reserved
-    ``"_repack"`` entry key (one instance, one shared lower bound, one
-    amortised context), so the bench exercises exactly the wiring sweeps
-    use.  Two zero-migration yardsticks anchor the frontier from below:
+    The whole :data:`REPACK_FRONTIER_GRID` runs on one
+    :class:`~repro.simulation.batch.BatchRunner` (one instance, one
+    shared lower bound), one ``run_units`` call per frontier point with
+    its ``"repacking:<repacker>:<budget>"`` engine spec, so the bench
+    exercises exactly the wiring sweeps use.  Two zero-migration
+    yardsticks anchor the frontier from below:
     the offline :func:`~repro.optimum.offline_assignment.greedy_assignment`
     (full hindsight, no moves ever) and the clairvoyant
     :class:`~repro.algorithms.clairvoyant.DurationClassifiedFirstFit`
@@ -1065,13 +1066,19 @@ def run_repacking_scenario(
     from .simulation.batch import BatchRunner
 
     instance = scenario.build()
-    entries = [
-        (scenario.policy, {"_repack": {"policy": repacker, "budget": budget}})
-        for repacker, budget in REPACK_FRONTIER_GRID
-    ]
-    best_wall, units = _best_of(repeats, lambda: _timed(
-        lambda: BatchRunner(instance).run_units(entries, collect_stats=True)
-    ))
+
+    def frontier_units():
+        runner = BatchRunner(instance)
+        return [
+            unit
+            for repacker, budget in REPACK_FRONTIER_GRID
+            for unit in runner.run_units(
+                [(scenario.policy, None)], collect_stats=True,
+                engine=f"repacking:{repacker}:{budget}",
+            )
+        ]
+
+    best_wall, units = _best_of(repeats, lambda: _timed(frontier_units))
     baseline = next(
         u.cost for (rep, _), u in zip(REPACK_FRONTIER_GRID, units)
         if rep == "no_repack"

@@ -11,7 +11,7 @@ fault-tolerance semantics:
   ``figure4 --scale full`` sandwiched between quick ones.
 * **Intra-artifact resume** — checkpointable artifacts (currently
   ``figure4``) additionally thread ``checkpoint_dir``/``resume`` down
-  to :func:`repro.orchestration.resumable_sweep`, each under its own
+  to :func:`repro.simulation.parallel.parallel_sweep`, each under its own
   ``<checkpoint_dir>/<artifact>`` subdirectory, so even the interrupted
   artifact loses at most one flush interval.
 * **Per-artifact retry** — every artifact runs under

@@ -92,7 +92,7 @@ def run_figure4(
     interrupted cell loses at most one flush interval, and the final
     numbers are bit-identical to an uninterrupted run.  ``retries`` and
     ``unit_timeout`` are the per-unit fault-tolerance knobs of
-    :func:`repro.orchestration.resumable_sweep`.
+    :func:`repro.simulation.parallel.parallel_sweep`.
     """
     cells: Dict[Tuple[int, int], SweepCell] = {}
     master = np.random.SeedSequence(config.seed)

@@ -9,10 +9,11 @@ itself being killed mid-run.  Three modules:
   renames) and the sweep fingerprint that binds a store to one sweep.
 * :mod:`~repro.orchestration.faults` — retry/backoff primitives and the
   deterministic env-driven fault-injection harness (``REPRO_FAULT_*``).
-* :mod:`~repro.orchestration.sweep` — :func:`resumable_sweep`, the
-  checkpointed, self-healing twin of
-  :func:`repro.simulation.parallel.parallel_sweep`, bit-identical in
-  output whether or not the run was interrupted.
+* :mod:`~repro.orchestration.sweep` — the one serial/pooled loop that
+  :func:`repro.simulation.parallel.parallel_sweep` runs every sweep's
+  payloads through: checkpoint flushes, resume, retries, per-unit
+  timeouts and pool recovery, bit-identical in output whether or not
+  the run was interrupted.
 
 The guiding invariant: **recovery never changes results**.  Retried
 units re-run byte-identical payloads, resumed runs merge stored and
@@ -39,7 +40,6 @@ from .faults import (
     call_with_retry,
     fault_aware_unit,
 )
-from .sweep import resumable_sweep
 
 __all__ = [
     "CheckpointStore",
@@ -55,6 +55,5 @@ __all__ = [
     "fault_aware_unit",
     "record_to_result",
     "result_to_record",
-    "resumable_sweep",
     "sweep_fingerprint",
 ]

@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import FrozenSet, List, Mapping, Optional, Tuple
 
-from ..simulation.parallel import UnitResult, simulate_payload, unit_key
+from ..simulation.parallel import Payload, UnitResult, payload_unit_keys, simulate_payload
 
 __all__ = [
     "InjectedWorkerFault",
@@ -191,24 +191,25 @@ def call_with_retry(
             sleep(policy.delay(attempt))
 
 
-def fault_aware_unit(task: Tuple[int, tuple]):
-    """Worker entry point: fault injection check, then the real unit.
+def fault_aware_unit(task: Tuple[int, Payload]) -> List[UnitResult]:
+    """Worker entry point: fault injection check, then the real payload.
 
-    ``task`` is ``(attempt, payload)`` where ``payload`` is any
-    :func:`~repro.simulation.parallel.simulate_payload` payload — one
-    per-unit simulation (returning a single :class:`UnitResult`) or one
-    batched instance payload (returning a list of them).  The attempt
-    number stays *outside* the payload so the simulated work is
-    byte-identical across attempts — retries cannot change results.
-    Module-level (picklable) for spawn-method pools.
+    ``task`` is ``(attempt, payload)`` where ``payload`` is a
+    :class:`~repro.simulation.parallel.Payload`; the result is
+    :func:`~repro.simulation.parallel.simulate_payload`'s list of
+    :class:`UnitResult`.  The attempt number stays *outside* the payload
+    so the simulated work is byte-identical across attempts — retries
+    cannot change results.  Module-level (picklable) for spawn-method
+    pools.
 
-    Fault selectors match on the payload's :func:`unit_key`; for a
-    batched payload that is ``("__batch__", index)``, so ``"*:idx"`` and
-    bare-index selectors keep working across engines.
+    Selectors are checked against every ``(algorithm, index)`` unit the
+    payload carries, so ``first_fit:3`` fails the payload holding that
+    unit whether it carries one unit or a batch engine's whole policy
+    fan-out of instance 3.
     """
     attempt, payload = task
     plan = FaultPlan.from_env()
     if plan.active:
-        name, index = unit_key(payload)
-        plan.trigger(name, index, attempt)
+        for name, index in payload_unit_keys(payload):
+            plan.trigger(name, index, attempt)
     return simulate_payload(payload)

@@ -1,32 +1,33 @@
-"""Checkpointed, fault-tolerant execution of (algorithm × instance) sweeps.
+"""The one serial/pooled loop that executes sweep payloads.
 
-:func:`resumable_sweep` is the robust twin of
-:func:`repro.simulation.parallel.parallel_sweep`: same unit payloads
-(built by the shared :func:`~repro.simulation.parallel.build_payloads`),
-same return shape, bit-identical results — plus:
+:func:`repro.simulation.parallel.parallel_sweep` builds a sweep's
+payloads and hands them to :func:`execute`, which runs them in-process
+(``processes=0``) or on a ``ProcessPoolExecutor`` with:
 
 * **Checkpointing** — completed units stream into a
   :class:`~repro.orchestration.checkpoint.CheckpointStore` (append-only
   JSONL shards, atomic flushes), so a crash or ctrl-C loses at most the
   units completed since the last flush, and nothing that was flushed.
 * **Resume** — with ``resume=True``, units already in the checkpoint are
-  skipped (counted as ``units_resumed``); the merged output is
+  skipped (counted as ``units_resumed``); a payload holding only some
+  completed units re-runs just the rest.  The merged output is
   bit-identical to an uninterrupted run, which the
   :func:`repro.verify.resume_equality_check` oracle enforces.
-* **Per-unit retry** — a unit that raises is re-queued up to ``retries``
-  times with deterministic exponential backoff
+* **Per-payload retry** — a payload that raises is re-queued up to the
+  policy's ``retries`` times with deterministic exponential backoff
   (:class:`~repro.orchestration.faults.RetryPolicy`); the attempt
-  number lives outside the payload, so a retried unit computes exactly
-  what the first attempt would have.
+  number lives outside the payload, so a retried payload computes
+  exactly what the first attempt would have.
 * **BrokenProcessPool recovery** — a worker death kills every in-flight
-  future of a ``ProcessPoolExecutor``; the orchestrator respawns the
-  pool and re-queues all in-flight units with their attempt count
-  bumped, so one crashing unit cannot take completed work (or innocent
+  future of a ``ProcessPoolExecutor``; the loop respawns the pool and
+  re-queues all in-flight payloads with their attempt count bumped, so
+  one crashing payload cannot take completed work (or innocent
   neighbours) down with it.
-* **Per-unit timeout** — a unit running past ``unit_timeout`` seconds
-  cannot be cancelled in-place (the worker is busy), so the pool is
-  recycled: workers are terminated, the expired unit re-queues with its
-  attempt bumped, other in-flight units re-queue unchanged.
+* **Per-payload timeout** — a payload running past ``unit_timeout``
+  seconds cannot be cancelled in-place (the worker is busy), so the
+  pool is recycled: workers are terminated, the expired payload
+  re-queues with its attempt bumped, other in-flight payloads re-queue
+  unchanged.
 * **Graceful engine degradation** — ``engine="fast"`` units that hit a
   kernel failure fall back to the classic engine *inside the worker*
   (see :func:`repro.simulation.engine.simulate`), surfacing as
@@ -42,30 +43,18 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import UnitFailedError
-from ..core.instance import Instance
 from ..observability.sinks import TraceSink
 from ..observability.stats import StatsCollector
-from ..simulation.parallel import (
-    BATCH_UNIT,
-    UnitResult,
-    _materialize_sources,
-    build_batch_payloads,
-    build_payloads,
-    payload_unit_keys,
-    unit_key,
-)
-from .checkpoint import CheckpointStore, sweep_fingerprint
+from ..simulation.parallel import Payload, UnitResult, payload_unit_keys
+from .checkpoint import CheckpointStore
 from .faults import FaultPlan, RetryPolicy, fault_aware_unit
 
-__all__ = ["resumable_sweep"]
-
-#: How many completed units accumulate before a checkpoint flush.
-DEFAULT_FLUSH_EVERY = 16
+__all__ = ["execute"]
 
 
 def _emit(sink: Optional[TraceSink], kind: str, payload: dict) -> None:
@@ -92,13 +81,20 @@ class _SweepState:
         self.results: List[UnitResult] = []
         self.since_flush = 0
 
-    def complete(self, result: UnitResult) -> None:
-        self.results.append(result)
-        if self.store is not None:
-            self.store.append(result)
-            self.since_flush += 1
-            if self.since_flush >= self.flush_every:
-                self.flush()
+    def complete(self, results: List[UnitResult]) -> int:
+        """Record one payload's results; returns how many units it completed.
+
+        Each unit is checkpointed on its own, so flush cadence and resume
+        keys do not depend on how many units a payload carried.
+        """
+        for result in results:
+            self.results.append(result)
+            if self.store is not None:
+                self.store.append(result)
+                self.since_flush += 1
+                if self.since_flush >= self.flush_every:
+                    self.flush()
+        return len(results)
 
     def flush(self) -> None:
         if self.store is not None and self.since_flush:
@@ -113,99 +109,38 @@ class _SweepState:
             self.plan.maybe_kill_self(self.store.flushes)
 
 
-def resumable_sweep(
-    algorithms: Sequence[str],
-    instances: Sequence[Instance],
-    processes: Optional[int] = None,
-    algorithm_kwargs: Optional[Mapping[str, Mapping[str, object]]] = None,
-    collect_stats: bool = False,
-    engine: str = "classic",
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    retries: int = 0,
-    unit_timeout: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    flush_every: int = DEFAULT_FLUSH_EVERY,
-    max_units: Optional[int] = None,
-    collector: Optional[StatsCollector] = None,
-    sink: Optional[TraceSink] = None,
-) -> Dict[str, List[UnitResult]]:
-    """Run a sweep with checkpointing, retries, and pool recovery.
+def execute(
+    payloads: Sequence[Payload],
+    processes: Optional[int],
+    store: Optional[CheckpointStore],
+    resume: bool,
+    policy: RetryPolicy,
+    unit_timeout: Optional[float],
+    flush_every: int,
+    max_units: Optional[int],
+    collector: Optional[StatsCollector],
+    sink: Optional[TraceSink],
+) -> List[UnitResult]:
+    """Run ``payloads``; return every completed unit, resumed ones first.
 
-    Parameters mirror :func:`~repro.simulation.parallel.parallel_sweep`
-    (``processes=None`` = cpu count, ``0`` = in-process serial), plus:
-
-    checkpoint_dir:
-        Directory for the crash-safe result store (created if needed).
-        ``None`` disables persistence but keeps retry/timeout handling.
-    resume:
-        Skip units the checkpoint already holds.  Requires
-        ``checkpoint_dir``; the store's fingerprint must match this
-        sweep or :class:`~repro.core.errors.CheckpointError` is raised.
-    retries:
-        Per-unit retry budget (``retry_policy`` overrides the whole
-        policy when given).  A unit that exhausts it raises
-        :class:`~repro.core.errors.UnitFailedError` — after a final
-        checkpoint flush, so completed work survives the failure.
-    unit_timeout:
-        Per-unit wall-clock budget in seconds, measured from dispatch
-        (pooled mode only; the serial path cannot preempt a running
-        simulation and ignores it).
-    flush_every:
-        Checkpoint flush cadence in completed units.
-    max_units:
-        Stop dispatching after this many *newly completed* units (the
-        resume-determinism oracle uses it to fabricate interrupted runs
-        without real kills).  In pooled mode, already-dispatched units
-        still drain and are checkpointed.
-    collector:
-        Orchestrator-side :class:`~repro.observability.stats.StatsCollector`
-        receiving the fault-recovery counters (``retries``,
-        ``unit_timeouts``, ``units_resumed``, ``pool_restarts``).
-    sink:
-        Optional :class:`~repro.observability.sinks.TraceSink` receiving
-        ``unit_resumed`` / ``retry`` / ``unit_timeout`` /
-        ``pool_restart`` / ``checkpoint_flush`` trace events.
-
-    Returns ``{algorithm: [UnitResult, ...]}`` ordered by instance
-    index — bit-identical to ``parallel_sweep`` on the same arguments,
-    interrupted or not.
+    The arguments are those of
+    :func:`~repro.simulation.parallel.parallel_sweep`, with the
+    checkpoint store opened and the retry policy resolved.  The final
+    checkpoint flush happens even when a payload exhausts its retries.
     """
-    algorithms = list(algorithms)
-    instances = list(instances)
     col = collector if collector is not None else StatsCollector()
-    policy = retry_policy if retry_policy is not None else RetryPolicy(retries=int(retries))
-    plan = FaultPlan.from_env()
-
-    if engine == "batch":
-        payloads = build_batch_payloads(
-            algorithms, instances, algorithm_kwargs, collect_stats
-        )
-    else:
-        payloads = build_payloads(
-            algorithms, _materialize_sources(instances), algorithm_kwargs,
-            collect_stats, engine
-        )
-
-    store: Optional[CheckpointStore] = None
     resumed: Dict[Tuple[str, int], UnitResult] = {}
-    if checkpoint_dir is not None:
-        fingerprint = sweep_fingerprint(
-            algorithms, instances, algorithm_kwargs, engine
-        )
-        store = CheckpointStore(checkpoint_dir, fingerprint=fingerprint)
-        if resume:
-            wanted = {k for p in payloads for k in payload_unit_keys(p)}
-            resumed = {k: v for k, v in store.completed.items() if k in wanted}
-            if resumed:
-                col.record_fault_event("unit_resumed", count=len(resumed))
-                _emit(sink, "unit_resumed", {"count": len(resumed)})
+    if store is not None and resume:
+        wanted = {k for p in payloads for k in payload_unit_keys(p)}
+        resumed = {k: v for k, v in store.completed.items() if k in wanted}
+        if resumed:
+            col.record_fault_event("unit_resumed", count=len(resumed))
+            _emit(sink, "unit_resumed", {"count": len(resumed)})
 
-    pending: Deque[Tuple[int, tuple]] = deque(
+    pending: Deque[Tuple[int, Payload]] = deque(
         (0, p) for p in (_strip_resumed(p, resumed) for p in payloads) if p is not None
     )
-    state = _SweepState(store, col, sink, flush_every, plan)
-
+    state = _SweepState(store, col, sink, flush_every, FaultPlan.from_env())
     try:
         if processes == 0:
             _run_serial(pending, state, policy, max_units)
@@ -214,71 +149,39 @@ def resumable_sweep(
             _run_pooled(pending, state, policy, workers, unit_timeout, max_units)
     finally:
         state.flush()
-
-    merged = list(resumed.values()) + state.results
-    out: Dict[str, List[UnitResult]] = {name: [] for name in algorithms}
-    for res in merged:
-        out[res.algorithm].append(res)
-    for name in algorithms:
-        out[name].sort(key=lambda r: r.instance_index)
-    return out
+    return list(resumed.values()) + state.results
 
 
 def _strip_resumed(
-    payload: tuple, resumed: Dict[Tuple[str, int], UnitResult]
-) -> Optional[tuple]:
-    """Drop already-completed work from a payload (``None`` = all done).
+    payload: Payload, resumed: Dict[Tuple[str, int], UnitResult]
+) -> Optional[Payload]:
+    """Drop already-completed entries from a payload (``None`` = all done).
 
-    Per-unit payloads are kept or dropped whole.  A *batched* payload is
-    trimmed entry-by-entry, so resuming mid-batch re-runs only the
-    algorithms the checkpoint is missing for that instance — the basis of
-    the resume-mid-batch bit-identity guarantee.
+    Resuming mid-payload re-runs only the algorithms the checkpoint is
+    missing for that instance — the basis of the resume-mid-batch
+    bit-identity guarantee.
     """
-    if not resumed:
-        return payload
-    if payload[0] != BATCH_UNIT:
-        return None if unit_key(payload) in resumed else payload
-    index = payload[2]
-    entries = tuple(e for e in payload[1] if (e[0], index) not in resumed)
-    if not entries:
-        return None
-    if len(entries) == len(payload[1]):
-        return payload
-    return (payload[0], entries) + payload[2:]
+    entries = tuple(e for e in payload.entries if (e[0], payload.index) not in resumed)
+    return payload._replace(entries=entries) if entries else None
 
 
-def _complete_result(state: _SweepState, result) -> int:
-    """Record a worker result; returns how many units it completed.
-
-    Per-unit payloads resolve to one :class:`UnitResult`, batched
-    payloads to a list of them (each checkpointed individually, so flush
-    cadence and resume keys are engine-independent).
-    """
-    if isinstance(result, list):
-        for unit in result:
-            state.complete(unit)
-        return len(result)
-    state.complete(result)
-    return 1
-
-
-def _fail(state: _SweepState, key: Tuple[str, int], cause: BaseException) -> None:
-    """Flush completed work, then give up on one unit."""
+def _fail(state: _SweepState, payload: Payload, cause: BaseException) -> None:
+    """Flush completed work, then give up on one payload."""
     state.flush()
     raise UnitFailedError(
-        f"unit {key} exhausted its retry budget; completed units are "
-        f"checkpointed — rerun with resume=True to keep them "
-        f"(cause: {type(cause).__name__}: {cause})"
+        f"units {payload_unit_keys(payload)} exhausted their retry budget; "
+        f"completed units are checkpointed — rerun with resume=True to keep "
+        f"them (cause: {type(cause).__name__}: {cause})"
     ) from cause
 
 
 def _run_serial(
-    pending: "Deque[Tuple[int, tuple]]",
+    pending: Deque[Tuple[int, Payload]],
     state: _SweepState,
     policy: RetryPolicy,
     max_units: Optional[int],
 ) -> None:
-    """In-process executor: retry loop per unit, no preemption."""
+    """In-process executor: retry loop per payload, no preemption."""
     completed = 0
     while pending:
         if max_units is not None and completed >= max_units:
@@ -290,16 +193,16 @@ def _run_serial(
                 break
             except Exception as exc:
                 if attempt >= policy.retries:
-                    _fail(state, unit_key(payload), exc)
+                    _fail(state, payload, exc)
                 attempt += 1
                 state.collector.record_fault_event("retry")
                 _emit(
                     state.sink,
                     "retry",
-                    {"unit": list(unit_key(payload)), "attempt": attempt},
+                    {"units": payload_unit_keys(payload), "attempt": attempt},
                 )
                 time.sleep(policy.delay(attempt))
-        completed += _complete_result(state, result)
+        completed += state.complete(result)
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -321,7 +224,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_pooled(
-    pending: "Deque[Tuple[int, tuple]]",
+    pending: Deque[Tuple[int, Payload]],
     state: _SweepState,
     policy: RetryPolicy,
     workers: int,
@@ -331,34 +234,32 @@ def _run_pooled(
     """Process-pool executor with retry, timeout, and pool recovery."""
     col = state.collector
     pool = ProcessPoolExecutor(max_workers=workers)
-    inflight: Dict[object, Tuple[int, tuple, float]] = {}
+    inflight: Dict[Future, Tuple[int, Payload, float]] = {}
     completed = 0
 
-    def requeue(attempt: int, payload: tuple, bump: bool, cause: BaseException) -> None:
+    def requeue(attempt: int, payload: Payload, bump: bool, cause: BaseException) -> None:
         if bump and attempt >= policy.retries:
-            _fail(state, unit_key(payload), cause)
+            _fail(state, payload, cause)
         pending.appendleft((attempt + 1 if bump else attempt, payload))
 
-    def recycle(kind: str, faulted, cause: BaseException) -> None:
-        """Respawn the pool; re-queue every in-flight unit.
+    def recycle(kind: str, faulted: Set[Future], cause: BaseException) -> None:
+        """Respawn the pool; re-queue every in-flight payload.
 
-        Units in ``faulted`` get their attempt bumped (counting against
-        the retry budget); the rest re-queue unchanged.
+        Payloads whose futures are in ``faulted`` get their attempt
+        bumped (counting against the retry budget); the rest re-queue
+        unchanged.
         """
         nonlocal pool
-        faulted_keys = {unit_key(p) for _, p in faulted}
-        for attempt, payload, _ in list(inflight.values()):
-            bump = unit_key(payload) in faulted_keys
-            requeue(attempt, payload, bump, cause)
+        faulted_units = sorted(
+            key for f in faulted for key in payload_unit_keys(inflight[f][1])
+        )
+        for future, (attempt, payload, _) in list(inflight.items()):
+            requeue(attempt, payload, future in faulted, cause)
         inflight.clear()
         col.record_fault_event("pool_restart")
-        if faulted_keys and kind == "broken_pool":
-            col.record_fault_event("retry", count=len(faulted_keys))
-        _emit(
-            state.sink,
-            "pool_restart",
-            {"cause": kind, "faulted": sorted(map(list, faulted_keys))},
-        )
+        if faulted and kind == "broken_pool":
+            col.record_fault_event("retry", count=len(faulted))
+        _emit(state.sink, "pool_restart", {"cause": kind, "faulted": faulted_units})
         _terminate_pool(pool)
         pool = ProcessPoolExecutor(max_workers=workers)
 
@@ -383,24 +284,25 @@ def _run_pooled(
 
             if unit_timeout is not None:
                 now = time.monotonic()
-                expired = [
-                    (attempt, payload)
-                    for future, (attempt, payload, t0) in inflight.items()
+                expired = {
+                    future
+                    for future, (_, _, t0) in inflight.items()
                     if future not in done and now - t0 > unit_timeout
-                ]
+                }
                 if expired:
                     col.record_fault_event("unit_timeout", count=len(expired))
-                    for attempt, payload in expired:
+                    for future in expired:
+                        attempt, payload, _ = inflight[future]
                         _emit(
                             state.sink,
                             "unit_timeout",
-                            {"unit": list(unit_key(payload)), "attempt": attempt},
+                            {"units": payload_unit_keys(payload), "attempt": attempt},
                         )
                     # harvest whatever did finish before tearing down
                     for future in done:
                         attempt, payload, _ = inflight.pop(future)
                         try:
-                            completed += _complete_result(state, future.result())
+                            completed += state.complete(future.result())
                         except Exception as exc:
                             requeue(attempt, payload, True, exc)
                             col.record_fault_event("retry")
@@ -413,9 +315,9 @@ def _run_pooled(
                     result = future.result()
                 except BrokenProcessPool as exc:
                     # A worker death breaks *every* in-flight future at
-                    # once, and nothing identifies which unit killed it —
-                    # the future surfacing the error first is arbitrary.
-                    # Leave inflight intact for recycle() below.
+                    # once, and nothing identifies which payload killed
+                    # it — the future surfacing the error first is
+                    # arbitrary.  Leave inflight intact for recycle().
                     broken = exc
                     break
                 except Exception as exc:
@@ -425,20 +327,16 @@ def _run_pooled(
                     _emit(
                         state.sink,
                         "retry",
-                        {"unit": list(unit_key(payload)), "attempt": attempt + 1},
+                        {"units": payload_unit_keys(payload), "attempt": attempt + 1},
                     )
                     time.sleep(policy.delay(attempt + 1))
                 else:
-                    attempt, payload, _ = inflight.pop(future)
-                    completed += _complete_result(state, result)
+                    inflight.pop(future)
+                    completed += state.complete(result)
             if broken is not None:
-                # every in-flight unit is a suspect: bump them all, so
+                # every in-flight payload is a suspect: bump them all, so
                 # the actual culprit cannot re-run at an attempt whose
                 # fault it would hit again
-                recycle(
-                    "broken_pool",
-                    [(a, p) for a, p, _ in inflight.values()],
-                    broken,
-                )
+                recycle("broken_pool", set(inflight), broken)
     finally:
         _terminate_pool(pool)

@@ -36,7 +36,7 @@ from .metrics import (
     cost_breakdown_by_bin,
     open_bins_timeline,
 )
-from .parallel import UnitResult, aggregate_sweep_stats, parallel_sweep, simulate_chunk
+from .parallel import UnitResult, aggregate_sweep_stats, parallel_sweep
 from .runner import compare_algorithms, run, run_many
 from .trace import TraceRecord, TraceRecorder, render_trace, traces_equal
 
@@ -64,7 +64,6 @@ __all__ = [
     "fast_policy_for",
     "fast_simulate",
     "register_kernel_class",
-    "simulate_chunk",
     "LeaderTracker",
     "LoadSnapshotter",
     "PackingMetrics",

@@ -59,13 +59,16 @@ from ..observability.stats import StatsCollector
 from ..optimum.lower_bounds import height_lower_bound
 from ..workloads.base import WorkloadGenerator
 from ..workloads.uniform import UniformWorkload
+from .engine import _note_fallback
 from .fastpath import (
     FastEngine,
     ReplayContext,
     choose_backend,
     default_backend,
+    fast_ineligibility_reason,
     fast_policy_for,
 )
+from .runner import run
 
 __all__ = [
     "InstanceSpec",
@@ -299,6 +302,9 @@ class BatchRunner:
     backend:
         Fastpath backend override; default is the per-instance
         :func:`~repro.simulation.fastpath.choose_backend` heuristic.
+    lower_bound:
+        The instance's Lemma 1 bound when the caller already computed
+        it; ``None`` computes it on first use.
     """
 
     __slots__ = (
@@ -306,11 +312,16 @@ class BatchRunner:
         "_instance", "_lb", "_ctx", "_engine", "_trials_eng",
     )
 
-    def __init__(self, source: BatchSource, backend: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        source: BatchSource,
+        backend: Optional[str] = None,
+        lower_bound: Optional[float] = None,
+    ) -> None:
         self.source = source
         self.backend = backend
         self._instance: Optional[Instance] = source if isinstance(source, Instance) else None
-        self._lb: Optional[float] = None
+        self._lb: Optional[float] = lower_bound
         self._ctx: Optional[ReplayContext] = None
         self._engine: Optional[FastEngine] = None
         self._trials_eng: Optional[FastEngine] = None
@@ -375,6 +386,7 @@ class BatchRunner:
         instance_index: int = 0,
         collect_stats: bool = False,
         keep_assignments: bool = False,
+        engine: str = "batch",
     ):
         """Run ``(algorithm, kwargs)`` entries; return sweep unit results.
 
@@ -385,50 +397,30 @@ class BatchRunner:
         ``keep_assignments=True`` returns ``(results, assignments)`` so
         oracles can check the full item → bin map too.
 
-        An entry's kwargs may carry the reserved ``"_repack"`` key —
-        ``{"policy": name, "budget": k}`` — which routes that entry
-        through the migration-budget :mod:`repro.repacking` engine (the
-        remaining kwargs still build the dispatch algorithm).  This is
-        how the repacking bench frontier amortises one instance across
-        a (policy x repacker x budget) grid.
+        ``engine="batch"`` replays fast-eligible policies through the
+        shared context and scratch buffers.  Any other engine spec
+        :func:`~repro.simulation.runner.run` accepts (``"classic"``,
+        ``"fast"``, ``"streaming"``, ``"repacking:policy:budget"``)
+        runs each entry with ``run(..., engine=engine)`` on the shared
+        instance.
         """
         from .parallel import UnitResult  # local: parallel imports stay one-way
 
         results: List["UnitResult"] = []
         assignments: List[Dict[int, int]] = []
         for name, kwargs in entries:
-            kwargs = dict(kwargs or {})
-            repack = kwargs.pop("_repack", None)
             collector = StatsCollector() if collect_stats else None
-            algo = make_algorithm(name, **kwargs)
-            if repack is not None:
-                from ..repacking import repacking_run
-
-                result = repacking_run(
-                    algo, self.instance,
-                    repacker=repack.get("policy", "no_repack"),
-                    budget=repack.get("budget"),
-                    collector=collector,
-                )
-                assignment = dict(result.packing.assignment)
-                cost, num_bins = result.cost, result.num_bins
-            elif (resolved := fast_policy_for(algo)) is not None:
-                policy, seed = resolved
-                engine = self._fast_engine(policy, seed, collector)
-                assignment = engine.run_assignment()
+            algo = make_algorithm(name, **dict(kwargs or {}))
+            resolved = fast_policy_for(algo) if engine == "batch" else None
+            if resolved is not None:
+                assignment = self._fast_engine(*resolved, collector).run_assignment()
                 cost, num_bins = self._cost_and_bins(assignment)
             else:
-                from .engine import _note_fallback
-                from .fastpath import fast_ineligibility_reason
-                from .runner import run
-
-                _note_fallback(
-                    algo.name,
-                    fast_ineligibility_reason(algo) or "no fast kernel",
-                    collector,
-                )
-                packing = run(algo, self.instance, collector=collector)
-                assignment = dict(packing.assignment)
+                if engine == "batch":
+                    packing = _classic_fallback(algo, self.instance, collector)
+                else:
+                    packing = run(algo, self.instance, collector=collector, engine=engine)
+                assignment = packing.assignment
                 cost, num_bins = packing.cost, packing.num_bins
             results.append(
                 UnitResult(
@@ -441,7 +433,7 @@ class BatchRunner:
                 )
             )
             if keep_assignments:
-                assignments.append(assignment)
+                assignments.append(dict(assignment))
         if keep_assignments:
             return results, assignments
         return results
@@ -513,27 +505,29 @@ class BatchRunner:
 
         Fast-eligible algorithms replay through the shared
         context/buffers; others run classically.  Used by
-        ``run(engine="batch")`` and ``run_many(batch=True)`` where the
-        caller needs the packing object, not just sweep aggregates.
+        ``run(engine="batch")``, where the caller needs the packing
+        object, not just sweep aggregates.
         """
         algo = make_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
         resolved = fast_policy_for(algo)
         if resolved is None:
-            from .engine import _note_fallback
-            from .fastpath import fast_ineligibility_reason
-            from .runner import run
-
-            _note_fallback(
-                getattr(algo, "name", type(algo).__name__),
-                fast_ineligibility_reason(algo) or "no fast kernel",
-                collector,
-            )
-            return run(algo, self.instance, collector=collector)
-        policy, seed = resolved
-        engine = self._fast_engine(policy, seed, collector)
+            return _classic_fallback(algo, self.instance, collector)
+        engine = self._fast_engine(*resolved, collector)
         return Packing.from_assignment(
             self.instance, engine.run_assignment(), algorithm=algo.name
         )
+
+
+def _classic_fallback(
+    algo, instance: Instance, collector: Optional[StatsCollector], validate: bool = False
+) -> Packing:
+    """Classic run of a policy with no fast kernel, recorded as a fallback."""
+    _note_fallback(
+        getattr(algo, "name", type(algo).__name__),
+        fast_ineligibility_reason(algo) or "no fast kernel",
+        collector,
+    )
+    return run(algo, instance, validate=validate, collector=collector)
 
 
 def batch_run_many(
@@ -542,7 +536,7 @@ def batch_run_many(
     validate: bool = False,
     collector: Optional[StatsCollector] = None,
 ) -> List[Packing]:
-    """``run_many(batch=True)``: one algorithm over many instances.
+    """``run_many(engine="batch")``: one algorithm over many instances.
 
     Reuses a single :class:`~repro.simulation.fastpath.FastEngine` (and
     its scratch buffers) across all instances via ``reset(context=...)``;
@@ -557,16 +551,7 @@ def batch_run_many(
     for source in sources:
         inst = source if isinstance(source, Instance) else materialize(source)
         if resolved is None:
-            from .engine import _note_fallback
-            from .fastpath import fast_ineligibility_reason
-            from .runner import run
-
-            _note_fallback(
-                getattr(algo, "name", type(algo).__name__),
-                fast_ineligibility_reason(algo) or "no fast kernel",
-                collector,
-            )
-            packings.append(run(algo, inst, validate=validate, collector=collector))
+            packings.append(_classic_fallback(algo, inst, collector, validate=validate))
             continue
         policy, seed = resolved
         ctx = ReplayContext(inst, choose_backend(inst))

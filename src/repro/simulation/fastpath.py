@@ -83,7 +83,7 @@ Integration
 ``simulate(algorithm, instance, fast=True)`` auto-routes eligible runs
 here (see :func:`fast_policy_for` for eligibility) and silently falls
 back to the classic engine otherwise; ``repro run --engine fast`` and the
-``parallel_sweep(..., engine="fast")`` chunked dispatch build on the same
+``parallel_sweep(..., engine="fast")`` sweeps build on the same
 resolution.  ``repro.verify`` holds the safety net: a classic-vs-fastpath
 differential oracle in the harness, a three-way corpus test, and a
 deliberately broken stale-residual mutant that must be caught.

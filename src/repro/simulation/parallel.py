@@ -1,59 +1,60 @@
-"""Parallel batch execution for sweeps.
+"""Sweep execution: every (algorithm × instance) unit, serial or pooled.
 
 The Figure 4 full-scale study is 18 cells × 7 algorithms × 1000
-instances — embarrassingly parallel across instances.  This module runs
-(algorithm, instance) work units across processes with
-``concurrent.futures.ProcessPoolExecutor``, following the mpi4py/HPC
-guidance of keeping the unit of work coarse (one full simulation, not
-one event) so serialisation overhead stays negligible.
-
-Work units are shipped as ``(algorithm_name, algorithm_kwargs,
-instance_dict)`` — plain picklable payloads; results come back as
-``(cost, num_bins, ratio)`` triples so large packings never cross the
-process boundary.  A ``processes=None`` default uses ``os.cpu_count()``;
-``processes=0`` short-circuits to the serial path (useful under pytest
-and on platforms where fork semantics are awkward).
+instances — embarrassingly parallel across instances.
+:func:`parallel_sweep` is the one sweep function: it builds the sweep's
+:class:`Payload` list (:func:`build_payloads`), runs each payload through
+the one worker entry point (:func:`simulate_payload`), and executes them
+with the one serial/pooled loop of :mod:`repro.orchestration.sweep`
+(checkpoints, resume, retries, per-unit timeouts and pool recovery).
+The unit of work stays coarse (whole simulations, not events) so
+serialisation overhead stays negligible, and results come back as small
+:class:`UnitResult` records so packings never cross the process
+boundary.  ``processes=None`` uses ``os.cpu_count()``; ``processes=0``
+runs serially in-process (useful under pytest and on platforms where
+fork semantics are awkward).
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from ..algorithms.registry import ALGORITHM_FACTORIES, make_algorithm
+from ..algorithms.registry import ALGORITHM_FACTORIES
 from ..core.instance import Instance
+from ..observability.sinks import TraceSink
 from ..observability.stats import RunStats, StatsCollector
 from ..optimum.lower_bounds import height_lower_bound
-from .runner import run
+from .batch import BatchRunner, InstanceSpec, materialize
+
+if TYPE_CHECKING:
+    from ..orchestration.faults import RetryPolicy
 
 __all__ = [
     "UnitResult",
-    "BATCH_UNIT",
+    "Payload",
     "algorithm_accepts_seed",
     "derive_unit_seeds",
     "build_payloads",
-    "build_batch_payloads",
-    "unit_key",
     "payload_unit_keys",
-    "simulate_unit",
-    "simulate_chunk",
-    "simulate_batch_unit",
-    "simulate_batch_chunk",
     "simulate_payload",
     "parallel_sweep",
     "aggregate_sweep_stats",
 ]
-
-#: Marker in the algorithm slot of a *batched* payload: one such payload
-#: carries every (algorithm, kwargs) entry for one instance, so the whole
-#: 7-policy fan-out of an instance lands on a single worker.
-BATCH_UNIT = "__batch__"
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,9 @@ def derive_unit_seeds(base_seed: int, count: int) -> List[int]:
     share a single random stream (the pre-fix behaviour), which
     understates the variance the experiment is supposed to measure.
 
-    The derivation is a pure function of ``(base_seed, count)``, so it
-    is identical across the serial, process-pool, and resumed sweep
-    paths — a prerequisite for the bit-identity oracles.
+    The derivation is a pure function of ``(base_seed, count)``, so a
+    serial, pooled and resumed sweep all run the same seeds — a
+    prerequisite for the bit-identity oracles.
     """
     ss = np.random.SeedSequence(int(base_seed))
     return [
@@ -123,234 +124,121 @@ def derive_unit_seeds(base_seed: int, count: int) -> List[int]:
     ]
 
 
+class Payload(NamedTuple):
+    """One unit of work shipped to a worker: entries to run on one instance.
+
+    ``source`` is the :class:`~repro.core.instance.Instance` or
+    :class:`~repro.simulation.batch.InstanceSpec` object itself, pickled
+    only when a pool ships it.  ``lower_bound`` is the Lemma 1 bound when
+    the parent computed it, ``None`` when the worker computes it.
+    ``entries`` are the ``(algorithm, kwargs)`` pairs, each with its
+    per-unit seed already applied.
+    """
+
+    index: int
+    source: Union[Instance, InstanceSpec]
+    lower_bound: Optional[float]
+    entries: Tuple[Tuple[str, dict], ...]
+    engine: str
+    collect_stats: bool
+
+
 def build_payloads(
     algorithms: Sequence[str],
-    instances: Sequence[Instance],
+    sources: Sequence[Union[Instance, InstanceSpec]],
     algorithm_kwargs: Optional[Mapping[str, Mapping[str, object]]] = None,
     collect_stats: bool = False,
     engine: str = "classic",
-) -> List[tuple]:
-    """Build the full (algorithm × instance) work-unit payload list.
+) -> List[Payload]:
+    """Build every payload of an (algorithm × instance) sweep.
 
-    One payload per unit, in ``for name … for i …`` order — the shared
-    construction used by :func:`parallel_sweep` and the checkpointed
-    :func:`repro.orchestration.resumable_sweep`, so both paths simulate
-    exactly the same units.  Lower bounds are computed once per instance
-    and shared across algorithms; seeded algorithms get per-unit seeds
-    derived from their base ``seed`` kwarg (default 0) via
-    :func:`derive_unit_seeds`.
+    Seeded algorithms get per-unit seeds derived from their base
+    ``seed`` kwarg (default 0) via :func:`derive_unit_seeds`.
+
+    ``engine="batch"`` builds one payload per instance carrying every
+    algorithm, so a worker shares the replay context and the Lemma 1
+    bound across the policy fan-out, and spec sources regenerate in the
+    worker.  Every other engine builds one payload per unit, in
+    ``for name … for i …`` order, with the lower bound computed once per
+    instance here in the parent; retries, fault selectors, ``max_units``
+    and ``unit_timeout`` then act on single units.
     """
     algorithm_kwargs = algorithm_kwargs or {}
-    lbs = [height_lower_bound(inst) for inst in instances]
-    inst_dicts = [inst.to_dict() for inst in instances]
+    sources = list(sources)
     unit_seeds = {
         name: derive_unit_seeds(
-            int(algorithm_kwargs.get(name, {}).get("seed", 0)), len(instances)
+            int(algorithm_kwargs.get(name, {}).get("seed", 0)), len(sources)
         )
         for name in algorithms
         if algorithm_accepts_seed(name)
     }
-    payloads: List[tuple] = []
-    for name in algorithms:
-        base_kwargs = dict(algorithm_kwargs.get(name, {}))
-        for i in range(len(instances)):
-            kwargs = dict(base_kwargs)
-            if name in unit_seeds:
-                kwargs["seed"] = unit_seeds[name][i]
-            payloads.append(
-                (name, kwargs, i, inst_dicts[i], lbs[i], collect_stats, engine)
-            )
-    return payloads
 
+    def entry(name: str, i: int) -> Tuple[str, dict]:
+        kwargs = dict(algorithm_kwargs.get(name, {}))
+        if name in unit_seeds:
+            kwargs["seed"] = unit_seeds[name][i]
+        return name, kwargs
 
-def _materialize_sources(sources: Sequence) -> List[Instance]:
-    """Resolve a mixed Instance/InstanceSpec sequence to instances.
-
-    Lets every sweep engine accept the compact
-    :class:`~repro.simulation.batch.InstanceSpec` sources the batch
-    engine dispatches on; specs resolve through the in-worker LRU cache.
-    """
-    from .batch import InstanceSpec, materialize
-
-    return [
+    if engine == "batch":
+        return [
+            Payload(i, source, None, tuple(entry(name, i) for name in algorithms),
+                    engine, collect_stats)
+            for i, source in enumerate(sources)
+        ]
+    instances = [
         materialize(src) if isinstance(src, InstanceSpec) else src for src in sources
+    ]
+    lbs = [height_lower_bound(inst) for inst in instances]
+    return [
+        Payload(i, instances[i], lbs[i], (entry(name, i),), engine, collect_stats)
+        for name in algorithms
+        for i in range(len(instances))
     ]
 
 
-def _source_payload(source) -> dict:
-    """Picklable payload form of a batch-unit source (spec or instance)."""
-    from .batch import InstanceSpec
+def payload_unit_keys(payload: Payload) -> List[Tuple[str, int]]:
+    """The ``(algorithm, instance_index)`` keys of the units a payload runs.
 
-    if isinstance(source, InstanceSpec):
-        return source.to_dict()
-    return {"kind": "instance", "data": source.to_dict()}
-
-
-def _resolve_source(payload_source: dict):
-    """Inverse of :func:`_source_payload`; specs stay lazy (LRU-cached)."""
-    from .batch import InstanceSpec
-
-    if payload_source.get("kind") == "instance-spec":
-        return InstanceSpec.from_dict(payload_source)
-    return Instance.from_dict(payload_source["data"])
-
-
-def build_batch_payloads(
-    algorithms: Sequence[str],
-    sources: Sequence,
-    algorithm_kwargs: Optional[Mapping[str, Mapping[str, object]]] = None,
-    collect_stats: bool = False,
-) -> List[tuple]:
-    """Build one *batched* payload per instance (all algorithms grouped).
-
-    The ``engine="batch"`` twin of :func:`build_payloads`: instead of one
-    payload per (algorithm, instance) unit, each payload carries every
-    algorithm entry for one instance, so a worker amortises instance
-    materialisation, the event index, the Lemma 1 lower bound, and the
-    fast engine's scratch buffers across the whole policy fan-out.
-    Sources may be :class:`~repro.core.instance.Instance` objects or
-    compact :class:`~repro.simulation.batch.InstanceSpec` recipes — specs
-    ship as a few hundred bytes and regenerate in-worker.
-
-    Per-unit seeds for seeded algorithms are derived exactly as in
-    :func:`build_payloads` (same :func:`derive_unit_seeds` streams), so
-    batched sweeps are bit-identical to per-unit dispatch.
+    The checkpoint store indexes completed work by these keys, so a
+    batch-engine sweep resumes from a classic checkpoint (and vice versa)
+    by skipping the same units.
     """
-    algorithm_kwargs = algorithm_kwargs or {}
-    count = len(sources)
-    unit_seeds = {
-        name: derive_unit_seeds(
-            int(algorithm_kwargs.get(name, {}).get("seed", 0)), count
-        )
-        for name in algorithms
-        if algorithm_accepts_seed(name)
-    }
-    payloads: List[tuple] = []
-    for i, source in enumerate(sources):
-        entries = []
-        for name in algorithms:
-            kwargs = dict(algorithm_kwargs.get(name, {}))
-            if name in unit_seeds:
-                kwargs["seed"] = unit_seeds[name][i]
-            entries.append((name, kwargs))
-        payloads.append(
-            (BATCH_UNIT, tuple(entries), i, _source_payload(source), None,
-             collect_stats, "batch")
-        )
-    return payloads
+    return [(name, payload.index) for name, _ in payload.entries]
 
 
-def unit_key(payload: tuple) -> Tuple[str, int]:
-    """The ``(algorithm, instance_index)`` identity of one payload.
+def simulate_payload(payload: Payload) -> List[UnitResult]:
+    """Worker entry point: one :class:`UnitResult` per payload entry.
 
-    This is the key the checkpoint store indexes completed work by.  For
-    a batched payload this is ``(BATCH_UNIT, index)`` — use
-    :func:`payload_unit_keys` for the per-unit keys it expands to.
+    Runs the entries through one
+    :class:`~repro.simulation.batch.BatchRunner` over the payload's
+    source with the payload's engine.  Module-level (picklable) so it
+    works with the spawn start method.
     """
-    return payload[0], payload[2]
-
-
-def payload_unit_keys(payload: tuple) -> List[Tuple[str, int]]:
-    """All ``(algorithm, instance_index)`` unit keys a payload completes.
-
-    A per-unit payload maps to exactly its :func:`unit_key`; a batched
-    payload expands to one key per carried algorithm entry.  Checkpoint
-    stores always index *units*, so resuming a batch-engine sweep from a
-    classic checkpoint (or vice versa) skips the same completed work.
-    """
-    if payload[0] == BATCH_UNIT:
-        return [(name, payload[2]) for name, _ in payload[1]]
-    return [unit_key(payload)]
-
-
-def simulate_unit(
-    payload: Tuple[str, Mapping[str, object], int, dict, float]
-) -> UnitResult:
-    """Worker entry point: simulate one algorithm on one instance.
-
-    ``payload`` is ``(name, kwargs, index, instance_dict, lower_bound)``
-    with an optional sixth ``collect_stats`` flag and an optional seventh
-    ``engine`` name (``"classic"``/``"fast"``; older five- and
-    six-element payloads remain valid).  Module-level (picklable) by
-    design so it works with the spawn start method.
-    """
-    name, kwargs, index, inst_dict, lb, *rest = payload
-    collect_stats = bool(rest[0]) if rest else False
-    engine = str(rest[1]) if len(rest) > 1 else "classic"
-    instance = Instance.from_dict(inst_dict)
-    collector = StatsCollector() if collect_stats else None
-    packing = run(
-        make_algorithm(name, **dict(kwargs)), instance, collector=collector, engine=engine
+    runner = BatchRunner(payload.source, lower_bound=payload.lower_bound)
+    return runner.run_units(
+        payload.entries,
+        instance_index=payload.index,
+        collect_stats=payload.collect_stats,
+        engine=payload.engine,
     )
-    return UnitResult(
-        algorithm=name,
-        instance_index=index,
-        cost=packing.cost,
-        num_bins=packing.num_bins,
-        lower_bound=lb,
-        stats=collector.snapshot() if collector is not None else None,
-    )
-
-
-def simulate_chunk(payloads: Sequence[tuple]) -> List[UnitResult]:
-    """Worker entry point for the fast engine's chunked dispatch.
-
-    A fast-engine unit finishes several times sooner than a classic one,
-    so per-unit futures would push the IPC share of the wall time up;
-    shipping an explicit list of payloads per task keeps the unit of
-    work as coarse as in the classic sweep.  Semantically identical to
-    ``[simulate_unit(p) for p in payloads]``.
-    """
-    return [simulate_unit(p) for p in payloads]
-
-
-def simulate_batch_unit(payload: tuple) -> List[UnitResult]:
-    """Worker entry point: one instance under all its algorithm entries.
-
-    ``payload`` is ``(BATCH_UNIT, entries, index, source, None,
-    collect_stats, "batch")`` from :func:`build_batch_payloads`.  Runs a
-    :class:`~repro.simulation.batch.BatchRunner` over the entries —
-    shared replay context, scratch buffers, and lower bound — and
-    returns one :class:`UnitResult` per entry, bit-identical to per-unit
-    dispatch of the same units.
-    """
-    from .batch import BatchRunner
-
-    _marker, entries, index, source, _lb, *rest = payload
-    collect_stats = bool(rest[0]) if rest else False
-    runner = BatchRunner(_resolve_source(source))
-    return runner.run_units(entries, instance_index=index, collect_stats=collect_stats)
-
-
-def simulate_batch_chunk(payloads: Sequence[tuple]) -> List[UnitResult]:
-    """Chunked-dispatch twin of :func:`simulate_batch_unit` (flattened)."""
-    return [unit for p in payloads for unit in simulate_batch_unit(p)]
-
-
-def simulate_payload(payload: tuple):
-    """Dispatch a payload to its engine-appropriate worker function.
-
-    Returns a single :class:`UnitResult` for per-unit payloads and a
-    list of them for batched payloads — callers that must count
-    completed units should normalise with ``isinstance(result, list)``.
-    """
-    if payload[0] == BATCH_UNIT:
-        return simulate_batch_unit(payload)
-    return simulate_unit(payload)
 
 
 def parallel_sweep(
     algorithms: Sequence[str],
-    instances: Sequence[Instance],
+    instances: Sequence[Union[Instance, InstanceSpec]],
     processes: Optional[int] = None,
     algorithm_kwargs: Optional[Mapping[str, Mapping[str, object]]] = None,
-    chunksize: int = 4,
     collect_stats: bool = False,
     engine: str = "classic",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     retries: int = 0,
     unit_timeout: Optional[float] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+    flush_every: int = 16,
+    max_units: Optional[int] = None,
+    collector: Optional[StatsCollector] = None,
+    sink: Optional[TraceSink] = None,
 ) -> Dict[str, List[UnitResult]]:
     """Run every algorithm on every instance, possibly across processes.
 
@@ -359,7 +247,9 @@ def parallel_sweep(
     algorithms:
         Registry names.
     instances:
-        Instance batch (materialised; shared across algorithms).
+        Instance batch, shared across algorithms: materialised
+        instances or compact :class:`~repro.simulation.batch.InstanceSpec`
+        sources.
     processes:
         Worker count; ``None`` = ``os.cpu_count()``, ``0`` = run serially
         in-process.
@@ -368,8 +258,6 @@ def parallel_sweep(
         treated as the *base* seed: each (algorithm, instance) unit gets
         its own seed derived via :func:`derive_unit_seeds`, so the m
         trials of a cell are genuinely independent.
-    chunksize:
-        Futures map chunk size (coarser = less IPC overhead).
     collect_stats:
         When ``True``, every worker instruments its run and ships the
         per-run :class:`~repro.observability.stats.RunStats` back on
@@ -377,100 +265,81 @@ def parallel_sweep(
         :func:`aggregate_sweep_stats`.  The deterministic counters of
         the aggregate are identical for any ``processes`` value.
     engine:
-        ``"classic"`` (default), ``"fast"``, or ``"batch"``.  Fast mode
-        routes every unit through
-        :class:`~repro.simulation.fastpath.FastEngine` and switches to
-        chunked dispatch (:func:`simulate_chunk`): payloads are
-        pre-grouped into explicit chunks so the much shorter fast units
-        still amortise the per-task IPC cost.  Batch mode goes further:
-        one payload per *instance* carries the whole algorithm fan-out
-        (:func:`build_batch_payloads`), executed by a
+        ``"classic"`` (default), ``"fast"``, ``"batch"``,
+        ``"streaming"``, or a ``"repacking[:policy[:budget]]"`` spec
+        (e.g. ``"repacking:greedy_consolidate:2"``) for migration-budget
+        recourse sweeps.  ``"batch"`` ships one payload per instance
+        (see :func:`build_payloads`), run by a
         :class:`~repro.simulation.batch.BatchRunner` that shares the
-        event index, scratch buffers, and Lemma 1 bound across all
-        policies — and ``instances`` may then be compact
-        :class:`~repro.simulation.batch.InstanceSpec` sources that
-        regenerate in-worker through an LRU cache instead of pickling
-        full instances.  Results are bit-identical to the classic sweep
-        for every ``engine`` and ``processes`` combination.  Unit-level
-        dispatch also accepts the other engine spec strings understood
-        by :func:`~repro.simulation.runner.run` — ``"streaming"``, and
-        ``"repacking[:policy[:budget]]"`` (e.g.
-        ``"repacking:greedy_consolidate:2"``) for migration-budget
-        recourse sweeps; at budget 0 repacking results are bit-identical
-        to the classic sweep as well.
-    checkpoint_dir / resume / retries / unit_timeout:
-        Fault-tolerance knobs.  Leaving them at their defaults keeps the
-        original in-memory executor below; setting any of them routes
-        the sweep through :func:`repro.orchestration.resumable_sweep`,
-        which persists completed units to crash-safe JSONL shards under
-        ``checkpoint_dir``, skips already-completed units on
-        ``resume=True``, retries faulted units up to ``retries`` times
-        with exponential backoff, and recycles the pool when a unit
-        exceeds ``unit_timeout`` seconds.  Results are bit-identical to
-        the in-memory path.
+        event index, scratch buffers and Lemma 1 bound across all
+        policies.  Results are bit-identical to the classic sweep for
+        every ``engine`` and ``processes`` combination (repacking at
+        budget 0 included).
+    checkpoint_dir:
+        Directory for the crash-safe
+        :class:`~repro.orchestration.checkpoint.CheckpointStore`
+        (created if needed); completed units are flushed to it every
+        ``flush_every`` units.
+    resume:
+        Skip units the checkpoint already holds.  Requires
+        ``checkpoint_dir``; the store's fingerprint must match this
+        sweep or :class:`~repro.core.errors.CheckpointError` is raised.
+    retries / retry_policy:
+        Per-payload retry budget with exponential backoff
+        (``retry_policy``, a
+        :class:`~repro.orchestration.faults.RetryPolicy`, overrides
+        ``retries`` when given).  A payload that exhausts it raises
+        :class:`~repro.core.errors.UnitFailedError` after a final
+        checkpoint flush, so completed work survives the failure.
+    unit_timeout:
+        Per-payload wall-clock budget in seconds, measured from dispatch;
+        an expired payload recycles the pool (pooled mode only: the
+        serial path cannot preempt a running simulation).
+    max_units:
+        Stop dispatching after this many *newly completed* units (the
+        resume-determinism oracle uses it to fabricate interrupted runs
+        without real kills).  In pooled mode, already-dispatched
+        payloads still drain and are checkpointed.
+    collector:
+        Orchestrator-side :class:`~repro.observability.stats.StatsCollector`
+        receiving the fault-recovery counters (``retries``,
+        ``unit_timeouts``, ``units_resumed``, ``pool_restarts``).
+    sink:
+        Optional :class:`~repro.observability.sinks.TraceSink` receiving
+        ``unit_resumed`` / ``retry`` / ``unit_timeout`` /
+        ``pool_restart`` / ``checkpoint_flush`` trace events.
 
     Returns
     -------
     dict
         ``{algorithm: [UnitResult, ...]}`` with results ordered by
-        instance index — identical output for any ``processes`` value.
+        instance index: identical output for any ``processes`` value,
+        interrupted and resumed or not.
     """
-    if checkpoint_dir is not None or resume or retries or unit_timeout is not None:
-        from ..orchestration import resumable_sweep
+    # orchestration imports this module, so its loop is imported here
+    from ..orchestration import CheckpointStore, RetryPolicy, sweep_fingerprint
+    from ..orchestration.sweep import execute
 
-        return resumable_sweep(
-            algorithms,
-            instances,
-            processes=processes,
-            algorithm_kwargs=algorithm_kwargs,
-            collect_stats=collect_stats,
-            engine=engine,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            retries=retries,
-            unit_timeout=unit_timeout,
+    algorithms = list(algorithms)
+    instances = list(instances)
+    store = None
+    if checkpoint_dir is not None:
+        store = CheckpointStore(
+            checkpoint_dir,
+            fingerprint=sweep_fingerprint(algorithms, instances, algorithm_kwargs, engine),
         )
-
-    if engine == "batch":
-        payloads = build_batch_payloads(
-            algorithms, list(instances), algorithm_kwargs, collect_stats
-        )
-        if processes == 0:
-            results = [unit for p in payloads for unit in simulate_batch_unit(p)]
-        else:
-            workers = processes or os.cpu_count() or 1
-            # A batched payload is already |algorithms| units of work, so
-            # chunks are proportionally shorter than the fast engine's.
-            step = max(int(chunksize) // max(len(algorithms), 1), 1)
-            chunks = [payloads[i : i + step] for i in range(0, len(payloads), step)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = [
-                    unit for batch in pool.map(simulate_batch_chunk, chunks) for unit in batch
-                ]
-        out_batch: Dict[str, List[UnitResult]] = {name: [] for name in algorithms}
-        for res in results:
-            out_batch[res.algorithm].append(res)
-        for name in algorithms:
-            out_batch[name].sort(key=lambda r: r.instance_index)
-        return out_batch
-
-    payloads = build_payloads(
-        algorithms, _materialize_sources(instances), algorithm_kwargs,
-        collect_stats, engine
+    results = execute(
+        build_payloads(algorithms, instances, algorithm_kwargs, collect_stats, engine),
+        processes=processes,
+        store=store,
+        resume=resume,
+        policy=retry_policy if retry_policy is not None else RetryPolicy(retries=int(retries)),
+        unit_timeout=unit_timeout,
+        flush_every=flush_every,
+        max_units=max_units,
+        collector=collector,
+        sink=sink,
     )
-
-    if processes == 0:
-        results = [simulate_unit(p) for p in payloads]
-    else:
-        workers = processes or os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if engine == "fast":
-                step = max(int(chunksize), 1)
-                chunks = [payloads[i : i + step] for i in range(0, len(payloads), step)]
-                results = [unit for batch in pool.map(simulate_chunk, chunks) for unit in batch]
-            else:
-                results = list(pool.map(simulate_unit, payloads, chunksize=chunksize))
-
     out: Dict[str, List[UnitResult]] = {name: [] for name in algorithms}
     for res in results:
         out[res.algorithm].append(res)

@@ -171,7 +171,6 @@ def run_many(
     validate: bool = False,
     collector: Optional[StatsCollector] = None,
     engine: str = "classic",
-    batch: bool = False,
 ) -> List[Packing]:
     """Run one algorithm over a sequence of instances.
 
@@ -179,14 +178,14 @@ def run_many(
     string specs are resolved once.  A shared ``collector`` accumulates
     stats across all runs (``RunStats.runs`` counts them).
 
-    With ``batch=True`` (or ``engine="batch"``) the battery executes
+    With ``engine="batch"`` the battery executes
     through :func:`repro.simulation.batch.batch_run_many`: one re-armed
     :class:`~repro.simulation.fastpath.FastEngine` and its scratch
     buffers serve every instance, and ``instances`` may include compact
     :class:`~repro.simulation.batch.InstanceSpec` sources.  Results are
     bit-identical to the per-instance path.
     """
-    if batch or engine == "batch":
+    if engine == "batch":
         from .batch import batch_run_many
 
         return batch_run_many(

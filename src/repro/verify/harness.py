@@ -16,8 +16,8 @@ then the whole policy set is re-run through one batched
 :class:`~repro.simulation.batch.BatchRunner` pass which must reproduce
 every assignment, bin count, and cost exactly; a stride of (instance,
 policy) pairs additionally runs the plain-vs-instrumented engine
-differential, and one small batch exercises the serial-vs-worker-vs-batched
-sweep equality.  Every profile then runs the adaptive-adversary
+differential, and one small batch exercises the classic-vs-batched sweep
+equality.  Every profile then runs the adaptive-adversary
 must-exceed-bound scenarios (:data:`repro.adversaries.MUST_EXCEED_SCENARIOS`):
 each lower-bound attack must certify the required fraction of its
 theorem's bound (or drive the unbounded policies past the ratio
@@ -54,6 +54,7 @@ from ..adversaries.scenarios import ScenarioOutcome, must_exceed_report
 from ..algorithms.best_fit import BestFit, WorstFit
 from ..algorithms.registry import PAPER_ALGORITHMS, make_algorithm
 from ..core.errors import ConfigurationError, SolverLimitError
+from ..core.instance import Instance
 from ..observability.stats import RunStats, StatsCollector
 from ..optimum.lower_bounds import opt_lower_bound
 from ..optimum.opt_cost import optimum_cost, optimum_cost_bounds
@@ -106,7 +107,7 @@ class VerifyProfile:
     #: run the plain-vs-instrumented differential on every k-th
     #: (instance, policy) pair
     instrumented_stride: int = 5
-    #: corpus prefix size for the serial-vs-worker sweep equality check
+    #: corpus prefix size for the classic-vs-batch sweep equality check
     sweep_batch: int = 6
     #: cross-check the exact optimum on instances with at most this many
     #: items (0 disables; expensive)
@@ -220,6 +221,23 @@ def _exact_opt_check(instance, cost_by_policy) -> List[Violation]:
     return out
 
 
+def _repack_audit(instance: Instance, index: int) -> List[Violation]:
+    """The harness's live budget-k repacking audit of corpus entry ``index``.
+
+    One repacking run per instance, replayed through the independent
+    migration-budget auditor; policies alternate by index so both
+    recourse models (per-event cap, amortized credit) are exercised
+    across the corpus.
+    """
+    if index % 2 == 0:
+        return repacking_budget_check(
+            instance, policy="first_fit", repacker="greedy_consolidate", budget=2.0
+        )
+    return repacking_budget_check(
+        instance, policy="best_fit", repacker="budgeted_rebalance", budget=0.5
+    )
+
+
 def run_verify(
     profile: str = "quick",
     instances: Optional[int] = None,
@@ -293,22 +311,8 @@ def run_verify(
                     report.violations.append((f"{where}/{policy}", v))
                 report.checks += 1
 
-        # one live budget-k repacking run per instance, replayed through
-        # the independent migration-budget auditor; policies alternate so
-        # both recourse models (per-event cap, amortized credit) are
-        # exercised across the corpus
-        if entry.index % 2 == 0:
-            for v in repacking_budget_check(
-                inst, policy="first_fit", repacker="greedy_consolidate",
-                budget=2.0, baseline_cost=cost_by_policy.get("first_fit"),
-            ):
-                report.violations.append((f"{where}/repack-audit", v))
-        else:
-            for v in repacking_budget_check(
-                inst, policy="best_fit", repacker="budgeted_rebalance",
-                budget=0.5,
-            ):
-                report.violations.append((f"{where}/repack-audit", v))
+        for v in _repack_audit(inst, entry.index):
+            report.violations.append((f"{where}/repack-audit", v))
         report.checks += 1
 
         # one batched pass over the whole policy set: shared context,

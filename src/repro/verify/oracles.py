@@ -28,19 +28,21 @@ counterpart and requires the two to agree exactly:
   :func:`~repro.repacking.audit.audit_repacking` auditor: the
   migration ledger must match the move log move for move, no event may
   exceed its budget, residency segments must tile each item's lifetime,
-  capacity must hold under every intermediate load, and the engine's
-  cost must equal the first-principles segment recomputation;
+  capacity must hold under every intermediate load, the engine's cost
+  must equal the first-principles segment recomputation, and every
+  evacuation a recourse policy commits must have a negative projected
+  delta;
 * :func:`instrumented_equality_check` — the engine run without and with
   a collector (identical packing; run counters that agree with ground
   truth derived from the packing itself);
 * :func:`cost_check` — the packing's Eq. 1 cost recomputed from first
   principles as a sum of member-interval union lengths, using only the
   instance and the assignment;
-* :func:`sweep_equality_check` — the in-process sweep aggregation versus
-  the process-pool worker path (instance serialisation round-trip and
-  all), which must produce identical ratio vectors;
+* :func:`sweep_equality_check` — the classic-engine sweep versus the
+  batch-engine sweep (one shared :class:`~repro.simulation.batch.BatchRunner`
+  pass per instance), which must produce identical ratio vectors;
 * :func:`resume_equality_check` — an *interrupted-and-resumed*
-  checkpointed sweep (:func:`repro.orchestration.resumable_sweep`)
+  checkpointed sweep (:func:`repro.simulation.parallel.parallel_sweep`)
   versus the plain uninterrupted sweep, which must produce bit-identical
   unit results on both engines — the core promise of the
   fault-tolerance layer is that recovery never changes results.
@@ -374,7 +376,6 @@ def repacking_budget_check(
     repacker: str = "greedy_consolidate",
     budget: float = 2.0,
     seed: int = 0,
-    baseline_cost: Optional[float] = None,
 ) -> List[Violation]:
     """Audit a live budget-k repacking run against the invariant auditor.
 
@@ -385,11 +386,16 @@ def repacking_budget_check(
     *enforced* the budget): per-event/amortized budget compliance,
     ledger/log agreement, residency segments tiling each item's
     lifetime, capacity under every intermediate load, and the Eq. 1
-    cost recomputed from first principles.  When ``baseline_cost`` (the
-    no-recourse cost of the same policy) is supplied, the
-    ``greedy_consolidate`` never-worse guarantee is also checked: the
-    policy only commits strictly-negative-delta full-bin evacuations,
-    so its cost can never exceed the budget-0 cost.
+    cost recomputed from first principles.
+
+    For ``greedy_consolidate`` and ``budgeted_rebalance`` it also checks
+    the contract both policies have, read from the move log: every
+    evacuation (the moves of one event out of one source bin) has a
+    negative summed projected ``cost_delta``, because both commit a
+    full-eviction plan only when its projected Eq. 1 delta is strictly
+    negative.  The run's total cost is *not* bounded by the no-recourse
+    cost: an evacuation changes which bins later arrivals see, so a
+    greedy run can end with more bins and a higher cost.
     """
     from ..repacking import audit_repacking, repacking_run
 
@@ -403,17 +409,19 @@ def repacking_budget_check(
         Violation("repacking-audit", f"{label}: {problem}")
         for problem in audit_repacking(result)
     ]
-    if (
-        baseline_cost is not None
-        and repacker == "greedy_consolidate"
-        and result.cost > baseline_cost + _TOL * max(1.0, baseline_cost)
-    ):
-        out.append(Violation(
-            "repacking-audit",
-            f"{label}: cost {result.cost:.9g} exceeds the no-recourse "
-            f"baseline {baseline_cost:.9g} — greedy_consolidate only "
-            "commits strictly-improving evacuations",
-        ))
+    if repacker in ("greedy_consolidate", "budgeted_rebalance"):
+        evacuations: Dict[tuple, float] = {}
+        for move in result.moves:
+            key = (move.event_index, move.src)
+            evacuations[key] = evacuations.get(key, 0.0) + move.cost_delta
+        for (event, src), delta in evacuations.items():
+            if delta >= 0.0:
+                out.append(Violation(
+                    "repacking-audit",
+                    f"{label}: event {event} evacuated bin {src} at projected "
+                    f"delta {delta:.9g} — {repacker} commits only strictly "
+                    "negative evacuations",
+                ))
     return out
 
 
@@ -493,34 +501,24 @@ def sweep_equality_check(
     instances: Sequence[Instance],
     policies: Sequence[str],
 ) -> List[Violation]:
-    """Serial sweep vs the worker code path, on the same batch.
+    """Classic-engine sweep vs batch-engine sweep, on the same batch.
 
-    ``sweep_cell(processes=0)`` runs algorithms in-process on the live
-    instances; ``parallel_sweep(processes=0)`` drives the exact worker
-    entry point (``simulate_unit``) including the instance dict
-    round-trip that real process pools perform, and
-    ``parallel_sweep(engine="batch")`` drives the batched worker entry
-    point (``simulate_batch_unit``) that groups each instance's whole
-    policy fan-out into one :class:`~repro.simulation.batch.BatchRunner`
-    pass.  All three ratio vectors must be identical.
+    ``sweep_cell(processes=0)`` runs one classic-engine payload per
+    (policy, instance) unit; ``parallel_sweep(engine="batch")`` groups
+    each instance's whole policy fan-out into one
+    :class:`~repro.simulation.batch.BatchRunner` pass that shares the
+    replay context and the Lemma 1 bound.  Both ratio vectors must be
+    identical.
     """
-    serial = sweep_cell(policies, list(instances))
-    worker = parallel_sweep(policies, list(instances), processes=0)
+    classic = sweep_cell(policies, list(instances))
     batched = parallel_sweep(policies, list(instances), processes=0, engine="batch")
     out: List[Violation] = []
     for name in policies:
-        worker_ratios = [r.ratio for r in worker[name]]
-        if serial.ratios[name] != worker_ratios:
-            out.append(Violation(
-                "sweep",
-                f"{name}: serial ratios {serial.ratios[name]} != worker-path "
-                f"ratios {worker_ratios}",
-            ))
         batch_ratios = [r.ratio for r in batched[name]]
-        if serial.ratios[name] != batch_ratios:
+        if classic.ratios[name] != batch_ratios:
             out.append(Violation(
                 "sweep",
-                f"{name}: serial ratios {serial.ratios[name]} != batched-path "
+                f"{name}: classic ratios {classic.ratios[name]} != batched-path "
                 f"ratios {batch_ratios}",
             ))
     return out
@@ -534,8 +532,9 @@ def resume_equality_check(
     """Interrupted-and-resumed sweep vs the uninterrupted sweep.
 
     For each engine: run the batch once uninterrupted, then fabricate an
-    interruption — a checkpointed :func:`repro.orchestration.resumable_sweep`
-    stopped after roughly half its units (``max_units``), followed by a
+    interruption — a checkpointed
+    :func:`~repro.simulation.parallel.parallel_sweep` stopped after
+    roughly half its units (``max_units``), followed by a
     ``resume=True`` completion against the same checkpoint directory.
     Every unit of the merged resumed run must be *bit-identical*
     (``cost``, ``num_bins``, ``lower_bound``) to the uninterrupted one:
@@ -546,16 +545,15 @@ def resume_equality_check(
     import tempfile
 
     from ..observability.stats import StatsCollector as _Collector
-    from ..orchestration import resumable_sweep
 
     batch = list(instances)
     out: List[Violation] = []
     for engine in engines:
-        plain = resumable_sweep(policies, batch, processes=0, engine=engine)
+        plain = parallel_sweep(policies, batch, processes=0, engine=engine)
         total_units = sum(len(v) for v in plain.values())
         cut = max(1, total_units // 2)
         with tempfile.TemporaryDirectory(prefix="repro-resume-oracle-") as ckpt:
-            partial = resumable_sweep(
+            partial = parallel_sweep(
                 policies, batch, processes=0, engine=engine,
                 checkpoint_dir=ckpt, flush_every=1, max_units=cut,
             )
@@ -565,7 +563,7 @@ def resume_equality_check(
             # what phase one actually completed, whatever that was.
             expected_resumed = sum(len(v) for v in partial.values())
             col = _Collector()
-            resumed = resumable_sweep(
+            resumed = parallel_sweep(
                 policies, batch, processes=0, engine=engine,
                 checkpoint_dir=ckpt, resume=True, collector=col,
             )

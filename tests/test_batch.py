@@ -11,9 +11,9 @@ The acceptance tests of :mod:`repro.simulation.batch`:
   instances, bit for bit, as ``generate_batch``; specs round-trip
   through their payload dict; irreproducible seeds are rejected;
 * **dispatch equality** — ``parallel_sweep(engine="batch")`` (serial
-  and pooled) and ``run_many(batch=True)`` agree with per-unit
+  and pooled) and ``run_many(engine="batch")`` agree with per-unit
   dispatch;
-* **resume-mid-batch** — a ``resumable_sweep(engine="batch")`` cut off
+* **resume-mid-batch** — a ``parallel_sweep(engine="batch")`` cut off
   mid-run by ``max_units`` and resumed from its checkpoint reloads
   exactly what was completed and finishes bit-identically;
 * **amortisation pins** — the Lemma 1 lower bound is computed exactly
@@ -253,7 +253,6 @@ def test_run_many_batch_matches_per_instance_runs():
     for algo in ("move_to_front", "random_fit"):
         expected = run_many(algo, instances, engine="fast")
         for got in (
-            run_many(algo, instances, batch=True),
             run_many(algo, instances, engine="batch"),
             batch_run_many(algo, specs),
         ):
@@ -276,17 +275,16 @@ def test_run_engine_batch_matches_classic():
 def test_resumable_sweep_batch_kill_resume_bit_identity(tmp_path):
     """Cut a batched sweep mid-run; the resume completes bit-identically."""
     from repro.observability.stats import StatsCollector
-    from repro.orchestration import resumable_sweep
 
     specs, _, algos, kwargs = _sweep_fixture()
-    plain = resumable_sweep(
+    plain = parallel_sweep(
         algos, specs, processes=0, algorithm_kwargs=kwargs, engine="batch"
     )
     total = sum(len(v) for v in plain.values())
     cut = total // 2
 
     ckpt = str(tmp_path / "ckpt")
-    partial = resumable_sweep(
+    partial = parallel_sweep(
         algos, specs, processes=0, algorithm_kwargs=kwargs, engine="batch",
         checkpoint_dir=ckpt, flush_every=1, max_units=cut,
     )
@@ -296,7 +294,7 @@ def test_resumable_sweep_batch_kill_resume_bit_identity(tmp_path):
     assert cut <= done < total
 
     col = StatsCollector()
-    resumed = resumable_sweep(
+    resumed = parallel_sweep(
         algos, specs, processes=0, algorithm_kwargs=kwargs, engine="batch",
         checkpoint_dir=ckpt, resume=True, collector=col,
     )
@@ -306,11 +304,11 @@ def test_resumable_sweep_batch_kill_resume_bit_identity(tmp_path):
 
 def test_resumable_sweep_batch_resume_trims_partial_payloads(tmp_path):
     """A payload with only *some* units checkpointed re-runs only the rest."""
-    from repro.orchestration import CheckpointStore, resumable_sweep, sweep_fingerprint
+    from repro.orchestration import CheckpointStore, sweep_fingerprint
     from repro.simulation.parallel import UnitResult
 
     specs, _, algos, kwargs = _sweep_fixture()
-    plain = resumable_sweep(
+    plain = parallel_sweep(
         algos, specs, processes=0, algorithm_kwargs=kwargs, engine="batch"
     )
 
@@ -327,7 +325,7 @@ def test_resumable_sweep_batch_resume_trims_partial_payloads(tmp_path):
     )
     store.flush()
 
-    resumed = resumable_sweep(
+    resumed = parallel_sweep(
         algos, specs, processes=0, algorithm_kwargs=kwargs, engine="batch",
         checkpoint_dir=ckpt, resume=True,
     )
@@ -362,8 +360,9 @@ def test_batch_runner_computes_lower_bound_once(monkeypatch):
 
 def test_sweep_cell_computes_lower_bound_once_per_instance(monkeypatch):
     import repro.analysis.sweep as sweep_mod
+    import repro.simulation.parallel as parallel_mod
 
-    calls = _counting(monkeypatch, sweep_mod)
+    calls = _counting(monkeypatch, parallel_mod)
     instances = [e.instance for e in CORPUS[:3]]
     sweep_mod.sweep_cell(["first_fit", "best_fit", "move_to_front"], instances)
     assert len(calls) == len(instances)

@@ -32,7 +32,7 @@ from repro.simulation.fastpath import (
     fast_policy_for,
     fast_simulate,
 )
-from repro.simulation.parallel import parallel_sweep, simulate_chunk, simulate_unit
+from repro.simulation.parallel import parallel_sweep
 from repro.simulation.runner import run, run_many
 from repro.workloads.uniform import UniformWorkload
 
@@ -305,20 +305,11 @@ class TestIntegration:
     def test_parallel_sweep_fast_workers_chunked(self, uniform_small, tiny_instance):
         insts = [tiny_instance, uniform_small] * 3
         classic = parallel_sweep(["first_fit"], insts, processes=0)
-        fast = parallel_sweep(["first_fit"], insts, processes=2, chunksize=2,
+        fast = parallel_sweep(["first_fit"], insts, processes=2,
                               collect_stats=True, engine="fast")
         assert [u.cost for u in fast["first_fit"]] == [u.cost for u in classic["first_fit"]]
         assert all(u.stats is not None and u.stats.fastpath_runs == 1
                    for u in fast["first_fit"])
-
-    def test_simulate_unit_and_chunk_accept_engine_payloads(self, tiny_instance):
-        payload = ("first_fit", {}, 0, tiny_instance.to_dict(), 1.0, True, "fast")
-        unit = simulate_unit(payload)
-        assert unit.stats.fastpath_runs == 1
-        legacy = simulate_unit(("first_fit", {}, 0, tiny_instance.to_dict(), 1.0))
-        assert legacy.cost == unit.cost
-        chunk = simulate_chunk([payload, payload])
-        assert [u.cost for u in chunk] == [unit.cost, unit.cost]
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.orchestration import (
     RetryPolicy,
     call_with_retry,
     fault_aware_unit,
-    resumable_sweep,
     sweep_fingerprint,
 )
 from repro.orchestration.checkpoint import MANIFEST, record_to_result, result_to_record
@@ -219,14 +218,9 @@ class TestRetryPolicy:
 
 
 class TestResumableSweepEquivalence:
-    def test_serial_matches_parallel_sweep(self, batch):
-        base = parallel_sweep(SEEDED, batch, processes=0, algorithm_kwargs=KW)
-        res = resumable_sweep(SEEDED, batch, processes=0, algorithm_kwargs=KW)
-        assert flatten(res) == flatten(base)
-
     def test_pooled_matches_parallel_sweep(self, batch):
         base = parallel_sweep(SEEDED, batch, processes=0, algorithm_kwargs=KW)
-        res = resumable_sweep(SEEDED, batch, processes=2, algorithm_kwargs=KW)
+        res = parallel_sweep(SEEDED, batch, processes=2, algorithm_kwargs=KW)
         assert flatten(res) == flatten(base)
 
     def test_parallel_sweep_routes_orchestration_kwargs(self, batch, tmp_path):
@@ -241,40 +235,40 @@ class TestResume:
     @pytest.mark.parametrize("engine", ["classic", "fast"])
     def test_interrupted_plus_resume_is_bit_identical(self, batch, tmp_path, engine):
         ckpt = str(tmp_path / engine)
-        ref = resumable_sweep(SEEDED, batch, processes=0,
-                              algorithm_kwargs=KW, engine=engine)
-        resumable_sweep(SEEDED, batch, processes=0, algorithm_kwargs=KW,
-                        engine=engine, checkpoint_dir=ckpt,
-                        flush_every=2, max_units=4)
+        ref = parallel_sweep(SEEDED, batch, processes=0,
+                             algorithm_kwargs=KW, engine=engine)
+        parallel_sweep(SEEDED, batch, processes=0, algorithm_kwargs=KW,
+                       engine=engine, checkpoint_dir=ckpt,
+                       flush_every=2, max_units=4)
         col = StatsCollector()
-        full = resumable_sweep(SEEDED, batch, processes=0, algorithm_kwargs=KW,
-                               engine=engine, checkpoint_dir=ckpt, resume=True,
-                               collector=col)
+        full = parallel_sweep(SEEDED, batch, processes=0, algorithm_kwargs=KW,
+                              engine=engine, checkpoint_dir=ckpt, resume=True,
+                              collector=col)
         assert flatten(full) == flatten(ref)
         assert col.units_resumed == 4
 
     def test_resume_requires_matching_sweep(self, batch, tmp_path):
-        resumable_sweep(ALGOS, batch, processes=0,
-                        checkpoint_dir=str(tmp_path), max_units=2)
+        parallel_sweep(ALGOS, batch, processes=0,
+                       checkpoint_dir=str(tmp_path), max_units=2)
         with pytest.raises(CheckpointError):
-            resumable_sweep(ALGOS, batch[:-1], processes=0,
-                            checkpoint_dir=str(tmp_path), resume=True)
+            parallel_sweep(ALGOS, batch[:-1], processes=0,
+                           checkpoint_dir=str(tmp_path), resume=True)
 
     def test_without_resume_flag_units_recompute(self, batch, tmp_path):
-        resumable_sweep(ALGOS, batch, processes=0,
-                        checkpoint_dir=str(tmp_path), max_units=3)
+        parallel_sweep(ALGOS, batch, processes=0,
+                       checkpoint_dir=str(tmp_path), max_units=3)
         col = StatsCollector()
-        resumable_sweep(ALGOS, batch, processes=0,
-                        checkpoint_dir=str(tmp_path), collector=col)
+        parallel_sweep(ALGOS, batch, processes=0,
+                       checkpoint_dir=str(tmp_path), collector=col)
         assert col.units_resumed == 0
 
     def test_stats_survive_checkpoint_roundtrip(self, batch, tmp_path):
         ckpt = str(tmp_path)
-        resumable_sweep(ALGOS, batch, processes=0, collect_stats=True,
-                        checkpoint_dir=ckpt, max_units=3)
-        full = resumable_sweep(ALGOS, batch, processes=0, collect_stats=True,
-                               checkpoint_dir=ckpt, resume=True)
-        ref = resumable_sweep(ALGOS, batch, processes=0, collect_stats=True)
+        parallel_sweep(ALGOS, batch, processes=0, collect_stats=True,
+                       checkpoint_dir=ckpt, max_units=3)
+        full = parallel_sweep(ALGOS, batch, processes=0, collect_stats=True,
+                              checkpoint_dir=ckpt, resume=True)
+        ref = parallel_sweep(ALGOS, batch, processes=0, collect_stats=True)
         got = {(n, r.instance_index): r.stats.deterministic_part()
                for n, units in full.items() for r in units}
         want = {(n, r.instance_index): r.stats.deterministic_part()
@@ -284,27 +278,29 @@ class TestResume:
 
 class TestInjectedFaults:
     def test_serial_raise_retries_to_success(self, batch, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_UNITS", "first_fit:1,*:3")
-        monkeypatch.setenv("REPRO_FAULT_MODE", "raise")
-        col = StatsCollector()
-        res = resumable_sweep(ALGOS, batch, processes=0,
-                              retry_policy=FAST_POLICY, collector=col)
-        monkeypatch.delenv("REPRO_FAULT_UNITS")
-        monkeypatch.delenv("REPRO_FAULT_MODE")
-        ref = resumable_sweep(ALGOS, batch, processes=0)
-        assert flatten(res) == flatten(ref)
-        # first_fit:1, plus *:3 hits both algorithms
-        assert col.retries == 3
+        ref = parallel_sweep(ALGOS, batch, processes=0)
+        # classic: first_fit:1, plus *:3 hits both algorithms' payloads;
+        # batch: one payload per instance, so instances 1 and 3 retry once
+        for engine, retries in (("classic", 3), ("batch", 2)):
+            monkeypatch.setenv("REPRO_FAULT_UNITS", "first_fit:1,*:3")
+            monkeypatch.setenv("REPRO_FAULT_MODE", "raise")
+            col = StatsCollector()
+            res = parallel_sweep(ALGOS, batch, processes=0, engine=engine,
+                                 retry_policy=FAST_POLICY, collector=col)
+            monkeypatch.delenv("REPRO_FAULT_UNITS")
+            monkeypatch.delenv("REPRO_FAULT_MODE")
+            assert flatten(res) == flatten(ref)
+            assert col.retries == retries, engine
 
     def test_pooled_raise_retries_to_success(self, batch, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_UNITS", "first_fit:2")
         monkeypatch.setenv("REPRO_FAULT_MODE", "raise")
         col = StatsCollector()
-        res = resumable_sweep(ALGOS, batch, processes=2,
-                              retry_policy=FAST_POLICY, collector=col)
+        res = parallel_sweep(ALGOS, batch, processes=2,
+                             retry_policy=FAST_POLICY, collector=col)
         monkeypatch.delenv("REPRO_FAULT_UNITS")
         monkeypatch.delenv("REPRO_FAULT_MODE")
-        ref = resumable_sweep(ALGOS, batch, processes=0)
+        ref = parallel_sweep(ALGOS, batch, processes=0)
         assert flatten(res) == flatten(ref)
         assert col.retries == 1
 
@@ -312,11 +308,11 @@ class TestInjectedFaults:
         monkeypatch.setenv("REPRO_FAULT_UNITS", "first_fit:1")
         monkeypatch.setenv("REPRO_FAULT_MODE", "exit")
         col = StatsCollector()
-        res = resumable_sweep(ALGOS, batch, processes=2,
-                              retry_policy=FAST_POLICY, collector=col)
+        res = parallel_sweep(ALGOS, batch, processes=2,
+                             retry_policy=FAST_POLICY, collector=col)
         monkeypatch.delenv("REPRO_FAULT_UNITS")
         monkeypatch.delenv("REPRO_FAULT_MODE")
-        ref = resumable_sweep(ALGOS, batch, processes=0)
+        ref = parallel_sweep(ALGOS, batch, processes=0)
         # zero completed units lost, bit-identical results
         assert flatten(res) == flatten(ref)
         assert col.pool_restarts >= 1
@@ -325,12 +321,12 @@ class TestInjectedFaults:
         monkeypatch.setenv("REPRO_FAULT_UNITS", "move_to_front:0")
         monkeypatch.setenv("REPRO_FAULT_MODE", "hang")
         col = StatsCollector()
-        res = resumable_sweep(ALGOS, batch, processes=2,
-                              retry_policy=FAST_POLICY, unit_timeout=1.5,
-                              collector=col)
+        res = parallel_sweep(ALGOS, batch, processes=2,
+                             retry_policy=FAST_POLICY, unit_timeout=1.5,
+                             collector=col)
         monkeypatch.delenv("REPRO_FAULT_UNITS")
         monkeypatch.delenv("REPRO_FAULT_MODE")
-        ref = resumable_sweep(ALGOS, batch, processes=0)
+        ref = parallel_sweep(ALGOS, batch, processes=0)
         assert flatten(res) == flatten(ref)
         assert col.unit_timeouts >= 1
         assert col.pool_restarts >= 1
@@ -342,9 +338,9 @@ class TestInjectedFaults:
         monkeypatch.setenv("REPRO_FAULT_MODE", "raise")
         monkeypatch.setenv("REPRO_FAULT_TIMES", "99")  # never recovers
         with pytest.raises(UnitFailedError):
-            resumable_sweep(ALGOS, batch, processes=0, checkpoint_dir=ckpt,
-                            flush_every=1,
-                            retry_policy=RetryPolicy(retries=1,
+            parallel_sweep(ALGOS, batch, processes=0, checkpoint_dir=ckpt,
+                           flush_every=1,
+                           retry_policy=RetryPolicy(retries=1,
                                                      backoff_base_s=0.001))
         # completed units were flushed before the failure surfaced...
         store = CheckpointStore(ckpt)
@@ -354,15 +350,15 @@ class TestInjectedFaults:
         monkeypatch.delenv("REPRO_FAULT_MODE")
         monkeypatch.delenv("REPRO_FAULT_TIMES")
         col = StatsCollector()
-        full = resumable_sweep(ALGOS, batch, processes=0, checkpoint_dir=ckpt,
-                               resume=True, collector=col)
-        ref = resumable_sweep(ALGOS, batch, processes=0)
+        full = parallel_sweep(ALGOS, batch, processes=0, checkpoint_dir=ckpt,
+                              resume=True, collector=col)
+        ref = parallel_sweep(ALGOS, batch, processes=0)
         assert flatten(full) == flatten(ref)
         assert col.units_resumed == len(store)
 
     def test_fault_aware_unit_passthrough(self, batch):
         payload = build_payloads(["first_fit"], batch)[0]
-        res = fault_aware_unit((0, payload))
+        [res] = fault_aware_unit((0, payload))
         assert res.algorithm == "first_fit"
         assert res.instance_index == 0
 

@@ -7,13 +7,14 @@ import math
 import pytest
 
 from repro.simulation.parallel import (
+    Payload,
     UnitResult,
     algorithm_accepts_seed,
     build_payloads,
     derive_unit_seeds,
     parallel_sweep,
-    simulate_unit,
-    unit_key,
+    payload_unit_keys,
+    simulate_payload,
 )
 from repro.simulation.runner import run
 from repro.workloads.base import generate_batch
@@ -65,8 +66,9 @@ class TestUnitWorker:
         from repro.optimum.lower_bounds import height_lower_bound
 
         inst = batch[0]
-        payload = ("first_fit", {}, 0, inst.to_dict(), height_lower_bound(inst))
-        res = simulate_unit(payload)
+        payload = Payload(0, inst, height_lower_bound(inst), (("first_fit", {}),),
+                          "classic", False)
+        [res] = simulate_payload(payload)
         assert res.algorithm == "first_fit"
         assert res.cost == pytest.approx(run("first_fit", inst).cost)
 
@@ -122,11 +124,11 @@ class TestPerUnitSeeds:
     def test_payloads_carry_per_unit_seeds(self, batch):
         payloads = build_payloads(["random_fit"], batch,
                                   {"random_fit": {"seed": 1}})
-        seeds = [p[1]["seed"] for p in payloads]
+        seeds = [p.entries[0][1]["seed"] for p in payloads]
         assert seeds == derive_unit_seeds(1, len(batch))
         assert len(set(seeds)) == len(batch)
-        assert [unit_key(p) for p in payloads] == [
-            ("random_fit", i) for i in range(len(batch))
+        assert [payload_unit_keys(p) for p in payloads] == [
+            [("random_fit", i)] for i in range(len(batch))
         ]
 
     def test_identical_instances_draw_independent_streams(self, batch):

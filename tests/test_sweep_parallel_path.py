@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis.sweep import sweep_cell
+from repro.core.instance import Instance
+from repro.simulation.parallel import parallel_sweep
 from repro.workloads.base import generate_batch
 from repro.workloads.uniform import UniformWorkload
 
@@ -36,3 +40,21 @@ def test_parallel_cell_with_kwargs(batch):
     b = sweep_cell(["random_fit"], batch, processes=0,
                    algorithm_kwargs={"random_fit": {"seed": 9}})
     assert a.ratios["random_fit"] == pytest.approx(b.ratios["random_fit"])
+
+
+def test_zero_lower_bound_instance_reports_inf_on_every_path():
+    """Regression: an instance of zero-size items has Lemma 1 bound 0.
+
+    The serial sweep cell used to drop it (and the policy from
+    ``stats``) while the worker paths reported ``inf``, the
+    ``UnitResult.ratio`` sentinel.
+    """
+    inst = Instance.from_tuples([(0.0, 2.0, [0.0, 0.0]), (1.0, 3.0, [0.0, 0.0])])
+    cell = sweep_cell(ALGOS, [inst], processes=0)
+    batched = parallel_sweep(ALGOS, [inst], processes=0, engine="batch")
+    pooled = parallel_sweep(ALGOS, [inst], processes=2)
+    for algo in ALGOS:
+        assert cell.ratios[algo] == [math.inf]
+        assert cell.stats[algo].mean == math.inf
+        assert [u.ratio for u in batched[algo]] == [math.inf]
+        assert [u.ratio for u in pooled[algo]] == [math.inf]

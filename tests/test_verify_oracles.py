@@ -7,12 +7,15 @@ import pytest
 
 from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm
 from repro.core.instance import Instance
+from repro.repacking import repacking_run
 from repro.simulation.runner import run
-from repro.verify.generators import corpus_list
+from repro.verify.generators import CORPUS_RECIPES, corpus_list
+from repro.verify.harness import _repack_audit
 from repro.verify.oracles import (
     cost_check,
     eq1_cost,
     instrumented_equality_check,
+    repacking_budget_check,
     sweep_equality_check,
 )
 
@@ -63,3 +66,41 @@ def test_eq1_cost_is_permutation_invariant():
     packing = run(make_algorithm("first_fit"), inst)
     relabeled = {uid: -b - 1 for uid, b in packing.assignment.items()}
     assert eq1_cost(inst, relabeled) == pytest.approx(packing.cost)
+
+
+def _corpus_entry(seed, index):
+    """Corpus entry ``index`` of ``seed``, regenerated on its own (entry
+    ``i`` depends only on the recipe ``i % len(CORPUS_RECIPES)`` and the
+    ``i``-th spawned child seed)."""
+    child = np.random.SeedSequence(seed).spawn(index + 1)[index]
+    _, build = CORPUS_RECIPES[index % len(CORPUS_RECIPES)]
+    return build(np.random.default_rng(child))
+
+
+@pytest.mark.parametrize("seed, index", [(1, 110), (401, 154)])
+def test_repack_audit_accepts_greedy_runs_costlier_than_no_recourse(seed, index):
+    """Regression: the audit required greedy_consolidate to cost no more
+    than the no-recourse run.  Strictly-negative evacuations can still
+    raise the total, because they change which bins later arrivals see;
+    these two ``repro verify --profile quick`` corpus entries do."""
+    inst = _corpus_entry(seed, index)
+    base = run(make_algorithm("first_fit"), inst)
+    greedy = repacking_run(
+        make_algorithm("first_fit"), inst, repacker="greedy_consolidate", budget=2.0
+    )
+    assert greedy.cost > base.cost
+    assert _repack_audit(inst, index) == []
+
+
+def test_repack_audit_catches_non_negative_evacuations(monkeypatch):
+    """A greedy_consolidate whose negative-delta test is switched off."""
+    import repro.repacking.policies as policies
+
+    monkeypatch.setattr(policies, "_plan_delta", lambda *args: -1.0)
+    inst = corpus_list(8, seed=20230613)[7].instance
+    violations = repacking_budget_check(
+        inst, policy="first_fit", repacker="greedy_consolidate", budget=2.0
+    )
+    assert violations
+    assert all("commits only strictly negative evacuations" in v.message
+               for v in violations)

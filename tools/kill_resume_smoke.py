@@ -47,9 +47,9 @@ from repro.observability.stats import StatsCollector  # noqa: E402
 from repro.orchestration import (  # noqa: E402
     ENV_FAULT_KILL_AFTER,
     CheckpointStore,
-    resumable_sweep,
     sweep_fingerprint,
 )
+from repro.simulation.parallel import parallel_sweep  # noqa: E402
 from repro.workloads.base import generate_batch  # noqa: E402
 from repro.workloads.uniform import UniformWorkload  # noqa: E402
 
@@ -66,7 +66,7 @@ def make_batch():
 
 def run_sweep(engine="classic", checkpoint_dir=None, resume=False, collector=None):
     """One sweep over the shared workload (serial: deterministic order)."""
-    return resumable_sweep(
+    return parallel_sweep(
         ALGOS,
         make_batch(),
         processes=0,
