@@ -51,7 +51,6 @@ def augmented_instance(instance: Instance, beta: float) -> Instance:
         list(instance.items),
         capacity=np.asarray(instance.capacity) * (1.0 + beta),
         name=f"{instance.name}+beta={beta:g}",
-        _skip_sort_check=True,
     )
 
 

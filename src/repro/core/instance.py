@@ -20,10 +20,15 @@ import numpy as np
 
 from .errors import InvalidInstanceError, InvalidItemError
 from .intervals import Interval, breakpoints, merge_intervals, union_length
-from .items import Item
+from .items import Item, _trusted_items
 from .vectors import EPS, as_size_vector
 
 __all__ = ["Instance"]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -53,17 +58,40 @@ class Instance:
         items: Iterable[Item],
         capacity: Union[float, Sequence[float], np.ndarray, None] = None,
         name: str = "",
-        _skip_sort_check: bool = False,
     ) -> None:
         items_t = tuple(items)
         if not items_t:
             raise InvalidInstanceError("an instance must contain at least one item")
-        d = items_t[0].d
-        for it in items_t:
-            if it.d != d:
-                raise InvalidInstanceError(
-                    f"mixed dimensionalities: item {it.uid} has d={it.d}, expected {d}"
-                )
+        object.__setattr__(self, "items", items_t)
+        try:
+            self.size_matrix  # stacks the sizes once; the checks below read it
+        except ValueError:  # rows of different lengths
+            d = items_t[0].d
+            bad = next(it for it in items_t if it.d != d)
+            raise InvalidInstanceError(
+                f"mixed dimensionalities: item {bad.uid} has d={bad.d}, expected {d}"
+            ) from None
+        self._check_columns(capacity, name)
+        uids = [it.uid for it in items_t]
+        if len(set(uids)) != len(uids):
+            seen = set()
+            dup = next(u for u in uids if u in seen or seen.add(u))
+            raise InvalidInstanceError(
+                f"item uids must be unique; uid {dup} appears more than once"
+            )
+
+    def _check_columns(
+        self,
+        capacity: Union[float, Sequence[float], np.ndarray, None],
+        name: str,
+    ) -> None:
+        """Run the instance-level checks over the columns; set capacity and name.
+
+        Reads :attr:`size_matrix` and :attr:`arrival_times`; the items
+        only supply the error messages.
+        """
+        sizes = self.size_matrix
+        d = sizes.shape[1]
         if capacity is None:
             cap = np.ones(d, dtype=np.float64)
         else:
@@ -77,33 +105,87 @@ class Instance:
             if np.any(cap <= 0):
                 raise InvalidInstanceError(f"capacity must be positive, got {cap!r}")
         cap.setflags(write=False)
-        for it in items_t:
-            if np.any(it.size > cap + EPS * np.maximum(cap, 1.0)):
-                raise InvalidItemError(
-                    f"item {it.uid} with size {it.size!r} can never fit capacity {cap!r}"
-                )
-        if not _skip_sort_check:
-            for prev, nxt in zip(items_t, items_t[1:]):
-                if nxt.arrival < prev.arrival - EPS:
-                    raise InvalidInstanceError(
-                        "items must be listed in non-decreasing arrival order; "
-                        f"item {nxt.uid} (t={nxt.arrival}) follows item "
-                        f"{prev.uid} (t={prev.arrival})"
-                    )
-        uids = [it.uid for it in items_t]
-        if len(set(uids)) != len(uids):
-            seen = set()
-            dup = next(u for u in uids if u in seen or seen.add(u))
-            raise InvalidInstanceError(
-                f"item uids must be unique; uid {dup} appears more than once"
+        over = np.flatnonzero((sizes > cap + EPS * np.maximum(cap, 1.0)).any(axis=1))
+        if over.size:
+            it = self.items[over[0]]
+            raise InvalidItemError(
+                f"item {it.uid} with size {it.size!r} can never fit capacity {cap!r}"
             )
-        object.__setattr__(self, "items", items_t)
+        arrivals = self.arrival_times
+        late = np.flatnonzero(arrivals[1:] < arrivals[:-1] - EPS)
+        if late.size:
+            prev, nxt = self.items[late[0]], self.items[late[0] + 1]
+            raise InvalidInstanceError(
+                "items must be listed in non-decreasing arrival order; "
+                f"item {nxt.uid} (t={nxt.arrival}) follows item "
+                f"{prev.uid} (t={prev.arrival})"
+            )
         object.__setattr__(self, "capacity", cap)
         object.__setattr__(self, "name", name)
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_columns(
+        cls,
+        arrivals: Union[Sequence[float], np.ndarray],
+        departures: Union[Sequence[float], np.ndarray],
+        sizes: Union[Sequence[Sequence[float]], np.ndarray],
+        capacity: Union[float, Sequence[float], np.ndarray, None] = None,
+        name: str = "",
+    ) -> "Instance":
+        """Build an instance from arrival-sorted columns; row ``j`` gets uid ``j``.
+
+        ``arrivals`` and ``departures`` have one entry per item and
+        ``sizes`` one row per item.  The result equals
+        ``Instance([Item(a, e, s, uid=j) for j, (a, e, s) in ...],
+        capacity, name)`` with Python-float times, but the conditions
+        :class:`~repro.core.items.Item` and :class:`Instance` enforce
+        are checked a whole column at a time, and the item sizes are
+        read-only row views of one :attr:`size_matrix`.  Columns that
+        fail a check go through that per-item path, so every error is
+        the one it raises.
+
+        >>> inst = Instance.from_columns([0.0, 1.0], [2.0, 3.0], [[0.5, 0.2], [0.4, 0.9]])
+        >>> inst.items[1]
+        Item(uid=1, [1,3), s=[0.4,0.9])
+        >>> inst.size_matrix.flags.writeable
+        False
+        """
+        a = np.array(arrivals, dtype=np.float64)
+        e = np.array(departures, dtype=np.float64)
+        if len(e) != len(a) or len(sizes) != len(a):
+            raise InvalidInstanceError(
+                f"columns differ in length: {len(a)} arrivals, "
+                f"{len(e)} departures, {len(sizes)} size rows"
+            )
+        try:
+            s = np.array(sizes, dtype=np.float64, order="C")
+        except ValueError:  # ragged rows
+            s = None
+        a_list, e_list = a.tolist(), e.tolist()
+        if not (
+            s is not None
+            and a.ndim == e.ndim == 1
+            and s.ndim == 2
+            and s.size > 0
+            and (a >= 0).all()
+            and (e > a).all()
+            and (e < np.inf).all()
+            and (s >= 0).all()
+            and (s < np.inf).all()
+        ):
+            items = [Item(*row, uid=j) for j, row in enumerate(zip(a_list, e_list, sizes))]
+            return cls(items, capacity=capacity, name=name)
+        self = object.__new__(cls)
+        object.__setattr__(self, "items", _trusted_items(a_list, e_list, _read_only(s)))
+        object.__setattr__(self, "size_matrix", s)
+        object.__setattr__(self, "arrival_times", _read_only(a))
+        object.__setattr__(self, "departure_times", _read_only(e))
+        self._check_columns(capacity, name)
+        return self
+
     @classmethod
     def from_tuples(
         cls,
@@ -199,9 +281,31 @@ class Instance:
     @cached_property
     def dimension_maxima(self) -> np.ndarray:
         """Per-dimension maximum item demand (read-only length-``d`` vector)."""
-        out = np.max(np.stack([it.size for it in self.items]), axis=0)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.max(self.size_matrix, axis=0))
+
+    # ------------------------------------------------------------------
+    # columns: one read-only float64 array per item field, in item order.
+    # The constructors check the instance over ``size_matrix`` and
+    # ``arrival_times``; ``from_columns`` fills all three from its input.
+    # ------------------------------------------------------------------
+    @cached_property
+    def size_matrix(self) -> np.ndarray:
+        """``(n, d)`` matrix whose row ``j`` is ``items[j].size``."""
+        return _read_only(np.array([it.size for it in self.items], dtype=np.float64))
+
+    @cached_property
+    def arrival_times(self) -> np.ndarray:
+        """Length-``n`` vector of ``items[j].arrival``."""
+        return _read_only(
+            np.fromiter((it.arrival for it in self.items), np.float64, len(self.items))
+        )
+
+    @cached_property
+    def departure_times(self) -> np.ndarray:
+        """Length-``n`` vector of ``items[j].departure``."""
+        return _read_only(
+            np.fromiter((it.departure for it in self.items), np.float64, len(self.items))
+        )
 
     def total_utilization(self) -> float:
         """Sum of time-space utilisations ``sum_r ||s(r)||_inf * ell(I(r))``."""
@@ -244,14 +348,14 @@ class Instance:
             return self
         factor = 1.0 / self.capacity
         items = [it.scaled(factor) for it in self.items]
-        return Instance(items, capacity=np.ones(self.d), name=self.name, _skip_sort_check=True)
+        return Instance(items, capacity=np.ones(self.d), name=self.name)
 
     def restricted_to(self, window: Interval) -> "Instance":
         """Sub-instance of items whose active interval intersects ``window``."""
         kept = [it for it in self.items if it.interval.overlaps(window)]
         if not kept:
             raise InvalidInstanceError(f"no items intersect window {window}")
-        return Instance(kept, capacity=np.array(self.capacity), name=self.name, _skip_sort_check=True)
+        return Instance(kept, capacity=np.array(self.capacity), name=self.name)
 
     def concatenated(self, other: "Instance") -> "Instance":
         """Merge two instances over the same capacity (re-sorted, re-uid'd)."""

@@ -10,9 +10,10 @@ distinct jobs.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class Item:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "size", as_size_vector(self.size))
-        if not np.isfinite(self.arrival) or not np.isfinite(self.departure):
+        if not (math.isfinite(self.arrival) and math.isfinite(self.departure)):
             raise InvalidItemError(
                 f"item {self.uid}: times must be finite "
                 f"(arrival={self.arrival}, departure={self.departure})"
@@ -150,6 +151,28 @@ class Item:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sz = np.array2string(self.size, precision=4, separator=",")
         return f"Item(uid={self.uid}, [{self.arrival:g},{self.departure:g}), s={sz})"
+
+
+def _trusted_items(
+    arrivals: Sequence[float], departures: Sequence[float], sizes: np.ndarray
+) -> Tuple[Item, ...]:
+    """Items with uids ``0..n-1`` from fields already known to be valid.
+
+    Skips :meth:`Item.__post_init__`: the caller has checked every
+    condition it enforces.  ``arrivals`` and ``departures`` hold Python
+    floats; row ``j`` of the read-only ``sizes`` matrix becomes item
+    ``j``'s size vector as a view.
+    """
+    new, put = object.__new__, object.__setattr__
+    items = []
+    for uid, (arrival, departure, size) in enumerate(zip(arrivals, departures, sizes)):
+        it = new(Item)
+        put(it, "arrival", arrival)
+        put(it, "departure", departure)
+        put(it, "size", size)
+        put(it, "uid", uid)
+        items.append(it)
+    return tuple(items)
 
 
 def make_item(

@@ -36,6 +36,8 @@ __all__ = [
 #: flipping fit decisions the proofs depend on.
 EPS: float = 1e-9
 
+_INF = float("inf")
+
 VectorLike = Union[Sequence[float], np.ndarray, float, int]
 
 
@@ -61,7 +63,16 @@ def as_size_vector(value: VectorLike, d: Union[int, None] = None) -> np.ndarray:
         If the vector has negative entries, is not 1-D, is empty, or does
         not match ``d``.
     """
-    arr = np.atleast_1d(np.asarray(value, dtype=np.float64)).copy()
+    arr = np.array(value, dtype=np.float64, ndmin=1)
+    # one pass accepts the common case; ``0.0 <= v < inf`` fails for NaN,
+    # infinities and negatives alike, and the checks below name the cause
+    if (
+        arr.ndim == 1
+        and arr.size
+        and (d is None or arr.size == d)
+        and all(0.0 <= v < _INF for v in arr.tolist())
+    ):
+        return arr
     if arr.ndim != 1:
         raise InvalidItemError(f"size vector must be 1-D, got shape {arr.shape}")
     if arr.size == 0:

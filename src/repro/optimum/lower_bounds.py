@@ -50,13 +50,10 @@ def load_profile(instance: Instance) -> Tuple[np.ndarray, np.ndarray]:
         ``loads`` has shape ``(k-1, d)`` where row ``j`` is the constant
         load on ``[times[j], times[j+1])``.
     """
-    n = instance.n
     d = instance.d
-    starts = np.fromiter((it.arrival for it in instance.items), dtype=np.float64, count=n)
-    ends = np.fromiter((it.departure for it in instance.items), dtype=np.float64, count=n)
-    sizes = np.stack([it.size for it in instance.items])
+    sizes = instance.size_matrix
 
-    times = np.concatenate([starts, ends])
+    times = np.concatenate([instance.arrival_times, instance.departure_times])
     deltas = np.concatenate([sizes, -sizes])
     order = np.argsort(times, kind="stable")
     times = times[order]

@@ -434,11 +434,13 @@ def fast_ineligibility_reason(algorithm: Union[str, object]) -> Optional[str]:
 class ReplayContext:
     """Policy-independent replay inputs for one ``(instance, backend)``.
 
-    Everything a kernel reads but never writes: the stacked size matrix,
-    the tolerance-adjusted capacity slack, the lexsorted flat event-index
-    array (the ``(time, kind, seq)`` order of :mod:`repro.core.events`,
-    encoded as ``pos`` for arrivals and ``n + pos`` for departures), and
-    the uid list used to emit the final assignment.  Building these is
+    Everything a kernel reads but never writes: the instance's size
+    matrix (its read-only ``size_matrix`` column, or that column's
+    ``tolist()`` on the python backend), the tolerance-adjusted capacity
+    slack, the lexsorted flat event-index array (the ``(time, kind,
+    seq)`` order of :mod:`repro.core.events`, encoded as ``pos`` for
+    arrivals and ``n + pos`` for departures), and the uid list used to
+    emit the final assignment.  Building these is
     roughly half the cost of a single replay at Table 2 scale, so
     :class:`~repro.simulation.batch.BatchRunner` builds one context per
     instance and shares it across all N policies x M trials; a lone
@@ -465,28 +467,20 @@ class ReplayContext:
         self.n = n
         self.d = instance.d
         self.uids = [it.uid for it in items]
+        arrivals, departures = instance.arrival_times, instance.departure_times
         if resolved != PYTHON_BACKEND:
             np = _np
             capacity = np.asarray(instance.capacity, dtype=np.float64)
             self.slack = capacity + EPS * np.maximum(capacity, 1.0)
-            # concatenate+reshape copies the same per-item rows np.stack
-            # would, without stack's per-array shape bookkeeping
-            if n:
-                self.sizes = np.concatenate([it.size for it in items]).reshape(
-                    n, instance.d
-                )
-            else:
-                self.sizes = np.zeros((0, instance.d), dtype=np.float64)
+            self.sizes = instance.size_matrix
             # Pre-sorted event indices: value < n is the arrival of item
             # position `value`; value >= n is the departure of `value - n`.
             # lexsort's last key is primary, matching the classic engine's
             # (time, kind, seq) sort with DEPARTURE(0) < ARRIVAL(1),
             # arrival seq = instance position, departure seq = uid.
-            times = np.empty(2 * n, dtype=np.float64)
+            times = np.concatenate([arrivals, departures])
             seqs = np.empty(2 * n, dtype=np.int64)
             kinds = np.empty(2 * n, dtype=np.int64)
-            times[:n] = [it.arrival for it in items]
-            times[n:] = [it.departure for it in items]
             seqs[:n] = np.arange(n)
             seqs[n:] = self.uids
             kinds[:n] = 1
@@ -494,11 +488,13 @@ class ReplayContext:
             self.order = np.lexsort((seqs, kinds, times)).tolist()
         else:
             self.slack = [float(c) + EPS * max(float(c), 1.0) for c in instance.capacity]
-            self.sizes = [it.size.tolist() for it in items]
+            self.sizes = instance.size_matrix.tolist()
             keys = []
-            for pos, it in enumerate(items):
-                keys.append((it.arrival, 1, pos, pos))
-                keys.append((it.departure, 0, it.uid, n + pos))
+            for pos, (arrival, departure, uid) in enumerate(
+                zip(arrivals.tolist(), departures.tolist(), self.uids)
+            ):
+                keys.append((arrival, 1, pos, pos))
+                keys.append((departure, 0, uid, n + pos))
             keys.sort(key=lambda k: (k[0], k[1], k[2]))
             self.order = [k[3] for k in keys]
 

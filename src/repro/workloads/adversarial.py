@@ -292,7 +292,6 @@ def best_fit_trap(k: int, long_duration: float = 0.0) -> AdversarialInstance:
     inst = Instance(
         sorted(items, key=lambda it: it.arrival),
         name=f"bf_trap(k={k})",
-        _skip_sort_check=True,
     )
     # OPT: anchors together (one bin, length T_end); fillers reused
     # (k unit periods); each guard alone (they cannot pair).

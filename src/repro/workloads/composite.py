@@ -68,7 +68,7 @@ class MixtureWorkload(WorkloadGenerator):
         items.sort(key=lambda it: it.arrival)
         items = [it.with_uid(i) for i, it in enumerate(items)]
         label = self.name or f"mixture({len(parts)} components)"
-        return Instance(items, capacity=np.ones(d), name=label, _skip_sort_check=True)
+        return Instance(items, capacity=np.ones(d), name=label)
 
 
 @dataclass
@@ -135,6 +135,4 @@ class SpikeWorkload(WorkloadGenerator):
         items.sort(key=lambda it: it.arrival)
         items = [it.with_uid(i) for i, it in enumerate(items)]
         label = self.name or f"spiky({self.num_spikes}x{self.spike_size})"
-        return Instance(
-            items, capacity=np.ones(base_inst.d), name=label, _skip_sort_check=True
-        )
+        return Instance(items, capacity=np.ones(base_inst.d), name=label)

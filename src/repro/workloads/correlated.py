@@ -11,14 +11,13 @@ ablation of DESIGN.md §6 measures how the algorithm ranking responds.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..core.errors import ConfigurationError
 from ..core.instance import Instance
-from ..core.items import Item
 from .base import WorkloadGenerator
 
 __all__ = ["CorrelatedWorkload"]
@@ -68,28 +67,31 @@ class CorrelatedWorkload(WorkloadGenerator):
             raise ConfigurationError(f"need 1 <= mu < T, got mu={self.mu}, T={self.T}")
 
     def sample(self, rng: np.random.Generator) -> Instance:
+        # imported here: loading scipy costs ~0.3 s of start-up that only
+        # this generator needs
+        from scipy.special import ndtr
+
         cov = np.full((self.d, self.d), self.rho)
         np.fill_diagonal(cov, 1.0)
         z = rng.multivariate_normal(np.zeros(self.d), cov, size=self.n, method="cholesky")
-        u = stats.norm.cdf(z)  # uniform marginals with the copula's dependence
+        u = ndtr(z)  # the normal CDF: uniform marginals with the copula's dependence
         sizes = self.min_size + (self.max_size - self.min_size) * u
 
         arrivals = rng.integers(0, self.T - self.mu + 1, size=self.n).astype(np.float64)
         durations = rng.integers(1, self.mu + 1, size=self.n).astype(np.float64)
         order = np.argsort(arrivals, kind="stable")
-        items = [
-            Item(float(arrivals[j]), float(arrivals[j] + durations[j]), sizes[j], uid=uid)
-            for uid, j in enumerate(order)
-        ]
+        arrivals = arrivals[order]
         label = self.name or f"correlated(d={self.d},rho={self.rho:g})"
-        return Instance(items, capacity=np.ones(self.d), name=label, _skip_sort_check=True)
+        return Instance.from_columns(
+            arrivals, arrivals + durations[order], sizes[order],
+            capacity=np.ones(self.d), name=label,
+        )
 
     def empirical_correlation(self, rng: np.random.Generator, n: int = 5000) -> float:
         """Mean pairwise Pearson correlation of a size sample (diagnostic)."""
         if self.d < 2:
             return 1.0
-        inst = self.sample(rng)
-        sizes = np.stack([it.size for it in inst.items])
+        sizes = dataclasses.replace(self, n=n).sample(rng).size_matrix
         corr = np.corrcoef(sizes, rowvar=False)
         off = corr[~np.eye(self.d, dtype=bool)]
         return float(np.mean(off))

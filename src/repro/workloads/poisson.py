@@ -91,12 +91,10 @@ class PoissonWorkload(WorkloadGenerator):
         arrivals = np.sort(rng.uniform(0.0, self.horizon, size=n))
         durations = self.durations.draw(rng, n)
         sizes = self.sizes.draw(rng, n, self.d)
-        items = [
-            Item(float(arrivals[j]), float(arrivals[j] + durations[j]), sizes[j], uid=j)
-            for j in range(n)
-        ]
         label = self.name or f"poisson(d={self.d},rate={self.rate:g})"
-        return Instance(items, capacity=self.capacity, name=label, _skip_sort_check=True)
+        return Instance.from_columns(
+            arrivals, arrivals + durations, sizes, capacity=self.capacity, name=label
+        )
 
     def stream(
         self, rng: np.random.Generator, limit: Optional[int] = None

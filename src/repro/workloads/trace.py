@@ -157,4 +157,4 @@ class CloudTraceWorkload(WorkloadGenerator):
                 items.append(Item(float(t), float(t) + lifetime, demand.copy(), uid))
                 uid += 1
         label = self.name or f"cloud_trace(days={self.days})"
-        return Instance(items, capacity=np.ones(self.d), name=label, _skip_sort_check=True)
+        return Instance(items, capacity=np.ones(self.d), name=label)

@@ -79,18 +79,12 @@ class UniformWorkload(WorkloadGenerator):
         durations = rng.integers(1, self.mu + 1, size=self.n).astype(np.float64)
         sizes = rng.integers(1, self.B + 1, size=(self.n, self.d)).astype(np.float64)
         order = np.argsort(arrivals, kind="stable")
-        items = [
-            Item(
-                arrival=float(arrivals[j]),
-                departure=float(arrivals[j] + durations[j]),
-                size=sizes[j],
-                uid=uid,
-            )
-            for uid, j in enumerate(order)
-        ]
+        arrivals = arrivals[order]
         capacity = np.full(self.d, float(self.B))
         label = self.name or f"uniform(d={self.d},mu={self.mu},n={self.n})"
-        return Instance(items, capacity=capacity, name=label, _skip_sort_check=True)
+        return Instance.from_columns(
+            arrivals, arrivals + durations[order], sizes[order], capacity=capacity, name=label
+        )
 
     def stream(
         self, rng: np.random.Generator, limit: Optional[int] = None

@@ -159,15 +159,17 @@ class TestCliBench:
         assert "overhead" in capsys.readouterr().out
 
     def test_other_commands_do_not_import_the_bench_module(self):
-        # Only `bench` needs the bench module: parsing another command
-        # must not load it into, say, a long-lived `serve` process.
+        # Only `bench` needs the bench module, and only the correlated
+        # workload needs scipy: parsing another command must load
+        # neither into, say, a long-lived `serve` process.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
         )
         code = ("import sys; from repro.cli import _build_parser; "
                 "_build_parser().parse_args(['serve', '--policy', 'first_fit']); "
-                "sys.exit('repro.bench' in sys.modules)")
+                "loaded = [m for m in ('repro.bench', 'scipy') if m in sys.modules]; "
+                "sys.exit(f'loaded {loaded}' if loaded else 0)")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr[-2000:]

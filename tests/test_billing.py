@@ -91,7 +91,7 @@ class TestQuantumAwareMF:
             Item(1.5, 5.0, np.array([0.6]), 1),   # doesn't fit A -> opens B
             Item(1.6, 5.0, np.array([0.2]), 2),   # fits both
         ]
-        inst = Instance(items, _skip_sort_check=True)
+        inst = Instance(items)
         packing = run(QuantumAwareMoveToFront(quantum=2.0), inst)
         assert packing.assignment[2] == packing.assignment[1]
 

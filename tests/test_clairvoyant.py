@@ -26,7 +26,7 @@ class TestDurationClassifiedFirstFit:
         for i in range(4):
             items.append(Item(0.0, 1.0, np.array([0.1]), 2 * i))
             items.append(Item(0.0, 100.0, np.array([0.1]), 2 * i + 1))
-        inst = Instance(sorted(items, key=lambda it: it.arrival), _skip_sort_check=True)
+        inst = Instance(sorted(items, key=lambda it: it.arrival))
         packing = simulate(DurationClassifiedFirstFit(), inst)
         by_uid = {it.uid: it for it in inst.items}
         for rec in packing.bins:
@@ -76,7 +76,7 @@ class TestAlignmentBestFit:
             Item(0.0, 2.0, np.array([0.7]), 1),  # forced into a second bin
             Item(1.0, 10.2, np.array([0.2]), 2),
         ]
-        inst = Instance(items, _skip_sort_check=True)
+        inst = Instance(items)
         packing = simulate(AlignmentBestFit(), inst)
         assert packing.assignment[2] == packing.assignment[0]
 

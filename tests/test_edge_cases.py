@@ -58,7 +58,6 @@ class TestDegenerateInstances:
                 Item(t0, t0 + 1.0, np.array([0.5]), 0),
                 Item(t0 + 0.5, t0 + 2.0, np.array([0.6]), 1),
             ],
-            _skip_sort_check=True,
         )
         packing = run("move_to_front", inst, validate=True)
         assert packing.cost == pytest.approx(2.5)
@@ -137,7 +136,7 @@ class TestValidationEdges:
 
     def test_instance_with_many_components(self):
         items = [Item(10.0 * i, 10.0 * i + 1, np.array([0.5]), i) for i in range(5)]
-        inst = Instance(items, _skip_sort_check=True)
+        inst = Instance(items)
         assert len(inst.active_components()) == 5
         packing = run("next_fit", inst, validate=True)
         assert packing.cost == pytest.approx(5.0)

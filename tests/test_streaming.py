@@ -285,8 +285,7 @@ class TestWorkloadStreams:
         # items as a materialised instance and check bit-identity
         gen = PoissonWorkload(d=2, rate=10.0, horizon=40.0)
         items = list(gen.stream_seeded(21))
-        inst = Instance(items, capacity=gen.capacity, name="streamed",
-                        _skip_sort_check=True)
+        inst = Instance(items, capacity=gen.capacity, name="streamed")
         classic = run("first_fit", inst)
         engine = StreamingEngine(
             make_algorithm("first_fit"), gen.capacity, record_assignment=True

@@ -2,13 +2,17 @@
 
 Every generator's ``sample_seeded`` stream is hashed (uid, arrival,
 departure, size vector — all at 12 significant digits) and pinned
-against golden digests.  These hashes are load-bearing: the verification
-harness's fuzz corpus, the perf-baseline suite, and every experiment
-script assume a given ``(generator, seed)`` pair is the *same instance
-forever*.  A failing test here means a generator's RNG consumption
-changed — which silently invalidates BENCH trajectories and makes
-reported fuzz violations unreplayable — so either restore the old
-draw order or consciously re-pin (and note it in CHANGES.md).
+against golden digests.  A second table pins the same streams bit for
+bit: every float goes through ``float.hex``, so a change in the last
+bit of any time or size (a different summation order, a different
+special-function routine) fails here even where 12 digits agree.
+These hashes are load-bearing: the verification harness's fuzz
+corpus, the perf-baseline suite, and every experiment script assume a
+given ``(generator, seed)`` pair is the *same instance forever*.  A
+failing test here means a generator's RNG consumption changed — which
+silently invalidates BENCH trajectories and makes reported fuzz
+violations unreplayable — so either restore the old draw order or
+consciously re-pin (and note it in CHANGES.md).
 """
 
 from __future__ import annotations
@@ -32,6 +36,23 @@ def stream_digest(instance: Instance) -> str:
     for it in instance.items:
         h.update(f"{it.uid}|{it.arrival:.12g}|{it.departure:.12g}|".encode())
         h.update("|".join(f"{s:.12g}" for s in np.asarray(it.size)).encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+def hex_digest(instance: Instance) -> str:
+    """A 64-bit hex digest of every instance field, each float exact.
+
+    Covers the name, the capacity vector and each item's uid, arrival,
+    departure and size entries, the floats written with ``float.hex``.
+    """
+    h = hashlib.sha256()
+    h.update(instance.name.encode())
+    h.update("|".join(float(c).hex() for c in instance.capacity).encode())
+    h.update(b"\n")
+    for it in instance.items:
+        h.update(f"{it.uid}|{float(it.arrival).hex()}|{float(it.departure).hex()}|".encode())
+        h.update("|".join(float(s).hex() for s in it.size.tolist()).encode())
         h.update(b"\n")
     return h.hexdigest()[:16]
 
@@ -70,10 +91,35 @@ GOLDEN = {
 }
 
 
+#: (generator key, seed) -> pinned bit-exact digest (:func:`hex_digest`).
+GOLDEN_HEX = {
+    ("uniform", 0): "36de67be18bcf051",
+    ("uniform", 7): "ffe1772b7fc0f371",
+    ("uniform_d4_B100", 0): "eecd8194d4de3aa5",
+    ("uniform_d4_B100", 7): "9a3f3aaf1ea00f45",
+    ("poisson", 0): "f9beaeed77b21d3d",
+    ("poisson", 7): "2cecd5d801ae44ee",
+    ("correlated", 0): "2586b996adcd6047",
+    ("correlated", 7): "f7c83606a63fa08e",
+    ("trace", 0): "e2b7d71d717fe8f7",
+    ("trace", 7): "5cc423118f93be2d",
+    ("mixture", 0): "25d3df8ca80a038d",
+    ("mixture", 7): "8dc281bad3f0dea3",
+    ("spike", 0): "e2aa4796527571c1",
+    ("spike", 7): "29b9795b333831ea",
+}
+
+
 @pytest.mark.parametrize("key,seed", sorted(GOLDEN))
 def test_generator_stream_is_pinned(key, seed):
     gen = _generators()[key]
     assert stream_digest(gen.sample_seeded(seed)) == GOLDEN[(key, seed)]
+
+
+@pytest.mark.parametrize("key,seed", sorted(GOLDEN_HEX))
+def test_generator_stream_is_pinned_bit_exact(key, seed):
+    gen = _generators()[key]
+    assert hex_digest(gen.sample_seeded(seed)) == GOLDEN_HEX[(key, seed)]
 
 
 @pytest.mark.parametrize("key", sorted(_generators()))

@@ -188,6 +188,14 @@ class TestCorrelatedWorkload:
         hi = CorrelatedWorkload(d=3, n=2000, rho=0.9).empirical_correlation(rng)
         assert hi > lo + 0.3
 
+    def test_empirical_correlation_samples_n_items(self):
+        # the diagnostic draws n items, not the generator's own n; two
+        # points would give a correlation of +-1.  With uniform marginals
+        # the copula's rho = 0.5 gives (6/pi) asin(rho/2) = 0.4826.
+        rng = np.random.default_rng(0)
+        r = CorrelatedWorkload(d=2, n=2, rho=0.5).empirical_correlation(rng, n=5000)
+        assert abs(r - 0.48) < 0.1
+
     def test_sizes_within_range(self, rng):
         gen = CorrelatedWorkload(d=2, n=300, rho=0.5, min_size=0.1, max_size=0.6)
         inst = gen.sample(rng)
