@@ -4,16 +4,20 @@
 
 **Live pass** — the adversary's arrivals go through a
 :class:`~repro.simulation.live.LivePacking` core one at a time: after
-every arrival the driver rebuilds an
+every arrival the driver hands the adversary an
 :class:`~repro.adversaries.base.EngineView` (open bins, loads,
 residuals, the policy's candidate-list order, committed cost) and asks
-the adversary for the next arrival.  Departures due at or before the
-next arrival are processed first, in ``(time, uid)`` order — exactly
-the classic engine's event ordering — so the policy sees the same
-history it would in a batch replay.  The per-arrival *committed cost*
-is ``sum(bin.usage_time)``: an open bin's usage period already extends
-to the latest departure among items ever packed, so the cost of every
-decision is charged the moment it is made.
+it for the next arrival.  Departures due at or before the next arrival
+are processed first, in ``(time, uid)`` order — exactly the classic
+engine's event ordering — so the policy sees the same history it would
+in a batch replay.  The per-arrival *committed cost* is
+``sum(bin.usage_time)`` in bin-index order: an open bin's usage period
+already extends to the latest departure among items ever packed, so
+the cost of every decision is charged the moment it is made.  The view
+re-reads only the bins whose load, resident count or candidate-list
+position changed since the previous one (the bin the last item went to
+and the bins that had departures); every other open bin keeps its
+previous :class:`~repro.adversaries.base.BinView`.
 
 **Replay pass** — the induced arrivals form a plain
 :class:`~repro.core.instance.Instance`, which is replayed through the
@@ -34,7 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -166,6 +170,9 @@ class AdversaryDriver:
         heap: List[Tuple[float, int]] = []  # (departure, uid)
         emitted: List[Item] = []
         trajectory: List[TrajectoryPoint] = []
+        views = _ViewCache(algorithm, capacity)
+        changed: Set[int] = set()  # bins packed or departed since the last view
+        committed = 0.0
         now = 0.0
         last: Optional[PackRecord] = None
 
@@ -173,10 +180,13 @@ class AdversaryDriver:
             # (time, uid) order — the classic engine's event ordering
             while heap and heap[0][0] <= t:
                 dep_time, uid = heapq.heappop(heap)
+                changed.add(core.live[uid][1].index)
                 core.depart(uid, dep_time)
 
         while True:
-            view = self._view(algorithm, bins, capacity, now, len(emitted), last)
+            view = views.build(
+                core.open, changed, now, len(bins), committed, len(emitted), last
+            )
             item = adversary.next_item(view)
             if item is None:
                 break
@@ -195,15 +205,18 @@ class AdversaryDriver:
             now = item.arrival
 
             target = core.place(item, now)
+            changed.add(target.index)
             opened = target.index == len(bins)
             if opened:
                 bins.append(target)
             heapq.heappush(heap, (item.departure, item.uid))
             emitted.append(item)
             last = PackRecord(item.uid, target.index, opened)
+            # departures come only before the next placement, so this is
+            # also the committed cost the next view reports
+            committed = sum(b.usage_time for b in bins)
 
             if self.record_trajectory:
-                committed = sum(b.usage_time for b in bins)
                 opt_now = adversary.opt_upper()
                 opt_now = float(opt_now) if opt_now else math.nan
                 ratio = committed / opt_now if opt_now and opt_now > 0 else math.nan
@@ -266,43 +279,66 @@ class AdversaryDriver:
             replay_identical=replay_identical,
         )
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _view(
-        algorithm,
-        bins: List[Bin],
-        capacity: np.ndarray,
+
+class _ViewCache:
+    """Builds the :class:`EngineView` the adversary sees after each arrival.
+
+    Keeps the previous view's :class:`BinView` per open bin and builds a
+    new one only for a bin in ``changed`` (packed into or departed from
+    since the previous view) or whose candidate-list position moved;
+    ``changed`` is cleared once read.  The fields equal those of a view
+    rebuilt from every open bin.
+    """
+
+    __slots__ = ("any_fit", "capacity", "policy", "capacity_t", "bin_views")
+
+    def __init__(self, algorithm, capacity: np.ndarray) -> None:
+        # only Any Fit policies expose a candidate list
+        self.any_fit = algorithm if isinstance(algorithm, AnyFitAlgorithm) else None
+        self.capacity = capacity
+        self.policy = getattr(algorithm, "name", type(algorithm).__name__)
+        self.capacity_t = tuple(capacity.tolist())
+        self.bin_views: Dict[int, BinView] = {}
+
+    def build(
+        self,
+        open_bins: Dict[int, Bin],
+        changed: Set[int],
         now: float,
+        bins_opened: int,
+        committed: float,
         emitted: int,
         last: Optional[PackRecord],
     ) -> EngineView:
-        """Snapshot the live engine state for the adversary."""
+        """The view of ``open_bins`` (index → bin, in index order)."""
         positions: Dict[int, int] = {}
         candidate_order: Tuple[int, ...] = ()
-        if isinstance(algorithm, AnyFitAlgorithm):
-            open_list = algorithm.open_list
-            positions = {b.index: i for i, b in enumerate(open_list)}
-            candidate_order = tuple(b.index for b in open_list)
-        views = []
-        committed = 0.0
-        for b in bins:
-            committed += b.usage_time
-            if not b.is_open:
-                continue
-            views.append(BinView(
-                index=b.index,
-                load=tuple(float(x) for x in b.load),
-                residual=tuple(float(c - x) for c, x in zip(capacity, b.load)),
-                num_active=b.num_active,
-                position=positions.get(b.index, -1),
-            ))
+        if self.any_fit is not None:
+            candidate_order = tuple(b.index for b in self.any_fit.open_list)
+            positions = {index: i for i, index in enumerate(candidate_order)}
+        previous = self.bin_views
+        current: Dict[int, BinView] = {}
+        for index, b in open_bins.items():
+            position = positions.get(index, -1)
+            view = previous.get(index)
+            if view is None or index in changed or view.position != position:
+                view = BinView(
+                    index=index,
+                    load=tuple(b.load.tolist()),
+                    residual=tuple((self.capacity - b.load).tolist()),
+                    num_active=b.num_active,
+                    position=position,
+                )
+            current[index] = view
+        self.bin_views = current
+        changed.clear()
         return EngineView(
             now=now,
-            policy=getattr(algorithm, "name", type(algorithm).__name__),
-            capacity=tuple(float(c) for c in capacity),
-            open_bins=tuple(views),
+            policy=self.policy,
+            capacity=self.capacity_t,
+            open_bins=tuple(current.values()),
             candidate_order=candidate_order,
-            bins_opened=len(bins),
+            bins_opened=bins_opened,
             committed_cost=committed,
             emitted=emitted,
             last=last,

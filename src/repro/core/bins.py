@@ -2,8 +2,10 @@
 
 A :class:`Bin` is the mutable runtime object the online engine operates
 on.  It tracks its current load vector, resident items, open/close times,
-and the set of items ever packed into it (needed for the cost audit and
-for the usage-period decompositions of the analysis sections).
+the latest departure among items ever packed into it (where an open
+bin's usage period ends), and the list of those items (needed for the
+cost audit and for the usage-period decompositions of the analysis
+sections).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class Bin:
         "index",
         "opened_at",
         "closed_at",
+        "latest_departure",
         "load",
         "_active",
         "history",
@@ -51,6 +54,9 @@ class Bin:
         self.index = index
         self.opened_at = float(opened_at)
         self.closed_at: Optional[float] = None
+        #: latest departure among items ever packed here (``opened_at``
+        #: before the first pack) — where an open bin's usage period ends
+        self.latest_departure = self.opened_at
         self.load = np.zeros(capacity.size, dtype=np.float64)
         self._active: Dict[int, Item] = {}
         #: every item ever packed here, in packing order (audit trail)
@@ -95,18 +101,18 @@ class Bin:
     def usage_period(self) -> Interval:
         """The bin's active interval ``[opened_at, closed_at)``.
 
-        For a still-open bin the end is the latest departure among items
-        ever packed (the earliest time it *could* close).
+        For a still-open bin the end is :attr:`latest_departure`, the
+        latest departure among items ever packed (the earliest time it
+        *could* close).
         """
-        if self.closed_at is not None:
-            return Interval(self.opened_at, self.closed_at)
-        end = max((it.departure for it in self.history), default=self.opened_at)
+        end = self.closed_at if self.closed_at is not None else self.latest_departure
         return Interval(self.opened_at, end)
 
     @property
     def usage_time(self) -> float:
         """Length of :attr:`usage_period` — this bin's cost contribution."""
-        return self.usage_period.length
+        end = self.closed_at if self.closed_at is not None else self.latest_departure
+        return max(0.0, end - self.opened_at)  # usage_period.length, no Interval built
 
     # ------------------------------------------------------------------
     # mutations (engine-only)
@@ -132,6 +138,8 @@ class Bin:
         self.load = self.load + item.size
         self._active[item.uid] = item
         self.history.append(item)
+        if item.departure > self.latest_departure:
+            self.latest_departure = item.departure
 
     def remove(self, item: Item, now: float) -> bool:
         """Remove a departing ``item``; close the bin if it empties.

@@ -123,6 +123,14 @@ class Instance:
         object.__setattr__(self, "capacity", cap)
         object.__setattr__(self, "name", name)
 
+    def __setstate__(self, state: dict) -> None:
+        # pickle and copy restore the fields and cached columns as they
+        # were, read-only arrays included (an unpickled array is writeable)
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------

@@ -148,9 +148,26 @@ class Item:
     def __hash__(self) -> int:
         return hash((self.uid, self.arrival, self.departure, self.size.tobytes()))
 
+    def __reduce__(self):
+        # pickle and copy rebuild the item without re-validating it, and
+        # keep its size read-only (an unpickled array is writeable)
+        return (_restore_item, (self.arrival, self.departure, self.size, self.uid))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sz = np.array2string(self.size, precision=4, separator=",")
         return f"Item(uid={self.uid}, [{self.arrival:g},{self.departure:g}), s={sz})"
+
+
+def _restore_item(arrival: float, departure: float, size: np.ndarray, uid: int) -> Item:
+    """An :class:`Item` from a valid one's fields (the unpickle path)."""
+    it = object.__new__(Item)
+    put = object.__setattr__
+    put(it, "arrival", arrival)
+    put(it, "departure", departure)
+    put(it, "size", size)
+    put(it, "uid", uid)
+    size.setflags(write=False)
+    return it
 
 
 def _trusted_items(

@@ -11,6 +11,7 @@ every algorithm implementation is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,9 +126,13 @@ class Packing:
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def cost(self) -> float:
-        """Total usage time (Eq. 1): ``sum_i span(R_i)``."""
+        """Total usage time (Eq. 1): ``sum_i span(R_i)``.
+
+        Computed once: the packing is frozen, and oracles, reports and
+        audits read the cost many times per run.
+        """
         return sum(b.usage_time for b in self.bins)
 
     @property

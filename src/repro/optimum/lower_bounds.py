@@ -105,9 +105,19 @@ def fractional_height_bound(instance: Instance) -> float:
 
 
 def utilization_lower_bound(instance: Instance) -> float:
-    """Lemma 1(ii): ``(1/d) Σ_r ||s(r)||_inf · ℓ(I(r))`` (normalised)."""
-    norm = instance.normalized()
-    return norm.total_utilization() / norm.d
+    """Lemma 1(ii): ``(1/d) Σ_r ||s(r)||_inf · ℓ(I(r))`` (normalised).
+
+    Reads the instance's columns with the arithmetic of
+    ``instance.normalized().total_utilization() / d``: sizes scaled by
+    the reciprocal capacity unless it is (close to) all ones, and the
+    per-item products summed left to right in item order.
+    """
+    sizes = instance.size_matrix
+    if not np.allclose(instance.capacity, 1.0):
+        sizes = sizes * (1.0 / instance.capacity)
+    durations = instance.departure_times - instance.arrival_times
+    products = np.max(sizes, axis=1) * durations
+    return sum(products.tolist()) / instance.d
 
 
 def span_lower_bound(instance: Instance) -> float:

@@ -45,6 +45,11 @@ def _slack(capacity: np.ndarray) -> np.ndarray:
     return capacity + EPS * np.maximum(capacity, 1.0)
 
 
+def _decreasing_order(mat: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Item indices by decreasing normalised L∞ size; ties keep input order."""
+    return np.argsort(-np.max(mat / capacity[np.newaxis, :], axis=1), kind="stable")
+
+
 def first_fit_decreasing(
     sizes: Sequence[np.ndarray], capacity: np.ndarray
 ) -> List[List[int]]:
@@ -52,26 +57,29 @@ def first_fit_decreasing(
 
     Returns the packing as a list of bins, each a list of indices into
     ``sizes``.  The number of bins is an upper bound on the optimum.
+
+    Bin loads are the rows of one ``(n, d)`` matrix, so each item is
+    tested against every open bin in one comparison; the fit test and
+    the load update are the per-bin ``load + size <= slack`` and
+    ``load += size`` of the textbook loop, element for element.
     """
     mat = _as_matrix(sizes, capacity)
     if mat.shape[0] == 0:
         return []
     slack = _slack(capacity)
-    order = np.argsort(-np.max(mat / capacity[np.newaxis, :], axis=1), kind="stable")
+    loads = np.empty_like(mat)
     bins: List[List[int]] = []
-    loads: List[np.ndarray] = []
-    for idx in order:
+    for idx in _decreasing_order(mat, capacity).tolist():
         size = mat[idx]
-        placed = False
-        for b, load in enumerate(loads):
-            if np.all(load + size <= slack):
-                loads[b] = load + size
-                bins[b].append(int(idx))
-                placed = True
-                break
-        if not placed:
-            bins.append([int(idx)])
-            loads.append(size.copy())
+        nb = len(bins)
+        fit = (loads[:nb] + size <= slack).all(axis=1).nonzero()[0]
+        if fit.size:
+            b = int(fit[0])
+            loads[b] += size
+            bins[b].append(idx)
+        else:
+            loads[nb] = size
+            bins.append([idx])
     return bins
 
 
@@ -80,33 +88,29 @@ def best_fit_decreasing(
 ) -> List[List[int]]:
     """BFD packing: like FFD but each item goes to the fullest fitting bin.
 
-    Fullness is measured by the L∞ of the normalised load.  Another
-    feasible heuristic; occasionally beats FFD, so the exact solver seeds
-    its incumbent with the better of the two.
+    Fullness is measured by the L∞ of the normalised load; among equally
+    full bins the first opened wins.  Another feasible heuristic;
+    occasionally beats FFD, so the exact solver seeds its incumbent with
+    the better of the two.
     """
     mat = _as_matrix(sizes, capacity)
     if mat.shape[0] == 0:
         return []
     slack = _slack(capacity)
-    order = np.argsort(-np.max(mat / capacity[np.newaxis, :], axis=1), kind="stable")
+    loads = np.empty_like(mat)
     bins: List[List[int]] = []
-    loads: List[np.ndarray] = []
-    for idx in order:
+    for idx in _decreasing_order(mat, capacity).tolist():
         size = mat[idx]
-        best_b = -1
-        best_fullness = -1.0
-        for b, load in enumerate(loads):
-            if np.all(load + size <= slack):
-                fullness = float(np.max(load / capacity))
-                if fullness > best_fullness:
-                    best_fullness = fullness
-                    best_b = b
-        if best_b >= 0:
-            loads[best_b] = loads[best_b] + size
-            bins[best_b].append(int(idx))
+        nb = len(bins)
+        fit = (loads[:nb] + size <= slack).all(axis=1).nonzero()[0]
+        if fit.size:
+            fullness = np.max(loads[fit] / capacity, axis=1)
+            b = int(fit[np.argmax(fullness)])
+            loads[b] += size
+            bins[b].append(idx)
         else:
-            bins.append([int(idx)])
-            loads.append(size.copy())
+            loads[nb] = size
+            bins.append([idx])
     return bins
 
 
@@ -164,8 +168,7 @@ def solve_exact(
     if upper <= lower:
         return upper
 
-    order = np.argsort(-np.max(mat / capacity[np.newaxis, :], axis=1), kind="stable")
-    items = mat[order]
+    items = mat[_decreasing_order(mat, capacity)]
     # suffix aggregate loads for pruning
     suffix = np.zeros((n + 1, mat.shape[1]))
     for i in range(n - 1, -1, -1):

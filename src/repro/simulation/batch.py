@@ -358,26 +358,20 @@ class BatchRunner:
         return self._engine
 
     def _cost_and_bins(self, assignment: Dict[int, int]) -> Tuple[float, int]:
-        # Bit-identical twin of Packing.from_assignment + Packing.cost:
-        # per bin the usage hull is (min arrival, max departure) over
-        # members — order-independent for min/max — and the total is a
-        # left-to-right Python float sum in bin-index order (bin ids are
-        # assigned 0..k-1 in opening order, so sorted id order is the
-        # Packing's bins order).
-        opened: Dict[int, float] = {}
-        closed: Dict[int, float] = {}
-        for it in self.instance.items:
-            b = assignment[it.uid]
-            if b in opened:
-                if it.arrival < opened[b]:
-                    opened[b] = it.arrival
-                if it.departure > closed[b]:
-                    closed[b] = it.departure
-            else:
-                opened[b] = it.arrival
-                closed[b] = it.departure
-        cost = sum(closed[b] - opened[b] for b in sorted(opened))
-        return cost, len(opened)
+        # Bit-identical twin of Packing.from_assignment + Packing.cost,
+        # over the instance's time columns: per bin the usage hull is
+        # (min arrival, max departure) over members — exact in any order
+        # — and the total is a left-to-right Python float sum in
+        # bin-index order.  The fast engines number bins 0..k-1 in
+        # opening order, so id order is the Packing's bins order.
+        inst = self.instance
+        bins = np.array([assignment[uid] for uid in self._ctx.uids], dtype=np.int64)
+        k = int(bins.max()) + 1
+        opened = np.full(k, np.inf)
+        closed = np.full(k, -np.inf)
+        np.minimum.at(opened, bins, inst.arrival_times)
+        np.maximum.at(closed, bins, inst.departure_times)
+        return sum((closed - opened).tolist()), k
 
     # ------------------------------------------------------------------
     def run_units(

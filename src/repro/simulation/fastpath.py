@@ -467,36 +467,28 @@ class ReplayContext:
         self.n = n
         self.d = instance.d
         self.uids = [it.uid for it in items]
-        arrivals, departures = instance.arrival_times, instance.departure_times
+        # Pre-sorted event indices: value < n is the arrival of item
+        # position `value`; value >= n is the departure of `value - n`.
+        # lexsort's last key is primary, matching the classic engine's
+        # (time, kind, seq) sort with DEPARTURE(0) < ARRIVAL(1), arrival
+        # seq = instance position, departure seq = uid.  Every event's key
+        # is distinct, so the order does not depend on the sort's
+        # stability, and both backends share it.
+        times = _np.concatenate([instance.arrival_times, instance.departure_times])
+        seqs = _np.empty(2 * n, dtype=_np.int64)
+        kinds = _np.empty(2 * n, dtype=_np.int64)
+        seqs[:n] = _np.arange(n)
+        seqs[n:] = self.uids
+        kinds[:n] = 1
+        kinds[n:] = 0
+        self.order = _np.lexsort((seqs, kinds, times)).tolist()
         if resolved != PYTHON_BACKEND:
-            np = _np
-            capacity = np.asarray(instance.capacity, dtype=np.float64)
-            self.slack = capacity + EPS * np.maximum(capacity, 1.0)
+            capacity = _np.asarray(instance.capacity, dtype=_np.float64)
+            self.slack = capacity + EPS * _np.maximum(capacity, 1.0)
             self.sizes = instance.size_matrix
-            # Pre-sorted event indices: value < n is the arrival of item
-            # position `value`; value >= n is the departure of `value - n`.
-            # lexsort's last key is primary, matching the classic engine's
-            # (time, kind, seq) sort with DEPARTURE(0) < ARRIVAL(1),
-            # arrival seq = instance position, departure seq = uid.
-            times = np.concatenate([arrivals, departures])
-            seqs = np.empty(2 * n, dtype=np.int64)
-            kinds = np.empty(2 * n, dtype=np.int64)
-            seqs[:n] = np.arange(n)
-            seqs[n:] = self.uids
-            kinds[:n] = 1
-            kinds[n:] = 0
-            self.order = np.lexsort((seqs, kinds, times)).tolist()
         else:
             self.slack = [float(c) + EPS * max(float(c), 1.0) for c in instance.capacity]
             self.sizes = instance.size_matrix.tolist()
-            keys = []
-            for pos, (arrival, departure, uid) in enumerate(
-                zip(arrivals.tolist(), departures.tolist(), self.uids)
-            ):
-                keys.append((arrival, 1, pos, pos))
-                keys.append((departure, 0, uid, n + pos))
-            keys.sort(key=lambda k: (k[0], k[1], k[2]))
-            self.order = [k[3] for k in keys]
 
 
 #: Sentinel distinguishing "leave the collector alone" from "clear it"

@@ -39,7 +39,6 @@ from ..algorithms.base import OnlineAlgorithm
 from ..core.bins import Bin
 from ..core.errors import AlgorithmError, StreamOrderError
 from ..core.instance import Instance
-from ..core.intervals import Interval
 from ..core.items import Item
 from ..core.packing import Packing
 from ..observability.stats import StatsCollector
@@ -56,16 +55,12 @@ class StreamBin(Bin):
     The base class appends every member ever packed to ``history`` (the
     audit trail the offline analyses need); on an unbounded stream that
     list is the difference between O(live) and O(total) memory.  This
-    subclass keeps ``history`` empty and tracks the single scalar the
-    engine needs from it — the latest member departure, which is what
-    :attr:`usage_period` falls back to while the bin is still open.
+    subclass keeps ``history`` empty; the one scalar the engine needs
+    from it, the latest member departure, the base class already keeps
+    in :attr:`~repro.core.bins.Bin.latest_departure`.
     """
 
-    __slots__ = ("latest_departure",)
-
-    def __init__(self, capacity: np.ndarray, index: int, opened_at: float) -> None:
-        super().__init__(capacity, index, opened_at)
-        self.latest_departure = float(opened_at)
+    __slots__ = ()
 
     def pack(self, item: Item) -> None:
         # identical capacity-check and load arithmetic to the base class;
@@ -73,13 +68,6 @@ class StreamBin(Bin):
         # per-bin footprint constant
         super().pack(item)
         self.history.pop()
-        if item.departure > self.latest_departure:
-            self.latest_departure = item.departure
-
-    @property
-    def usage_period(self) -> Interval:
-        end = self.closed_at if self.closed_at is not None else self.latest_departure
-        return Interval(self.opened_at, end)
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,7 @@ def run_verify(
         if len(sweep_prefix) < prof.sweep_batch:
             sweep_prefix.append(inst)
 
+        lb = opt_lower_bound(inst)  # shared by the seven theorem-bound audits
         cost_by_policy = {}
         packing_by_policy = {}
         for p_idx, policy in enumerate(prof.policies):
@@ -300,7 +301,7 @@ def run_verify(
                 report.violations.append((f"{where}/{policy}", v))
             for v in compare_with_repacking(packing, policy, seed=0):
                 report.violations.append((f"{where}/{policy}", v))
-            for v in audit_run(packing, policy):
+            for v in audit_run(packing, policy, lb):
                 report.violations.append((f"{where}/{policy}", v))
             for v in cost_check(packing):
                 report.violations.append((f"{where}/{policy}", v))

@@ -212,10 +212,18 @@ def check_any_fit(packing: Packing) -> List[Violation]:
     return out
 
 
-def check_theorem_bound(packing: Packing, policy: str) -> List[Violation]:
-    """Upper bounds of Theorems 2/3/4 plus universal cost dominance."""
+def check_theorem_bound(
+    packing: Packing, policy: str, lower_bound: Optional[float] = None
+) -> List[Violation]:
+    """Upper bounds of Theorems 2/3/4 plus universal cost dominance.
+
+    ``lower_bound`` is the instance's :func:`opt_lower_bound
+    <repro.optimum.lower_bounds.opt_lower_bound>` when the caller already
+    computed it (one instance is audited once per policy); ``None``
+    computes it.
+    """
     inst = packing.instance
-    lb = opt_lower_bound(inst)
+    lb = opt_lower_bound(inst) if lower_bound is None else lower_bound
     cost = packing.cost
     out: List[Violation] = []
     tol = _TOL * max(1.0, cost)
@@ -254,7 +262,7 @@ def check_opt_ordering(instance: Instance) -> List[Violation]:
     height = height_lower_bound(instance)
     util = utilization_lower_bound(instance)
     span = span_lower_bound(instance)
-    lb = opt_lower_bound(instance)
+    lb = max(height, util, span)  # opt_lower_bound, from the bounds at hand
     _, offline_ub = optimum_cost_bounds(instance)
     out: List[Violation] = []
 
@@ -275,18 +283,23 @@ def check_opt_ordering(instance: Instance) -> List[Violation]:
 # bundles
 # ----------------------------------------------------------------------
 
-def audit_run(packing: Packing, policy: Optional[str] = None) -> List[Violation]:
+def audit_run(
+    packing: Packing,
+    policy: Optional[str] = None,
+    lower_bound: Optional[float] = None,
+) -> List[Violation]:
     """All per-run invariants applicable to ``packing``.
 
     ``policy`` defaults to the packing's recorded algorithm name; the
-    Any Fit and theorem-bound checks are gated on it.
+    Any Fit and theorem-bound checks are gated on it.  ``lower_bound``
+    goes to :func:`check_theorem_bound`.
     """
     name = policy if policy is not None else packing.algorithm
     out = check_capacity(packing)
     out += check_half_open(packing)
     if name in FULL_LIST_POLICIES:
         out += check_any_fit(packing)
-    out += check_theorem_bound(packing, name)
+    out += check_theorem_bound(packing, name, lower_bound)
     return out
 
 

@@ -38,6 +38,7 @@ from repro.adversaries import (
     run_scenario,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.items import Item
 from repro.simulation.runner import run
 from repro.verify.invariants import audit_instance, audit_run
 from repro.verify.mutation import mutation_smoke_test
@@ -314,3 +315,140 @@ def test_scenarios_hold_across_seeds(seed):
     """The constructions are seed-robust, not one lucky draw."""
     for outcome in must_exceed_report(seed=seed):
         assert outcome.passed, f"seed={seed}: {outcome.message}"
+
+
+# ----------------------------------------------------------------------
+# the live view: incremental, but equal to a full rebuild
+# ----------------------------------------------------------------------
+def _rebuilt_view(core, handed):
+    """The view of ``core`` rebuilt from every bin it opened, as its
+    definition reads: open bins in index order, loads and residuals read
+    afresh, the committed cost summed over all bins with history-max
+    periods.  ``now``, ``emitted`` and ``last`` come from ``handed``."""
+    from repro.adversaries.base import BinView, EngineView
+    from repro.algorithms.base import AnyFitAlgorithm
+    from repro.core.intervals import Interval
+
+    algorithm, capacity = core.algorithm, core.capacity
+    positions, candidate_order = {}, ()
+    if isinstance(algorithm, AnyFitAlgorithm):
+        positions = {b.index: i for i, b in enumerate(algorithm.open_list)}
+        candidate_order = tuple(b.index for b in algorithm.open_list)
+    bins = core.every_bin
+    views, committed = [], 0.0
+    for b in bins:
+        end = b.closed_at
+        if end is None:
+            end = max((it.departure for it in b.history), default=b.opened_at)
+        committed += Interval(b.opened_at, end).length
+        if not b.is_open:
+            continue
+        views.append(BinView(
+            index=b.index,
+            load=tuple(float(x) for x in b.load),
+            residual=tuple(float(c - x) for c, x in zip(capacity, b.load)),
+            num_active=b.num_active,
+            position=positions.get(b.index, -1),
+        ))
+    return EngineView(
+        now=handed.now,
+        policy=algorithm.name,
+        capacity=tuple(float(c) for c in capacity),
+        open_bins=tuple(views),
+        candidate_order=candidate_order,
+        bins_opened=len(bins),
+        committed_cost=committed,
+        emitted=handed.emitted,
+        last=handed.last,
+    )
+
+
+def _drive_checking_views(adversary, policy, monkeypatch):
+    """Run ``adversary`` against ``policy``, checking every view it is
+    handed against :func:`_rebuilt_view`; return the result and views."""
+    import repro.adversaries.driver as driver_mod
+    from repro.simulation.live import LivePacking
+
+    cores = []
+
+    class RecordingCore(LivePacking):
+        """The driver's core, keeping every bin it opened."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.every_bin = []
+            cores.append(self)
+
+        def _open_new_bin(self):
+            fresh = super()._open_new_bin()
+            self.every_bin.append(fresh)
+            return fresh
+
+    monkeypatch.setattr(driver_mod, "LivePacking", RecordingCore)
+    next_item = adversary.next_item
+    seen = []
+
+    def checked_next_item(view):
+        (core,) = cores
+        expected = _rebuilt_view(core, view)
+        assert view.emitted == len(seen)
+        assert repr(view) == repr(expected)
+        assert view == expected
+        seen.append(view)
+        return next_item(view)
+
+    adversary.next_item = checked_next_item
+    result = AdversaryDriver(adversary, policy=policy, seed=0).run()
+    assert len(seen) == result.n + 1
+    return result, seen
+
+
+@pytest.mark.parametrize("scenario", MUST_EXCEED_SCENARIOS, ids=lambda s: s.label)
+def test_every_view_equals_a_rebuilt_one(scenario, monkeypatch):
+    config = AttackConfig(
+        mu=scenario.mu,
+        d=scenario.d,
+        target_fraction=scenario.fraction,
+        ratio_threshold=scenario.threshold if scenario.threshold is not None else 50.0,
+    )
+    adversary = make_adversary(scenario.attack, config)
+    result, _ = _drive_checking_views(adversary, scenario.policy, monkeypatch)
+    pinned = _outcome(scenario).result
+    assert result.cost.hex() == pinned.cost.hex()
+    assert result.trajectory == pinned.trajectory
+
+
+class _Churn(Adversary):
+    """Staggered random arrivals and durations: bins lose residents
+    between arrivals without closing, which the scenarios above rarely
+    do before their last arrival."""
+
+    name = "churn"
+
+    def next_item(self, view):
+        if view.emitted >= 80:
+            return None
+        t = 0.25 * view.emitted
+        duration = float(self.rng.uniform(0.3, 4.0))
+        size = self.rng.uniform(0.05, 0.45, self.config.d)
+        return Item(t, t + duration, size)
+
+    def opt_upper(self):
+        return None  # certify against the FFD bracket
+
+
+@pytest.mark.parametrize(
+    "policy", ["first_fit", "move_to_front", "next_fit", "best_fit", "worst_fit", "random_fit"]
+)
+def test_views_stay_equal_through_partial_departures(policy, monkeypatch):
+    result, seen = _drive_checking_views(_Churn(AttackConfig(d=2)), policy, monkeypatch)
+    assert result.replay_identical
+    # a bin that lost a resident and stayed open was shown afresh
+    shrunk = sum(
+        1
+        for before, after in zip(seen, seen[1:])
+        for b in after.open_bins
+        if (prev := before.bin_view(b.index)) is not None
+        and b.num_active < prev.num_active
+    )
+    assert shrunk > 0

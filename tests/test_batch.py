@@ -375,3 +375,27 @@ def test_bench_scenario_computes_lower_bound_once(monkeypatch):
     scenario = bench_mod.SMOKE_SCENARIOS[0]
     bench_mod.run_scenario(scenario, ["first_fit", "move_to_front"], repeats=1)
     assert len(calls) == 1
+
+
+def test_column_cost_matches_packing_on_out_of_order_uids():
+    """The batched Eq. 1 cost reads the time columns by position; uids
+    that are not positions, and integer times, keep it equal to the
+    packing's cost."""
+    from repro.core.instance import Instance
+    from repro.core.items import Item
+
+    items = [
+        Item(0, 4, np.array([0.5]), uid=30),
+        Item(1, 3, np.array([0.4]), uid=10),
+        Item(2, 6, np.array([0.7]), uid=20),
+        Item(5, 9, np.array([0.2]), uid=0),
+    ]
+    inst = Instance(items)
+    runner = BatchRunner(inst)
+    results, assignments = runner.run_units(
+        [(p, None) for p in PAPER_ALGORITHMS if p != "random_fit"], keep_assignments=True
+    )
+    for unit, assignment in zip(results, assignments):
+        packing = Packing.from_assignment(inst, assignment)
+        assert unit.cost == packing.cost
+        assert unit.num_bins == packing.num_bins

@@ -122,3 +122,91 @@ class TestUsageAccounting:
         b.pack(a)
         assert b.active_uids() == {5}
         assert b.active_items() == [a]
+
+
+# ----------------------------------------------------------------------
+# latest_departure: the O(1) end of an open bin's usage period
+# ----------------------------------------------------------------------
+def history_usage_period(b):
+    """The usage period by definition: an open bin ends at the latest
+    departure among every item ever packed into it."""
+    if b.closed_at is not None:
+        return Interval(b.opened_at, b.closed_at)
+    return Interval(b.opened_at, max((it.departure for it in b.history), default=b.opened_at))
+
+
+def assert_usage_matches_history(b):
+    period = history_usage_period(b)
+    assert b.usage_period == period
+    assert b.usage_time == period.length
+    assert b.usage_time.hex() == float(period.length).hex()
+
+
+class TestLatestDeparture:
+    def test_new_bin_ends_where_it_opened(self):
+        b = make_bin(opened_at=3.5)
+        assert b.latest_departure == 3.5
+        assert_usage_matches_history(b)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pack_remove_sequences(self, seed):
+        rng = np.random.default_rng(seed)
+        now = float(rng.integers(0, 5))
+        b = make_bin(d=2, opened_at=now)
+        resident = []
+        uid = 0
+        for _ in range(int(rng.integers(1, 40))):
+            if resident and (rng.random() < 0.4 or b.load.max() > 0.8):
+                it = resident.pop(int(rng.integers(len(resident))))
+                closed = b.remove(it, now=it.departure)
+                assert_usage_matches_history(b)
+                if closed:
+                    break
+                continue
+            it = Item(now, now + float(rng.uniform(0.1, 10.0)), rng.uniform(0.0, 0.2, 2), uid)
+            uid += 1
+            b.pack(it)
+            resident.append(it)
+            assert_usage_matches_history(b)
+            now += float(rng.uniform(0.0, 1.0))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_after_repacking_moves(self, seed):
+        from repro.algorithms.first_fit import FirstFit
+        from repro.simulation.live import LivePacking
+
+        rng = np.random.default_rng(100 + seed)
+        core = LivePacking(FirstFit(), np.ones(2))
+        bins = []
+        now = 0.0
+        for uid in range(40):
+            now += float(rng.uniform(0.0, 0.5))
+            for live_uid in [u for u, (it, _) in core.live.items() if it.departure <= now]:
+                core.depart(live_uid, core.live[live_uid][0].departure)
+            item = Item(now, now + float(rng.uniform(0.5, 6.0)), rng.uniform(0.05, 0.5, 2), uid)
+            target = core.place(item, now)
+            if target.index == len(bins):
+                bins.append(target)
+            if core.live and rng.random() < 0.5:
+                mover = list(core.live)[int(rng.integers(len(core.live)))]
+                size = core.live[mover][0].size
+                dst = [b for b in core.open.values()
+                       if b is not core.live[mover][1] and np.all(b.load + size <= 1.0)]
+                if dst:
+                    core.move(mover, dst[0], now)
+            for b in bins:
+                assert_usage_matches_history(b)
+
+    def test_stream_bin_keeps_no_history_and_the_same_period(self):
+        from repro.streaming.engine import StreamBin
+
+        plain, stream = make_bin(opened_at=1.0), StreamBin(np.ones(1), index=0, opened_at=1.0)
+        a, b = Item(1, 9, np.array([0.3]), 0), Item(1, 4, np.array([0.3]), 1)
+        for bin_ in (plain, stream):
+            bin_.pack(a)
+            bin_.pack(b)
+            bin_.remove(b, now=4.0)
+        assert stream.history == [] and len(plain.history) == 2
+        assert stream.latest_departure == plain.latest_departure == 9
+        assert stream.usage_period == plain.usage_period == Interval(1.0, 9.0)
+        assert not hasattr(stream, "__dict__")

@@ -675,3 +675,50 @@ class TestSeedValidation:
 
         reason = fast_ineligibility_reason(algo)
         assert reason is not None and "seed" in reason
+
+
+class TestReplayContextOrder:
+    """Both backends take the event order from one lexsort, which must be
+    the classic engine's ``(time, kind, seq)`` event order."""
+
+    @staticmethod
+    def _classic_order(inst):
+        from repro.core.events import EventKind, event_stream
+
+        pos = {it.uid: p for p, it in enumerate(inst.items)}
+        return [
+            pos[ev.item.uid] + (0 if ev.kind is EventKind.ARRIVAL else len(inst.items))
+            for ev in event_stream(inst)
+        ]
+
+    def test_backends_share_the_classic_order_on_the_corpus(self):
+        from repro.simulation.fastpath import ReplayContext
+        from repro.verify.generators import corpus_list
+
+        recipes = set()
+        for entry in corpus_list(60, seed=11):
+            inst = entry.instance
+            py = ReplayContext(inst, "python")
+            npy = ReplayContext(inst, "numpy")
+            assert py.order == npy.order == self._classic_order(inst)
+            assert type(py.order) is list and all(type(i) is int for i in py.order)
+            recipes.add(entry.recipe)
+        assert "edge_static_burst" in recipes
+
+    def test_shared_times_and_out_of_order_uids(self):
+        from repro.simulation.fastpath import ReplayContext
+
+        # every arrival and departure at one of two instants, uids not in
+        # position order: departures at a shared time go by uid
+        items = [
+            Item(0.0, 1.0, np.array([0.2]), uid=5),
+            Item(0.0, 1.0, np.array([0.2]), uid=2),
+            Item(0.0, 2.0, np.array([0.2]), uid=9),
+            Item(1.0, 2.0, np.array([0.2]), uid=0),
+            Item(1.0, 2.0, np.array([0.2]), uid=7),
+        ]
+        inst = Instance(items)
+        expected = self._classic_order(inst)
+        assert ReplayContext(inst, "python").order == expected
+        assert ReplayContext(inst, "numpy").order == expected
+        assert expected == [0, 1, 2, 6, 5, 3, 4, 8, 9, 7]

@@ -156,3 +156,76 @@ def test_hand_built_instance_columns_are_the_stacked_item_fields():
         with pytest.raises(ValueError):
             got[0] = 0.0
         assert getattr(inst, column) is got  # cached
+
+
+# ----------------------------------------------------------------------
+# pickling keeps the instance immutable
+# ----------------------------------------------------------------------
+def _read_only_arrays(inst):
+    arrays = [it.size for it in inst.items]
+    arrays += [inst.capacity, inst.size_matrix, inst.arrival_times, inst.departure_times]
+    return arrays
+
+
+def _round_trips(inst):
+    import copy
+    import pickle
+
+    return [
+        pickle.loads(pickle.dumps(inst)),
+        pickle.loads(pickle.dumps(inst, protocol=2)),
+        copy.deepcopy(inst),
+    ]
+
+
+def _sampled():
+    from repro.workloads.uniform import UniformWorkload
+
+    return UniformWorkload(d=3, n=40, mu=5).sample(np.random.default_rng(4))
+
+
+def _hand_built():
+    return per_item([0, 1.5, 1.5], [2, 4.0, 3.25], [[0.2, 0.5], [0.7, 0.1], [0.3, 0.3]],
+                    capacity=[1.0, 2.0], name="hand")
+
+
+@pytest.mark.parametrize("build", [_sampled, _hand_built], ids=["sampled", "hand-built"])
+@pytest.mark.parametrize("columns_first", [False, True], ids=["lazy", "cached"])
+def test_pickle_round_trip_keeps_arrays_read_only(build, columns_first):
+    inst = build()
+    if columns_first:  # cached columns travel in the pickle too
+        _read_only_arrays(inst)
+        inst.dimension_maxima
+    for clone in _round_trips(inst):
+        assert clone.to_dict() == inst.to_dict()
+        assert clone.items == inst.items
+        for it, orig in zip(clone.items, inst.items):
+            assert (type(it.arrival), type(it.departure), type(it.uid)) == (
+                type(orig.arrival), type(orig.departure), type(orig.uid)
+            )
+            assert it.size.dtype == orig.size.dtype and it.size.shape == orig.size.shape
+        for arr in _read_only_arrays(clone) + [clone.dimension_maxima]:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            clone.items[0].size[0] = 9.0
+        with pytest.raises(ValueError):
+            clone.size_matrix[0, 0] = 9.0
+        assert np.array_equal(clone.size_matrix, inst.size_matrix)
+        assert np.array_equal(clone.arrival_times, inst.arrival_times)
+        assert np.array_equal(clone.departure_times, inst.departure_times)
+
+
+def test_unpickling_an_item_does_not_revalidate_it(monkeypatch):
+    import pickle
+
+    from repro.core import items as items_mod
+
+    blob = pickle.dumps(Item(0.5, 2.0, [0.25, 0.5], uid=7))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Item.__post_init__ ran on unpickle")
+
+    monkeypatch.setattr(items_mod.Item, "__post_init__", refuse)
+    clone = pickle.loads(blob)
+    assert (clone.arrival, clone.departure, clone.uid) == (0.5, 2.0, 7)
+    assert not clone.size.flags.writeable

@@ -118,3 +118,26 @@ class TestAgainstExactOpt:
     def test_height_bound_tight_on_disjoint_items(self):
         inst = inst_1d((0, 1, 0.5), (2, 3, 0.5))
         assert height_lower_bound(inst) == pytest.approx(optimum_cost(inst))
+
+
+def test_utilization_bound_is_the_normalized_definition_bit_for_bit():
+    """The column form equals ``normalized().total_utilization() / d``."""
+    from repro.verify.generators import corpus_list
+
+    scaled = 0
+    for entry in corpus_list(120, seed=3):
+        inst = entry.instance
+        norm = inst.normalized()
+        expected = norm.total_utilization() / norm.d
+        assert utilization_lower_bound(inst).hex() == expected.hex()
+        scaled += norm is not inst
+    assert scaled > 0  # non-unit capacities took the scaling branch
+
+
+def test_utilization_bound_on_integer_times_and_capacity():
+    inst = Instance(
+        [Item(0, 3, np.array([20.0, 50.0]), 0), Item(1, 2, np.array([70.0, 10.0]), 1)],
+        capacity=[100.0, 100.0],
+    )
+    norm = inst.normalized()
+    assert utilization_lower_bound(inst) == norm.total_utilization() / norm.d

@@ -104,3 +104,12 @@ class TestAudit:
         packing = Packing.from_assignment(inst, {0: 0, 1: 0})
         packing.validate()
         assert packing.cost == pytest.approx(2.0)
+
+
+def test_cost_is_computed_once_and_equals_the_bin_sum(tiny_instance):
+    packing = Packing.from_assignment(tiny_instance, {0: 0, 1: 0, 2: 1})
+    first = packing.cost
+    assert first == sum(b.usage_time for b in packing.bins)
+    assert packing.cost is first  # cached on the frozen packing
+    clone = Packing.from_assignment(tiny_instance, {0: 0, 1: 0, 2: 1})
+    assert clone == packing  # the cache is not a field

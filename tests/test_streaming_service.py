@@ -303,6 +303,19 @@ class TestSnapshotRestore:
         assert a.snapshot() == b.snapshot()
         assert a.cost == b.cost
 
+    def test_snapshot_keeps_a_departed_members_latest_departure(self):
+        svc = PlacementService(policy="first_fit", capacity=10.0)
+        svc.place(3.0, duration=9.0)          # uid 0, bin 0, due at 9
+        svc.place(3.0, duration=2.0, at=1.0)  # uid 1, bin 0, due at 3
+        svc.depart(0, at=2.0)                 # the late member leaves early
+        state = json.loads(json.dumps(svc.snapshot()))
+        (rec,) = state["bins"]
+        assert [it["uid"] for it in rec["items"]] == [1]
+        assert rec["latest_departure"] == 9.0  # history-max, not residents'
+        back = PlacementService.restore(state)
+        assert back.snapshot() == svc.snapshot()
+        assert back.cost == svc.cost
+
     def test_restore_rejects_wrong_schema(self):
         with pytest.raises(ConfigurationError):
             PlacementService.restore({"schema": "bogus/v9"})

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SolverLimitError
+from repro.core.vectors import EPS
+from repro.optimum.opt_cost import active_segments
 from repro.optimum.vbp_solver import (
     best_fit_decreasing,
     first_fit_decreasing,
@@ -19,6 +21,86 @@ from repro.optimum.vbp_solver import (
 
 CAP1 = np.ones(1)
 CAP2 = np.ones(2)
+
+
+# ----------------------------------------------------------------------
+# reference heuristics: one fit test per (item, bin) pair
+# ----------------------------------------------------------------------
+def _ref_order(sizes, capacity):
+    mat = np.asarray(np.stack(sizes), dtype=np.float64)
+    order = np.argsort(-np.max(mat / capacity[np.newaxis, :], axis=1), kind="stable")
+    return mat, order
+
+
+def reference_ffd(sizes, capacity):
+    """First Fit Decreasing with a list of per-bin load vectors."""
+    if len(sizes) == 0:
+        return []
+    mat, order = _ref_order(sizes, capacity)
+    slack = capacity + EPS * np.maximum(capacity, 1.0)
+    bins, loads = [], []
+    for idx in order:
+        size = mat[idx]
+        for b, load in enumerate(loads):
+            if np.all(load + size <= slack):
+                loads[b] = load + size
+                bins[b].append(int(idx))
+                break
+        else:
+            bins.append([int(idx)])
+            loads.append(size.copy())
+    return bins
+
+
+def reference_bfd(sizes, capacity):
+    """Best Fit Decreasing: the first of the fullest (L∞) fitting bins."""
+    if len(sizes) == 0:
+        return []
+    mat, order = _ref_order(sizes, capacity)
+    slack = capacity + EPS * np.maximum(capacity, 1.0)
+    bins, loads = [], []
+    for idx in order:
+        size = mat[idx]
+        best_b, best_fullness = -1, -1.0
+        for b, load in enumerate(loads):
+            if np.all(load + size <= slack):
+                fullness = float(np.max(load / capacity))
+                if fullness > best_fullness:
+                    best_fullness, best_b = fullness, b
+        if best_b >= 0:
+            loads[best_b] = loads[best_b] + size
+            bins[best_b].append(int(idx))
+        else:
+            bins.append([int(idx)])
+            loads.append(size.copy())
+    return bins
+
+
+@st.composite
+def vbp_problems(draw, max_items=24):
+    """Static VBP problems built to hit ties and exact-capacity fits.
+
+    Sizes are eighths of the capacity, so many items share an L∞ key
+    (the sort's ties) and many loads sum exactly to the capacity; a
+    drawn prefix of items also gets a complement ``slack - size``, whose
+    sum with the original is the fit threshold itself (up to one
+    rounding).  d is drawn from 1..5; the capacity is all ones or
+    small integers.
+    """
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cap = np.ones(d)
+    else:
+        cap = np.array(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)), dtype=float)
+    slack = cap + EPS * np.maximum(cap, 1.0)
+    rows = draw(st.lists(
+        st.lists(st.integers(0, 8), min_size=d, max_size=d), max_size=max_items
+    ))
+    sizes = [np.array(r, dtype=float) / 8.0 * cap for r in rows]
+    k = draw(st.integers(0, len(sizes)))
+    sizes += [slack - s for s in sizes[:k]]
+    order = draw(st.permutations(range(len(sizes))))
+    return [sizes[i] for i in order], cap
 
 
 def vecs(*vals):
@@ -91,6 +173,53 @@ class TestHeuristics:
         sizes = [np.array([60.0]), np.array([40.0]), np.array([50.0])]
         bins = first_fit_decreasing(sizes, np.array([100.0]))
         assert len(bins) == 2
+
+
+class TestRowMatrixHeuristics:
+    """The row-matrix FFD/BFD against the per-pair reference loops."""
+
+    @given(vbp_problems())
+    @settings(max_examples=150)
+    def test_same_bins_as_reference(self, problem):
+        sizes, cap = problem
+        assert first_fit_decreasing(sizes, cap) == reference_ffd(sizes, cap)
+        assert best_fit_decreasing(sizes, cap) == reference_bfd(sizes, cap)
+
+    @pytest.mark.fuzz
+    @given(vbp_problems(max_items=80))
+    @settings(max_examples=3000)
+    def test_same_bins_as_reference_deep(self, problem):
+        sizes, cap = problem
+        assert first_fit_decreasing(sizes, cap) == reference_ffd(sizes, cap)
+        assert best_fit_decreasing(sizes, cap) == reference_bfd(sizes, cap)
+
+    def test_same_bins_on_corpus_segments(self):
+        from repro.verify.generators import corpus_list
+
+        checked = 0
+        for entry in corpus_list(60, seed=7):
+            inst = entry.instance
+            for _, _, active in active_segments(inst):
+                sizes = [it.size for it in active]
+                cap = inst.capacity
+                assert first_fit_decreasing(sizes, cap) == reference_ffd(sizes, cap)
+                assert best_fit_decreasing(sizes, cap) == reference_bfd(sizes, cap)
+                checked += 1
+        assert checked > 1000
+
+    def test_equal_keys_keep_input_order(self):
+        sizes = vecs(0.5, 0.5, 0.5, 0.5)
+        assert first_fit_decreasing(sizes, CAP1) == [[0, 1], [2, 3]]
+        # BFD breaks equal fullness towards the first opened bin
+        sizes = vecs(0.6, 0.6, 0.3)
+        assert best_fit_decreasing(sizes, CAP1) == [[0, 2], [1]]
+
+    def test_load_summing_to_slack_fits(self):
+        slack = 1.0 + EPS
+        sizes = vecs(0.75, slack - 0.75)
+        assert 0.75 + (slack - 0.75) == slack
+        assert first_fit_decreasing(sizes, CAP1) == [[0, 1]]
+        assert best_fit_decreasing(sizes, CAP1) == [[0, 1]]
 
 
 class TestLoadLowerBound:

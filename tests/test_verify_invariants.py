@@ -109,6 +109,29 @@ def test_theorem_bound_flags_inflated_cost():
                for v in check_theorem_bound(silly, "move_to_front"))
 
 
+def test_precomputed_lower_bound_gives_the_same_audit():
+    """Passing the instance's Lemma 1 bound changes nothing, and the
+    audit really uses the value it is given."""
+    from repro.optimum.lower_bounds import opt_lower_bound
+
+    n = 64
+    inst = Instance.from_tuples([(0.0, 1.0, [1.0 / n]) for _ in range(n)])
+    silly = Packing.from_assignment(inst, {i: i for i in range(n)})
+    lb = opt_lower_bound(inst)
+    assert check_theorem_bound(silly, "move_to_front", lb) == check_theorem_bound(
+        silly, "move_to_front"
+    )
+    assert audit_run(silly, "move_to_front", lb) == audit_run(silly, "move_to_front")
+    assert [v.check for v in check_theorem_bound(silly, "worst_fit", 1e6)] == [
+        "cost-dominance"
+    ]
+    good = run(make_algorithm("move_to_front"), inst)
+    assert check_theorem_bound(good, "move_to_front") == []
+    assert [v.check for v in check_theorem_bound(good, "move_to_front", 1e-6)] == [
+        "theorem-bound"
+    ]
+
+
 def test_opt_ordering_on_corpus():
     for entry in corpus_list(8, seed=33):
         assert check_opt_ordering(entry.instance) == []
