@@ -3,10 +3,10 @@
 Each suite times one path of the stack on a pinned scenario grid: the
 core grid (uniform workloads, ``d ∈ {1, 2, 4}`` × small / medium /
 large ``n``) through all seven Any Fit variants of the paper's Section
-7 study, the classic-vs-FastEngine and trial-lockstep comparisons, the
-per-unit-vs-batched sweep, the bounded-memory stream, the Theorem 5/6/8
-attack grid, the migration-budget frontier, and the instrumentation
-overhead protocol.
+7 study, the classic-vs-FastEngine comparison (with the L1/Lp
+measure-kernel cells), the per-unit-vs-batched sweep, the
+bounded-memory stream, the Theorem 5/6/8 attack grid, the
+migration-budget frontier, and the instrumentation overhead protocol.
 
 Suites and records
 ------------------
@@ -70,18 +70,12 @@ __all__ = [
     "REPACKING_SCENARIOS",
     "REPACKING_SMOKE_SCENARIOS",
     "REPACK_FRONTIER_GRID",
-    "VECTORIZED_TRIALS",
-    "VECTORIZED_SMOKE_TRIALS",
-    "VECTORIZED_SCENARIO",
-    "VECTORIZED_SMOKE_SCENARIO",
     "MEASURE_KERNEL_SPECS",
     "run_scenario",
     "run_suite",
     "run_fastpath_scenario",
     "run_fastpath_suite",
-    "run_vectorized_trials_scenario",
     "run_measure_kernel_cells",
-    "run_vectorized_suite",
     "run_batch_scenario",
     "run_batch_suite",
     "run_streaming_scenario",
@@ -233,7 +227,6 @@ class SweepBenchScenario:
     T: int = 1000
     B: int = 100
     seed: int = BASE_SEED
-    trials: int = 8  # seeded random_fit trials in the trials sub-bench
 
     def generator(self) -> UniformWorkload:
         return UniformWorkload(d=self.d, n=self.n, mu=self.mu, T=self.T, B=self.B)
@@ -500,6 +493,45 @@ def run_suite(
     return {"algorithms": list(algorithms), "scenarios": records}
 
 
+#: The L1/Lp measure-kernel cells: label -> (fast policy spec,
+#: (registry name, constructor kwargs)).
+MEASURE_KERNEL_SPECS = (
+    ("best_fit_l1", "best_fit:l1", ("best_fit", {"measure": "l1"})),
+    ("best_fit_l2", "best_fit:lp:2.0", ("best_fit", {"measure": "lp", "p": 2.0})),
+    ("worst_fit_l1", "worst_fit:l1", ("worst_fit", {"measure": "l1"})),
+)
+
+
+def run_measure_kernel_cells(
+    scenario: BenchScenario, repeats: int = 3
+) -> Dict[str, Any]:
+    """Time classic vs the numpy fast kernel for the L1/Lp measure cells.
+
+    The measure variants were fast-ineligible before the L1/Lp kernels
+    landed; these cells pin their speedup (and bit-identity) into the
+    trajectory file the same way the default-measure grid does.
+    """
+    instance = scenario.build_instance()
+    cells: Dict[str, Any] = {}
+    for label, spec, (base, kwargs) in MEASURE_KERNEL_SPECS:
+        classic_s, classic = _best_of(
+            repeats, lambda: _timed(run, make_algorithm(base, **kwargs), instance)
+        )
+        fast_s, fast = _best_of(
+            repeats, lambda: _timed(fast_simulate, spec, instance)
+        )
+        cells[label] = {
+            "spec": spec,
+            "classic_s": classic_s,
+            "fast_numpy_s": fast_s,
+            "speedup_numpy": classic_s / fast_s if fast_s > 0 else 0.0,
+            "cost": classic.cost,
+            "num_bins": classic.num_bins,
+            "identical": dict(fast.assignment) == dict(classic.assignment),
+        }
+    return cells
+
+
 def run_fastpath_scenario(
     scenario: BenchScenario,
     algorithms: Sequence[str] = tuple(PAPER_ALGORITHMS),
@@ -567,7 +599,9 @@ def run_fastpath_suite(
 
     The ``headline`` block repeats the totals of the largest scenario
     (by ``n``) — the number the acceptance gate and the README quote —
-    except ``identical``, which covers every scenario of the grid.
+    except ``identical``, which covers every scenario of the grid and
+    the L1/Lp measure-kernel cells (:func:`run_measure_kernel_cells`,
+    run on the grid's first ``d = 2`` scenario).
     """
     backends = available_backends()
     records = []
@@ -582,6 +616,15 @@ def run_fastpath_suite(
                 f"  {scenario.name}: classic {record['totals']['classic_s']:.2f} s, "
                 f"speedup {speedups}, identical={record['totals']['identical']}"
             )
+    measure_scenario = next((s for s in scenarios if s.d == 2), scenarios[0])
+    measure = run_measure_kernel_cells(measure_scenario, repeats=repeats)
+    if progress is not None:
+        for label, cell in measure.items():
+            progress(
+                f"  {measure_scenario.name} {label}: classic "
+                f"{cell['classic_s']:.2f} s, fast {cell['fast_numpy_s']:.3f} s "
+                f"({cell['speedup_numpy']:.1f}x), identical={cell['identical']}"
+            )
     largest = max(records, key=lambda r: r["params"]["n"])
     return {
         "backends": list(backends),
@@ -589,179 +632,12 @@ def run_fastpath_suite(
         "headline": {
             "scenario": largest["name"],
             **largest["totals"],
-            "identical": all(r["totals"]["identical"] for r in records),
+            "identical": all(r["totals"]["identical"] for r in records)
+            and all(c["identical"] for c in measure.values()),
         },
-        "scenarios": records,
-    }
-
-
-# ----------------------------------------------------------------------
-# the trial-lockstep suite (the "fastpath-vectorized" record)
-# ----------------------------------------------------------------------
-
-#: Trial fan-out width of the full vectorized suite: wide enough that
-#: per-trial kernel dispatch dominates the sequential baseline (the
-#: acceptance gate compares lockstep vs per-trial dispatch at >= 64).
-VECTORIZED_TRIALS = 64
-
-#: Seconds-fast width for tests and the CI smoke leg.
-VECTORIZED_SMOKE_TRIALS = 8
-
-#: The cell the trial fan-out and measure-kernel comparisons run on.
-VECTORIZED_SCENARIO: BenchScenario = next(
-    s for s in FASTPATH_SCENARIOS if s.d == 2 and s.size == "large"
-)
-VECTORIZED_SMOKE_SCENARIO: BenchScenario = next(
-    s for s in FASTPATH_SMOKE_SCENARIOS if s.d == 2
-)
-
-#: The L1/Lp measure-kernel cells: label -> (fast policy spec,
-#: (registry name, constructor kwargs)).
-MEASURE_KERNEL_SPECS = (
-    ("best_fit_l1", "best_fit:l1", ("best_fit", {"measure": "l1"})),
-    ("best_fit_l2", "best_fit:lp:2.0", ("best_fit", {"measure": "lp", "p": 2.0})),
-    ("worst_fit_l1", "worst_fit:l1", ("worst_fit", {"measure": "l1"})),
-)
-
-
-def run_vectorized_trials_scenario(
-    scenario: BenchScenario,
-    n_trials: int = VECTORIZED_TRIALS,
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Time an M-trial ``random_fit`` fan-out: lockstep vs per-trial.
-
-    Both timings go through :meth:`BatchRunner.run_trials` — the same
-    shared-context dispatch path.  The per-trial baseline calls it once
-    per seed, so every trial replays alone through the shared
-    per-instance engine; the lockstep side passes all seeds in one call,
-    which the numpy backend's ``run_trials`` advances in lockstep.  The
-    comparison thus isolates the trial-lockstep kernel from per-trial
-    re-dispatch.  The classic baseline is one seeded classic
-    run extrapolated to the fan-out width (running the full fan-out
-    classically would dominate the whole suite's wall time for no
-    information: classic trials are independent and identical in cost).
-    The ``identical`` flag requires per-trial cost/bin agreement between
-    both dispatch modes *and* bit-identity of the lockstep seed-0
-    assignment against the classic engine.
-    """
-    from .simulation.batch import BatchRunner
-    from .simulation.fastpath import FastEngine
-
-    instance = scenario.build_instance()
-    seeds = list(range(n_trials))
-    sequential_s, seq_units = _best_of(repeats, lambda: _timed(
-        lambda runner: [u for s in seeds for u in runner.run_trials([s])],
-        BatchRunner(instance),
-    ))
-    vectorized_s, vec_units = _best_of(
-        repeats, lambda: _timed(BatchRunner(instance).run_trials, seeds)
-    )
-    classic_per_trial_s, classic = _best_of(repeats, lambda: _timed(
-        run, make_algorithm("random_fit", seed=seeds[0]), instance
-    ))
-    classic_extrapolated_s = classic_per_trial_s * n_trials
-    identical = (
-        [(u.cost, u.num_bins) for u in seq_units]
-        == [(u.cost, u.num_bins) for u in vec_units]
-    )
-    lock0 = FastEngine(instance, "random_fit", backend="numpy").run_trials(
-        seeds[:2]
-    )[0]
-    identical = identical and lock0 == dict(classic.assignment)
-    return {
-        "name": scenario.name,
-        "params": _params(scenario),
-        "n_trials": n_trials,
-        "sequential_s": sequential_s,
-        "vectorized_s": vectorized_s,
-        "classic_per_trial_s": classic_per_trial_s,
-        "classic_extrapolated_s": classic_extrapolated_s,
-        "speedup_vs_sequential": (
-            sequential_s / vectorized_s if vectorized_s > 0 else 0.0
-        ),
-        "speedup_vs_classic": (
-            classic_extrapolated_s / vectorized_s if vectorized_s > 0 else 0.0
-        ),
-        "identical": identical,
-    }
-
-
-def run_measure_kernel_cells(
-    scenario: BenchScenario, repeats: int = 3
-) -> Dict[str, Any]:
-    """Time classic vs the numpy fast kernel for the L1/Lp measure cells.
-
-    The measure variants were fast-ineligible before the L1/Lp kernels
-    landed; these cells pin their speedup (and bit-identity) into the
-    trajectory file the same way the default-measure grid does.
-    """
-    from .simulation.fastpath import FastEngine
-
-    instance = scenario.build_instance()
-    cells: Dict[str, Any] = {}
-    for label, spec, (base, kwargs) in MEASURE_KERNEL_SPECS:
-        classic_s, classic = _best_of(
-            repeats, lambda: _timed(run, make_algorithm(base, **kwargs), instance)
-        )
-        fast_s, fast = _best_of(
-            repeats, lambda: _timed(lambda: FastEngine(instance, spec).run())
-        )
-        cells[label] = {
-            "spec": spec,
-            "classic_s": classic_s,
-            "fast_numpy_s": fast_s,
-            "speedup_numpy": classic_s / fast_s if fast_s > 0 else 0.0,
-            "cost": classic.cost,
-            "num_bins": classic.num_bins,
-            "identical": dict(fast.assignment) == dict(classic.assignment),
-        }
-    return cells
-
-
-def run_vectorized_suite(
-    scenario: BenchScenario = VECTORIZED_SCENARIO,
-    n_trials: int = VECTORIZED_TRIALS,
-    repeats: int = 3,
-    progress=None,
-) -> Dict[str, Any]:
-    """Run the trial-lockstep and measure-kernel cells on one scenario."""
-    trials = run_vectorized_trials_scenario(
-        scenario, n_trials=n_trials, repeats=repeats
-    )
-    if progress is not None:
-        progress(
-            f"  {trials['name']}: {n_trials} trials, lockstep "
-            f"{trials['vectorized_s']:.2f} s vs per-trial "
-            f"{trials['sequential_s']:.2f} s "
-            f"({trials['speedup_vs_sequential']:.2f}x), "
-            f"classic-extrapolated {trials['classic_extrapolated_s']:.1f} s "
-            f"({trials['speedup_vs_classic']:.1f}x), "
-            f"identical={trials['identical']}"
-        )
-    measure = run_measure_kernel_cells(scenario, repeats=repeats)
-    if progress is not None:
-        for label, cell in measure.items():
-            progress(
-                f"  {scenario.name} {label}: classic "
-                f"{cell['classic_s']:.2f} s, fast {cell['fast_numpy_s']:.3f} s "
-                f"({cell['speedup_numpy']:.1f}x), "
-                f"identical={cell['identical']}"
-            )
-    identical = trials["identical"] and all(
-        c["identical"] for c in measure.values()
-    )
-    return {
-        "n_trials": n_trials,
-        "trials": trials,
+        "measure_scenario": measure_scenario.name,
         "measure_kernels": measure,
-        "headline": {
-            "scenario": trials["name"],
-            "n_trials": n_trials,
-            "speedup_vs_sequential": trials["speedup_vs_sequential"],
-            "speedup_vs_classic": trials["speedup_vs_classic"],
-            "identical": identical,
-        },
+        "scenarios": records,
     }
 
 
@@ -791,14 +667,8 @@ def run_batch_scenario(
     is *included*).  Wall-time is the minimum over ``repeats``; the
     ``identical`` flag records that the two paths produced bit-identical
     aggregates, pinning the contract into the trajectory file.
-
-    A ``trials`` sub-benchmark times ``m`` seeded ``random_fit`` trials
-    dispatched as fresh per-unit engines versus one
-    :meth:`~repro.simulation.batch.BatchRunner.run_trials` invocation on
-    the scenario's first instance.
     """
-    from .simulation.batch import BatchRunner, clear_instance_cache
-    from .simulation.fastpath import FastEngine
+    from .simulation.batch import clear_instance_cache
     from .simulation.parallel import parallel_sweep
 
     instances = scenario.build_instances()
@@ -815,20 +685,6 @@ def run_batch_scenario(
     batch_s, batched_units = _best_of(repeats, batched)
     identical = _unit_key_tuples(per_unit) == _unit_key_tuples(batched_units)
 
-    # trials sub-bench: M seeded random_fit replays of the first instance
-    first = instances[0]
-    seeds = list(range(scenario.trials))
-    trials_unit_s, unit_trials = _best_of(repeats, lambda: _timed(
-        lambda: [FastEngine(first, "random_fit", seed=s).run() for s in seeds]
-    ))
-    trials_batch_s, batch_trials = _best_of(
-        repeats, lambda: _timed(BatchRunner(first).run_trials, seeds)
-    )
-    trials_identical = len(batch_trials) == len(unit_trials) and all(
-        u.cost == p.cost and u.num_bins == p.num_bins
-        for u, p in zip(batch_trials, unit_trials)
-    )
-
     return {
         "name": scenario.name,
         "params": _params(scenario),
@@ -837,13 +693,6 @@ def run_batch_scenario(
         "batch_s": batch_s,
         "speedup": per_unit_s / batch_s if batch_s > 0 else 0.0,
         "identical": identical,
-        "trials": {
-            "seeds": len(seeds),
-            "per_unit_s": trials_unit_s,
-            "batch_s": trials_batch_s,
-            "speedup": trials_unit_s / trials_batch_s if trials_batch_s > 0 else 0.0,
-            "identical": trials_identical,
-        },
     }
 
 
@@ -1301,15 +1150,6 @@ SUITES: Dict[str, Suite] = {
     "fastpath": Suite("fastpath", run_fastpath_suite, "identical"),
     "fastpath-smoke": Suite(
         "fastpath", partial(run_fastpath_suite, FASTPATH_SMOKE_SCENARIOS),
-        "identical",
-    ),
-    "fastpath-vectorized": Suite(
-        "fastpath-vectorized", run_vectorized_suite, "identical"
-    ),
-    "fastpath-vectorized-smoke": Suite(
-        "fastpath-vectorized",
-        partial(run_vectorized_suite, VECTORIZED_SMOKE_SCENARIO,
-                VECTORIZED_SMOKE_TRIALS),
         "identical",
     ),
     "batch": Suite("batch", run_batch_suite, "identical"),

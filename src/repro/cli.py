@@ -192,9 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pb.add_argument("--suite", default="core", metavar="SUITE",
                     help="core = the Section 7 grid through all seven Any "
-                         "Fit variants; fastpath = classic vs FastEngine; "
-                         "fastpath-vectorized = lockstep vs per-trial "
-                         "random_fit trials plus the L1/Lp measure kernels; "
+                         "Fit variants; fastpath = classic vs FastEngine, "
+                         "plus the L1/Lp measure kernels; "
                          "batch = per-unit vs batched sweep dispatch; "
                          "streaming = the bounded-memory long stream; "
                          "adversary = the must-exceed-bound attack grid; "

@@ -145,9 +145,23 @@ class Packing:
         return sum(1 for b in self.bins if b.usage_period.contains(t))
 
     def max_concurrent_bins(self) -> int:
-        """Peak number of simultaneously active bins."""
-        times = sorted({b.opened_at for b in self.bins})
-        return max((self.bins_open_at(t) for t in times), default=0)
+        """Peak number of simultaneously active bins.
+
+        One sweep over the sorted open and close times.  Closes sort
+        first at equal times (``-1 < +1``), so a bin closing at ``t`` and
+        one opening at ``t`` never count together: usage periods are
+        half-open ``[opened_at, closed_at)``, as in :meth:`bins_open_at`.
+        """
+        bins = self.bins
+        events = sorted(
+            [(b.opened_at, 1) for b in bins] + [(b.closed_at, -1) for b in bins]
+        )
+        peak = live = 0
+        for _, step in events:
+            live += step
+            if live > peak:
+                peak = live
+        return peak
 
     def average_utilization(self) -> float:
         """Time-space utilisation divided by provisioned time-space.

@@ -20,7 +20,7 @@ load lower bound and the FFD upper bound instead.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 import numpy as np
 
@@ -33,6 +33,22 @@ from .vbp_solver import first_fit_decreasing, load_lower_bound, solve_exact
 __all__ = ["optimum_cost", "optimum_cost_bounds", "active_segments"]
 
 
+def _segment_positions(instance: Instance) -> Iterator[Tuple[float, float, np.ndarray]]:
+    """``(start, end, positions)`` of every breakpoint segment with active items.
+
+    ``positions`` indexes ``instance.items`` in instance order (FFD's
+    stable tie order depends on it); one comparison over the time
+    columns picks each segment's active items.
+    """
+    arrivals = instance.arrival_times
+    departures = instance.departure_times
+    times = instance.event_times()
+    for t0, t1 in zip(times, times[1:]):
+        active = np.flatnonzero((arrivals <= t0) & (departures >= t1))
+        if active.size:
+            yield t0, t1, active
+
+
 def active_segments(instance: Instance) -> List[Tuple[float, float, List[Item]]]:
     """Breakpoint segments with their active item sets.
 
@@ -40,13 +56,11 @@ def active_segments(instance: Instance) -> List[Tuple[float, float, List[Item]]]
     horizon; segments with no active items are skipped (they contribute
     zero to every integral).
     """
-    times = instance.event_times()
-    segments: List[Tuple[float, float, List[Item]]] = []
-    for t0, t1 in zip(times, times[1:]):
-        active = [it for it in instance.items if it.arrival <= t0 and t1 <= it.departure]
-        if active:
-            segments.append((t0, t1, active))
-    return segments
+    items = instance.items
+    return [
+        (t0, t1, [items[j] for j in active.tolist()])
+        for t0, t1, active in _segment_positions(instance)
+    ]
 
 
 def optimum_cost(
@@ -85,17 +99,21 @@ def optimum_cost_bounds(instance: Instance) -> Tuple[float, float]:
     Both are polynomial-time; the bracket is often tight in practice
     (FFD meets the load bound on most random segments).
     """
-    cache_lb: Dict[FrozenSet[int], int] = {}
-    cache_ub: Dict[FrozenSet[int], int] = {}
+    sizes = instance.size_matrix
+    capacity = instance.capacity
+    cache: Dict[bytes, Tuple[int, int]] = {}
     lower = 0.0
     upper = 0.0
-    for t0, t1, active in active_segments(instance):
-        key = frozenset(it.uid for it in active)
-        if key not in cache_lb:
-            sizes = [it.size for it in active]
-            cache_lb[key] = max(load_lower_bound(sizes, instance.capacity), 1)
-            cache_ub[key] = len(first_fit_decreasing(sizes, instance.capacity))
+    for t0, t1, active in _segment_positions(instance):
+        key = active.tobytes()
+        bounds = cache.get(key)
+        if bounds is None:
+            mat = sizes[active]  # stacked once, read by both helpers
+            bounds = cache[key] = (
+                max(load_lower_bound(mat, capacity), 1),
+                len(first_fit_decreasing(mat, capacity)),
+            )
         dt = t1 - t0
-        lower += cache_lb[key] * dt
-        upper += cache_ub[key] * dt
+        lower += bounds[0] * dt
+        upper += bounds[1] * dt
     return lower, upper

@@ -36,6 +36,8 @@ __all__ = [
 
 
 def _as_matrix(sizes: Sequence[np.ndarray], capacity: np.ndarray) -> np.ndarray:
+    if isinstance(sizes, np.ndarray) and sizes.ndim == 2:
+        return np.asarray(sizes, dtype=np.float64)  # already stacked
     if len(sizes) == 0:
         return np.zeros((0, capacity.size))
     return np.asarray(np.stack(sizes), dtype=np.float64)

@@ -18,10 +18,10 @@ This module amortises it at two levels:
   engine's residual-matrix scratch buffers (via
   :meth:`~repro.simulation.fastpath.FastEngine.reset`), and the Lemma 1
   lower bound are each built **once per instance** and shared across all
-  replays; ``random_fit`` trials go through one batched kernel invocation
-  (:meth:`~repro.simulation.fastpath.FastEngine.run_trials`).  Aggregates
-  are bit-identical to serial classic/fastpath runs — enforced by the
-  ``compare_with_batch`` oracle in :mod:`repro.verify.oracles`.
+  replays; seeded ``random_fit`` trials are entries like any other
+  (``("random_fit", {"seed": s})``).  Aggregates are bit-identical to
+  serial classic/fastpath runs — enforced by the ``compare_with_batch``
+  oracle in :mod:`repro.verify.oracles`.
 
 * :class:`InstanceSpec` — a compact run spec (generator name + scalar
   params + SeedSequence entropy/spawn-key) that sweep dispatch ships to
@@ -64,7 +64,6 @@ from .fastpath import (
     FastEngine,
     ReplayContext,
     choose_backend,
-    default_backend,
     fast_ineligibility_reason,
     fast_policy_for,
 )
@@ -307,10 +306,7 @@ class BatchRunner:
         it; ``None`` computes it on first use.
     """
 
-    __slots__ = (
-        "source", "backend",
-        "_instance", "_lb", "_ctx", "_engine", "_trials_eng",
-    )
+    __slots__ = ("source", "backend", "_instance", "_lb", "_ctx", "_engine")
 
     def __init__(
         self,
@@ -324,7 +320,6 @@ class BatchRunner:
         self._lb: Optional[float] = lower_bound
         self._ctx: Optional[ReplayContext] = None
         self._engine: Optional[FastEngine] = None
-        self._trials_eng: Optional[FastEngine] = None
 
     @property
     def instance(self) -> Instance:
@@ -431,68 +426,6 @@ class BatchRunner:
         if keep_assignments:
             return results, assignments
         return results
-
-    def _trials_engine(self, backend: str, policy: str) -> FastEngine:
-        """Build (or re-arm) the cached dedicated trials engine.
-
-        The shared context is reused when it already has ``backend``'s
-        array layout (python lists vs numpy arrays), and the engine is
-        rebuilt only when the backend actually changed.
-        """
-        ctx = self._ctx
-        if ctx is None or ctx.backend != backend:
-            # a fresh context doubles as the shared one when none is
-            # cached yet
-            ctx = ReplayContext(self.instance, backend)
-            if self._ctx is None:
-                self._ctx = ctx
-        if self._trials_eng is None or self._trials_eng.backend != backend:
-            self._trials_eng = FastEngine(
-                ctx.instance, policy, seed=0, backend=backend, context=ctx,
-            )
-        else:
-            self._trials_eng.reset(policy=policy, seed=0, context=ctx)
-        return self._trials_eng
-
-    def run_trials(
-        self,
-        seeds: Iterable[int],
-        policy: str = "random_fit",
-        instance_index: int = 0,
-    ):
-        """M seeded ``random_fit`` trials through one batched invocation.
-
-        One :meth:`FastEngine.run_trials
-        <repro.simulation.fastpath.FastEngine.run_trials>` call serves
-        every seed; each trial's aggregates are bit-identical to a fresh
-        per-unit run with that seed.
-
-        More than one seed runs on the numpy backend, whose
-        ``run_trials`` advances the trials in lockstep, unless this
-        runner's ``backend`` or :envvar:`REPRO_FASTPATH_BACKEND` pins
-        another; a single seed goes through the shared per-instance
-        engine.
-        """
-        from .parallel import UnitResult
-
-        seed_list = [int(s) for s in seeds]
-        if self.backend is None and len(seed_list) > 1:
-            engine = self._trials_engine(default_backend(), policy)
-        else:
-            engine = self._fast_engine(policy, 0, None)
-        out: List["UnitResult"] = []
-        for assignment in engine.run_trials(seed_list):
-            cost, num_bins = self._cost_and_bins(assignment)
-            out.append(
-                UnitResult(
-                    algorithm=policy,
-                    instance_index=instance_index,
-                    cost=cost,
-                    num_bins=num_bins,
-                    lower_bound=self.lower_bound,
-                )
-            )
-        return out
 
     def run_packing(self, algorithm, collector: Optional[StatsCollector] = None) -> Packing:
         """One full :class:`~repro.core.packing.Packing` (runner integration).

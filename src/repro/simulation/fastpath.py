@@ -42,18 +42,18 @@ the same cost.  Two details make this non-trivial:
 
 Backends
 --------
-Two interchangeable kernel backends produce identical decisions:
+Two interchangeable kernel backends produce identical decisions, each
+with one replay loop:
 
-* ``"numpy"`` — vectorised mask/argmin/argmax kernels.  Its
-  :meth:`FastEngine.run_trials` advances *all* M ``random_fit`` trials
-  through the shared event array in lockstep — one 3-D residual tensor,
-  one vectorised fit-mask per arrival, one padded accumulate per
-  departure re-sum — with one per-trial :class:`numpy.random.Generator`
-  so every trial's draw stream (and therefore its assignment) is
-  reproduced bit-identically;
-* ``"python"`` — pure-Python short-circuit scans over lists of floats.
-  The scans stop at the first fitting bin where the policy allows, which
-  changes nothing observable: the *selected* bin is the same, and the
+* ``"numpy"`` — vectorised mask/argmin/argmax kernels
+  (:meth:`FastEngine._replay_numpy`) for six policies.  Next Fit
+  inspects one bin per arrival, so numpy row operations would cost more
+  in dispatch than they compute; the numpy backend runs it through the
+  python kernel on plain-float copies of the context's arrays;
+* ``"python"`` — pure-Python short-circuit scans over lists of floats
+  (:meth:`FastEngine._replay_python`), all seven policies.  The scans
+  stop at the first fitting bin where the policy allows, which changes
+  nothing observable: the *selected* bin is the same, and the
   per-dimension float adds/compares are the same IEEE-754 double
   operations numpy performs elementwise.
 
@@ -63,7 +63,9 @@ matrix leg pins each backend in turn).  The replay loops are
 deliberately written out long-hand per backend — factoring the shared
 bookkeeping through per-event callables would put several Python method
 calls back on the hot path, which is exactly the overhead this module
-exists to remove.
+exists to remove.  Seeded ``random_fit`` trials
+(:meth:`FastEngine.run_trials`) replay one seed at a time through the
+re-armed engine, sharing its context and scratch buffers.
 
 Load-measure kernels
 --------------------
@@ -691,24 +693,15 @@ class FastEngine:
     def run_trials(self, seeds) -> List[Dict[int, int]]:
         """Replay one instance under many ``random_fit`` seeds in one call.
 
-        The batched-trials kernel invocation: one shared
-        :class:`ReplayContext` (event index, sizes, slack) serves every
-        seed; only the draw stream differs per trial.  Returns one
-        assignment per seed, each bit-identical to a fresh single run
-        with that seed.
+        Every seed replays through the re-armed engine, so the
+        :class:`ReplayContext` (event index, sizes, slack) and the
+        scratch buffers serve all of them; only the draw stream differs
+        per trial.  Returns one assignment per seed, each bit-identical
+        to a fresh single run with that seed.
 
-        On the ``"numpy"`` backend, with more than one seed and no
-        collector attached (per-trial counters are per-trial by
-        definition), all trials advance through the event array **in
-        lockstep**: one ``[d, slots, trials]`` residual tensor, one
-        vectorised fit-mask per arrival, one per-trial
-        :class:`numpy.random.Generator` so each trial's draw stream is
-        reproduced exactly.  Otherwise the trials replay sequentially
-        through the re-armed single-trial kernels.
-
-        Either way the call re-arms the engine itself, so it also works
-        after a prior :meth:`run`; it leaves :attr:`seed` as it found it
-        and the engine spent, like :meth:`run`.
+        The call re-arms the engine itself, so it also works after a
+        prior :meth:`run`; it leaves :attr:`seed` as it found it and the
+        engine spent, like :meth:`run`.
         """
         if self._base != "random_fit":
             raise ConfigurationError(
@@ -718,18 +711,7 @@ class FastEngine:
         seed_list = [int(s) for s in seeds]
         seed = self.seed
         try:
-            if (
-                self.backend == NUMPY_BACKEND
-                and self.collector is None
-                and len(seed_list) > 1
-            ):
-                self.reset()
-                return self._replay_lockstep(seed_list)
-            out: List[Dict[int, int]] = []
-            for s in seed_list:
-                self.reset(seed=s)
-                out.append(self._execute())
-            return out
+            return [self.reset(seed=s)._execute() for s in seed_list]
         finally:
             self.seed = seed
 
@@ -743,14 +725,12 @@ class FastEngine:
         t_run = perf_counter() if col is not None else 0.0
         if col is not None:
             col.run_started(self.instance, self)
-        if self.backend == PYTHON_BACKEND:
+        if self.backend == PYTHON_BACKEND or self._base == "next_fit":
+            # Next Fit inspects exactly one bin per arrival, so numpy row
+            # operations cost more in dispatch than they compute; both
+            # backends run it through the python kernel (bit-identical:
+            # the same IEEE-754 adds and compares).
             assignment = self._replay_python(col)
-        elif self._base == "next_fit":
-            # Next Fit inspects exactly one bin per arrival, so numpy
-            # row operations cost more in dispatch overhead than they
-            # compute; the numpy backend routes it to the scalar kernel
-            # (bit-identical: same IEEE-754 adds/compares).
-            assignment = self._replay_next_fit(col)
         else:
             assignment = self._replay_numpy(col)
         if col is not None:
@@ -1075,239 +1055,6 @@ class FastEngine:
         return {uids[pos]: bin_of[pos] for pos in range(n)}
 
     # ------------------------------------------------------------------
-    # scalar next_fit kernel (numpy backend)
-    # ------------------------------------------------------------------
-    def _replay_next_fit(self, col: Optional[StatsCollector]) -> Dict[int, int]:
-        """Next Fit replay on plain Python floats.
-
-        The policy touches one bin per arrival, so the per-event cost is
-        a handful of scalar adds and compares — numpy row kernels spend
-        more on dispatch than on arithmetic here.  Python float ``+``
-        and ``<=`` are the same IEEE-754 double operations numpy applies
-        elementwise, and the departure re-sum runs left-to-right in pack
-        order, so the replay stays bit-identical to the classic engine.
-        Slots are never scanned, which also makes the alive/compaction
-        machinery of the other kernels unnecessary.
-        """
-        inst = self.instance
-        items = inst.items
-        n = len(items)
-        timing = col is not None
-        if n == 0:
-            if timing:
-                col.record_run_totals(0, 0, 0, 0, 0, 0.0)
-            return {}
-        d = inst.d
-        ctx = self._context()
-        slack = ctx.slack
-        sizes = ctx.sizes
-        order = ctx.order
-        if not isinstance(sizes, list):  # numpy-layout context
-            slack = slack.tolist()
-            sizes = sizes.tolist()
-        if not timing and d <= 2:
-            # the untimed replay is the bench hot path; Next Fit's
-            # classic loop is already O(1) per event, so clearing the
-            # suite's speedup bar needs the d<=2 loop specialised down
-            # to scalar locals (no per-event row lists, no dim loop)
-            return self._replay_next_fit_scalar(slack, sizes, ctx.order, ctx.uids, n, d)
-        dims = range(d)
-
-        loads: List[List[float]] = []  # one row per slot; closed rows linger
-        residents: List[List[int]] = []
-        slot_of: Dict[int, int] = {}  # bin id -> slot
-        bin_of = [0] * n
-        current = -1  # Next Fit cursor (bin id)
-        open_count = bin_count = 0
-        stale = self._stale_residual_bug
-
-        pc = perf_counter
-        scans = checks = peak_open = closed = 0
-        dispatch_s = 0.0
-
-        for ev in order:
-            if ev < n:  # ---------------------------------- arrival
-                pos = ev
-                if timing:
-                    t0 = pc()
-                size = sizes[pos]
-                slot = -1
-                if current >= 0:
-                    if timing:
-                        scans += 1
-                        checks += 1
-                    s = slot_of[current]
-                    row = loads[s]
-                    for j in dims:
-                        if row[j] + size[j] > slack[j]:
-                            break
-                    else:
-                        slot = s
-                if slot >= 0:
-                    opened_new = False
-                    bid = current
-                    row = loads[slot]
-                    for j in dims:
-                        row[j] += size[j]
-                    residents[slot].append(pos)
-                else:
-                    opened_new = True
-                    bid = bin_count
-                    bin_count += 1
-                    slot = len(loads)
-                    loads.append(list(size))  # 0.0 + x == x exactly
-                    residents.append([pos])
-                    slot_of[bid] = slot
-                    open_count += 1
-                    current = bid
-                bin_of[pos] = bid
-                if timing:
-                    dispatch_s += pc() - t0
-                    if opened_new and open_count > peak_open:
-                        peak_open = open_count
-            else:  # ---------------------------------------- departure
-                pos = ev - n
-                bid = bin_of[pos]
-                slot = slot_of[bid]
-                res = residents[slot]
-                res.remove(pos)
-                if res:
-                    if not stale:
-                        row = [0.0] * d
-                        for p in res:
-                            sp = sizes[p]
-                            for j in dims:
-                                row[j] += sp[j]
-                        loads[slot] = row
-                else:
-                    del slot_of[bid]
-                    open_count -= 1
-                    if timing:
-                        closed += 1
-                    if current == bid:
-                        current = -1
-
-        if timing:
-            col.record_run_totals(
-                arrivals=n,
-                departures=n,
-                bins_opened=bin_count,
-                bins_closed=closed,
-                peak_open_bins=peak_open,
-                dispatch_time_s=dispatch_s,
-            )
-            col.candidate_scans += scans
-            col.fit_checks += checks
-        uids = ctx.uids
-        return {uids[pos]: bin_of[pos] for pos in range(n)}
-
-    def _replay_next_fit_scalar(self, slack, sizes, order, uids, n, d):
-        """Untimed Next Fit replay specialised to ``d <= 2``.
-
-        Scalar locals replace the per-slot row lists: one flat
-        per-dimension load list, the cursor bin's slot cached in a
-        local, and the ``d``-loop unrolled.  Every arithmetic operation
-        (`+`, `<=`, and the left-to-right departure re-sum) is the same
-        IEEE-754 double op in the same order as the generic loop, so
-        the assignment stays bit-identical.
-        """
-        one_dim = d == 1
-        s0 = [row[0] for row in sizes]
-        s1 = None if one_dim else [row[1] for row in sizes]
-        k0 = slack[0]
-        k1 = None if one_dim else slack[1]
-        l0: List[float] = []  # per-slot loads, one flat list per dim
-        l1: List[float] = []
-        residents: List[List[int]] = []
-        slot_of: Dict[int, int] = {}  # bin id -> slot
-        bin_of = [0] * n
-        current = -1  # Next Fit cursor (bin id)
-        cur_slot = -1
-        bin_count = 0
-        stale = self._stale_residual_bug
-
-        if one_dim:
-            for ev in order:
-                if ev < n:  # ------------------------------ arrival
-                    sz = s0[ev]
-                    if current >= 0:
-                        a = l0[cur_slot] + sz
-                        if a <= k0:
-                            l0[cur_slot] = a
-                            residents[cur_slot].append(ev)
-                            bin_of[ev] = current
-                            continue
-                    bid = bin_count
-                    bin_count = bid + 1
-                    cur_slot = len(l0)
-                    l0.append(sz)  # 0.0 + x == x exactly
-                    residents.append([ev])
-                    slot_of[bid] = cur_slot
-                    current = bid
-                    bin_of[ev] = bid
-                else:  # ------------------------------------ departure
-                    pos = ev - n
-                    bid = bin_of[pos]
-                    slot = slot_of[bid]
-                    res = residents[slot]
-                    res.remove(pos)
-                    if res:
-                        if not stale:
-                            a = 0.0
-                            for p in res:
-                                a += s0[p]
-                            l0[slot] = a
-                    else:
-                        del slot_of[bid]
-                        if current == bid:
-                            current = -1
-        else:
-            for ev in order:
-                if ev < n:  # ------------------------------ arrival
-                    sa = s0[ev]
-                    sb = s1[ev]
-                    if current >= 0:
-                        a = l0[cur_slot] + sa
-                        if a <= k0:
-                            b = l1[cur_slot] + sb
-                            if b <= k1:
-                                l0[cur_slot] = a
-                                l1[cur_slot] = b
-                                residents[cur_slot].append(ev)
-                                bin_of[ev] = current
-                                continue
-                    bid = bin_count
-                    bin_count = bid + 1
-                    cur_slot = len(l0)
-                    l0.append(sa)  # 0.0 + x == x exactly
-                    l1.append(sb)
-                    residents.append([ev])
-                    slot_of[bid] = cur_slot
-                    current = bid
-                    bin_of[ev] = bid
-                else:  # ------------------------------------ departure
-                    pos = ev - n
-                    bid = bin_of[pos]
-                    slot = slot_of[bid]
-                    res = residents[slot]
-                    res.remove(pos)
-                    if res:
-                        if not stale:
-                            a = 0.0
-                            b = 0.0
-                            for p in res:
-                                a += s0[p]
-                                b += s1[p]
-                            l0[slot] = a
-                            l1[slot] = b
-                    else:
-                        del slot_of[bid]
-                        if current == bid:
-                            current = -1
-
-        return {uids[pos]: bin_of[pos] for pos in range(n)}
-
-    # ------------------------------------------------------------------
     # pure-python backend
     # ------------------------------------------------------------------
     def _replay_python(self, col: Optional[StatsCollector]) -> Dict[int, int]:
@@ -1324,6 +1071,9 @@ class FastEngine:
         slack = ctx.slack
         sizes = ctx.sizes
         order = ctx.order
+        if not isinstance(sizes, list):  # numpy-layout context (Next Fit)
+            slack = slack.tolist()
+            sizes = sizes.tolist()
 
         base = self._base
         measure = self._measure
@@ -1513,307 +1263,6 @@ class FastEngine:
             col.fit_checks += checks
         uids = ctx.uids
         return {uids[pos]: bin_of[pos] for pos in range(n)}
-
-
-    # ------------------------------------------------------------------
-    # numpy backend: trial-lockstep random_fit kernel
-    # ------------------------------------------------------------------
-    def _replay_lockstep(self, seeds: List[int]) -> List[Dict[int, int]]:
-        """Advance all ``random_fit`` trials through one event pass.
-
-        One residual tensor ``loads[d, slots, trials]`` (dimension- and
-        slot-major, so each arrival's fit test is one preallocated add +
-        compare per dimension over a *contiguous* ``(m, trials)`` block,
-        chained with ``logical_and``) replaces the per-trial residual
-        matrix; each arrival computes every trial's fit-mask in a single
-        batched pass, then draws one slot per trial from that trial's
-        own :class:`numpy.random.Generator` (exactly one ``integers``
-        call per non-empty candidate set, so the draw stream is
-        bit-identical to a fresh single-seed run).
-
-        Trials diverge structurally — different bins open and close per
-        trial — so slot bookkeeping (residents, bin ids, compaction) is
-        per-trial while the arithmetic stays batched:
-
-        * fit masks:   closed and never-opened slots hold ``+inf`` load,
-          so the add + compare rejects them with no aliveness
-          conjunction and no per-trial width bookkeeping in the hot
-          path;
-        * placement:   cumulative-count selection of each trial's k-th
-          fitting slot, then one fancy-indexed ``+= size`` update per
-          dimension;
-        * departures:  surviving residents re-summed across trials with
-          one zero-padded :func:`numpy.add.accumulate` per event.
-          ``ufunc.accumulate`` is a strict left-to-right recurrence
-          (unlike ``reduceat``/``np.sum``, which reduce pairwise and
-          drift in the last ulp), so each prefix row is bitwise equal
-          to the classic pack-order re-sum loop; trailing zero-row
-          padding never enters the prefix that is read back.
-        """
-        np = _np
-        inst = self.instance
-        items = inst.items
-        n = len(items)
-        T = len(seeds)
-        if self._ran:
-            raise AlgorithmError(
-                "FastEngine instances are single-use; build a new one or call reset()"
-            )
-        self._ran = True
-        if n == 0:
-            return [{} for _ in range(T)]
-        d = inst.d
-        ctx = self._context()
-        slack = ctx.slack
-        sizes = ctx.sizes
-        order = ctx.order
-        uids = ctx.uids
-
-        rng_draw = [np.random.default_rng(s).integers for s in seeds]
-        trange = range(T)
-        # sizes with one trailing zero row: departure re-sum segments are
-        # ragged across trials, so the gather matrix pads with index n
-        # (the zero row) and the padded tail is never read back.
-        sizes_ext = np.vstack([sizes, np.zeros((1, d), dtype=np.float64)])
-        slack_l = slack.tolist()
-        pos_inf = float("inf")
-        intp = np.intp
-        np_add = np.add
-        np_less_equal = np.less_equal
-        np_logical_and = np.logical_and
-        np_greater = np.greater
-        np_asarray = np.asarray
-        np_accumulate = np.add.accumulate
-
-        # Slot-major layout: ``loads[j, :m]`` (and every other hot view)
-        # is a contiguous ``(m, T)`` block, so the per-arrival ufunc
-        # chain never pays the strided-view penalty of a trial-major
-        # ``(T, cap)`` residual.  Counts fit int32 comfortably (m slots
-        # per trial), which halves the cumsum's memory traffic.
-        cap = _INITIAL_SLOTS
-        loads = np.full((d, cap, T), pos_inf, dtype=np.float64)
-        alive = np.zeros((T, cap), dtype=bool)
-        slot_bin = np.zeros((T, cap), dtype=np.int64)
-        tmp = np.empty((cap, T), dtype=np.float64)
-        ok_buf = np.empty((d, cap, T), dtype=bool)
-        mask_buf = np.empty((cap, T), dtype=bool)
-        cum_buf = np.empty((cap, T), dtype=np.int32)
-        gt_buf = np.empty((cap, T), dtype=bool)
-        draws = np.zeros(T, dtype=np.int32)
-        all_trials = list(trange)
-        rows_all = np.arange(T, dtype=intp)
-        bin_of = np.zeros((T, n), dtype=np.int64)
-        n_slots = [0] * T
-        residents: List[List[List[int]]] = [[] for _ in trange]
-        slot_of: List[Dict[int, int]] = [{} for _ in trange]
-        n_dead = [0] * T
-        open_count = [0] * T
-        bin_count = [0] * T
-        stale = self._stale_residual_bug
-        m_hot = 0  # max open-slot width over trials: the batched-op width
-        view_m = -1  # width the cached sub-views below were built for
-        loads_rows: list = []
-        ok_rows: list = []
-        tmp_m = mask_m = cum_m = gt_m = None
-
-        for ev in order:
-            if ev < n:  # ---------------------------------- arrival
-                pos = ev
-                size = sizes[pos]
-                size_l = size.tolist()
-                m = m_hot
-                openers: List[int] = []
-                if m:
-                    if m != view_m:
-                        view_m = m
-                        loads_rows = [loads[j, :m] for j in range(d)]
-                        ok_rows = [ok_buf[j, :m] for j in range(d)]
-                        tmp_m = tmp[:m]
-                        cum_m = cum_buf[:m]
-                        gt_m = gt_buf[:m]
-                        mask_m = mask_buf[:m] if d > 1 else ok_rows[0]
-                    for j in range(d):
-                        np_add(loads_rows[j], size_l[j], out=tmp_m)
-                        np_less_equal(tmp_m, slack_l[j], out=ok_rows[j])
-                    if d > 1:
-                        np_logical_and(ok_rows[0], ok_rows[1], out=mask_m)
-                        for j in range(2, d):
-                            np_logical_and(mask_m, ok_rows[j], out=mask_m)
-                    # candidate counts come free as the cumsum's last
-                    # row (the cumsum is needed for selection anyway)
-                    mask_m.cumsum(axis=0, out=cum_m)
-                    counts_l = cum_m[m - 1].tolist()
-                    # One Generator call per trial with candidates — the
-                    # same call count and modulus as the classic engine,
-                    # so every trial's stream stays reproducible.
-                    for t, c in enumerate(counts_l):
-                        if c:
-                            draws[t] = rng_draw[t](c)
-                        else:
-                            openers.append(t)
-                    if len(openers) < T:
-                        # k-th fitting slot per trial: first row where
-                        # the cumulative fit count exceeds the draw.
-                        np_greater(cum_m, draws, out=gt_m)
-                        sel = gt_m.argmax(axis=0)
-                        if openers:
-                            placers = [t for t, c in enumerate(counts_l) if c]
-                            rows = np_asarray(placers, dtype=intp)
-                            cols = sel[rows]
-                        else:
-                            placers = all_trials
-                            rows = rows_all
-                            cols = sel
-                        for j in range(d):
-                            loads[j][cols, rows] += size_l[j]
-                        bin_of[rows, pos] = slot_bin[rows, cols]
-                        for t, s in zip(placers, cols.tolist()):
-                            residents[t][s].append(pos)
-                else:
-                    openers = list(trange)
-                if openers:
-                    mx = 0
-                    for t in openers:
-                        if n_slots[t] > mx:
-                            mx = n_slots[t]
-                    if mx >= cap:
-                        cap *= 2
-                        grown = np.full((d, cap, T), pos_inf, dtype=np.float64)
-                        grown[:, : cap // 2] = loads
-                        loads = grown
-                        grown_a = np.zeros((T, cap), dtype=bool)
-                        grown_a[:, : cap // 2] = alive
-                        alive = grown_a
-                        grown_b = np.zeros((T, cap), dtype=np.int64)
-                        grown_b[:, : cap // 2] = slot_bin
-                        slot_bin = grown_b
-                        tmp = np.empty((cap, T), dtype=np.float64)
-                        ok_buf = np.empty((d, cap, T), dtype=bool)
-                        mask_buf = np.empty((cap, T), dtype=bool)
-                        cum_buf = np.empty((cap, T), dtype=np.int32)
-                        gt_buf = np.empty((cap, T), dtype=bool)
-                        view_m = -1
-                    cols_l = [n_slots[t] for t in openers]
-                    rows = np_asarray(openers, dtype=intp)
-                    cols = np_asarray(cols_l, dtype=intp)
-                    bids: List[int] = []
-                    for t, s in zip(openers, cols_l):
-                        bid = bin_count[t]
-                        bin_count[t] = bid + 1
-                        bids.append(bid)
-                        slot_of[t][bid] = s
-                        residents[t].append([pos])
-                        open_count[t] += 1
-                        n_slots[t] = s + 1
-                    barr = np_asarray(bids, dtype=np.int64)
-                    for j in range(d):
-                        # bitwise equal to zeros + size
-                        loads[j][cols, rows] = size_l[j]
-                    alive[rows, cols] = True
-                    slot_bin[rows, cols] = barr
-                    bin_of[rows, pos] = barr
-                    if mx + 1 > m_hot:
-                        m_hot = mx + 1
-            else:  # ---------------------------------------- departure
-                pos = ev - n
-                # Per-trial bookkeeping first; batch the surviving-bin
-                # re-sums into one padded accumulate at the end of the
-                # event.
-                flat: List[int] = []
-                lens: List[int] = []
-                tr_idx: List[int] = []
-                sl_idx: List[int] = []
-                cl_t: List[int] = []
-                cl_s: List[int] = []
-                compacted = False
-                bids_l = bin_of[:, pos].tolist()
-                for t in trange:
-                    bid = bids_l[t]
-                    s = slot_of[t][bid]
-                    res = residents[t][s]
-                    res.remove(pos)
-                    if res:
-                        if not stale:
-                            flat.extend(res)
-                            lens.append(len(res))
-                            tr_idx.append(t)
-                            sl_idx.append(s)
-                    else:
-                        alive[t, s] = False
-                        cl_t.append(t)
-                        cl_s.append(s)
-                        del slot_of[t][bid]
-                        n_dead[t] += 1
-                        open_count[t] -= 1
-                        ns_t = n_slots[t]
-                        if n_dead[t] >= _COMPACT_MIN_DEAD and 2 * n_dead[t] >= ns_t:
-                            keep = np.flatnonzero(alive[t, :ns_t])
-                            k = keep.size
-                            for j in range(d):
-                                lj = loads[j]
-                                lj[:k, t] = lj[keep, t]
-                                lj[k:ns_t, t] = pos_inf
-                            slot_bin[t, :k] = slot_bin[t, keep]
-                            alive[t, :k] = True
-                            alive[t, k:ns_t] = False
-                            rt = residents[t]
-                            residents[t] = [rt[s2] for s2 in keep.tolist()]
-                            so = slot_of[t]
-                            so.clear()
-                            sbt = slot_bin[t]
-                            for s2 in range(k):
-                                so[int(sbt[s2])] = s2
-                            n_slots[t] = k
-                            n_dead[t] = 0
-                            compacted = True
-                            # compaction rewrote this trial's whole slot
-                            # range (dead tail poisoned above), so its
-                            # pending close-poison writes would now land
-                            # on relocated live slots — drop them
-                            if t in cl_t:
-                                pairs = [p for p in zip(cl_t, cl_s) if p[0] != t]
-                                cl_t = [p[0] for p in pairs]
-                                cl_s = [p[1] for p in pairs]
-                if cl_t:
-                    # one batched poison per event: the fit test rejects
-                    # closed slots because their load reads +inf
-                    rows = np_asarray(cl_t, dtype=intp)
-                    cols = np_asarray(cl_s, dtype=intp)
-                    for j in range(d):
-                        loads[j][cols, rows] = pos_inf
-                if compacted:
-                    m_hot = max(n_slots)
-                    view_m = -1
-                if flat:
-                    lens_arr = np_asarray(lens, dtype=intp)
-                    nseg = lens_arr.size
-                    maxlen = int(lens_arr.max())
-                    if maxlen == 1:
-                        # every surviving bin holds one resident: its
-                        # load is exactly that item's size vector
-                        vals = sizes[np_asarray(flat, dtype=intp)]
-                    else:
-                        # One left-to-right accumulate over a zero-padded
-                        # (segments, maxlen, d) gather; row lens[i]-1 of
-                        # segment i is the sequential pack-order sum,
-                        # bitwise identical to the classic re-sum loop.
-                        idxm = np.full((nseg, maxlen), n, dtype=intp)
-                        idxm[np.arange(maxlen) < lens_arr[:, None]] = np_asarray(
-                            flat, dtype=intp
-                        )
-                        acc = sizes_ext[idxm]
-                        np_accumulate(acc, axis=1, out=acc)
-                        vals = acc[np.arange(nseg), lens_arr - 1]
-                    rows = np_asarray(tr_idx, dtype=intp)
-                    cols = np_asarray(sl_idx, dtype=intp)
-                    for j in range(d):
-                        loads[j][cols, rows] = vals[:, j]
-
-        out: List[Dict[int, int]] = []
-        for t in trange:
-            row = bin_of[t].tolist()
-            out.append({uids[pos]: row[pos] for pos in range(n)})
-        return out
 
 
 def fast_simulate(

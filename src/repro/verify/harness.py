@@ -58,7 +58,6 @@ from ..core.instance import Instance
 from ..observability.stats import RunStats, StatsCollector
 from ..optimum.lower_bounds import opt_lower_bound
 from ..optimum.opt_cost import optimum_cost, optimum_cost_bounds
-from ..simulation.fastpath import FastEngine
 from ..simulation.runner import run
 from .generators import corpus
 from .invariants import Violation, audit_instance, audit_run
@@ -90,11 +89,6 @@ _MEASURE_VARIANTS: Tuple[Tuple[str, Callable[[], object], str], ...] = (
     ("worst_fit_l1", lambda: WorstFit(measure="l1"), "worst_fit:l1"),
     ("worst_fit_lp3", lambda: WorstFit(measure="lp", p=3.0), "worst_fit:lp:3.0"),
 )
-
-#: Seeds of the lockstep-trials oracle (small: it runs on a stride of
-#: corpus instances, on top of the full per-policy differential set).
-_LOCKSTEP_SEEDS = (0, 1, 2, 3)
-
 
 @dataclass(frozen=True)
 class VerifyProfile:
@@ -332,41 +326,6 @@ def run_verify(
         for v in compare_with_fastpath(vpacking, vspec, seed=0):
             report.violations.append((f"{where}/{vname}", v))
         report.checks += 1
-
-        # trial-lockstep oracle (strided): the numpy backend's batched
-        # random_fit trials must reproduce independent per-seed single
-        # replays bit for bit — and seed 0 must match the classic packing
-        # above
-        if entry.index % 4 == 0:
-            lockstep = FastEngine(inst, "random_fit", backend="numpy").run_trials(
-                _LOCKSTEP_SEEDS
-            )
-            single = FastEngine(inst, "random_fit", backend="numpy")
-            ref = [single.reset(seed=s).run_assignment() for s in _LOCKSTEP_SEEDS]
-            if lockstep != ref:
-                report.violations.append((
-                    f"{where}/lockstep",
-                    Violation(
-                        "lockstep",
-                        "lockstep run_trials diverged from per-seed single "
-                        f"numpy replays on seeds {_LOCKSTEP_SEEDS}",
-                    ),
-                ))
-            classic_rf = packing_by_policy.get("random_fit")
-            if (
-                classic_rf is not None
-                and lockstep
-                and lockstep[0] != dict(classic_rf.assignment)
-            ):
-                report.violations.append((
-                    f"{where}/lockstep",
-                    Violation(
-                        "lockstep",
-                        "lockstep run_trials seed 0 diverged from the "
-                        "classic random_fit packing",
-                    ),
-                ))
-            report.checks += 1
 
         if prof.exact_opt_max_items and inst.n <= prof.exact_opt_max_items:
             for v in _exact_opt_check(inst, cost_by_policy):

@@ -120,10 +120,10 @@ def test_batch_runner_classic_fallback_shares_lower_bound():
 
 
 def test_batch_runner_trials_match_per_seed_runs():
-    """run_trials == a fresh per-unit run per seed, bit for bit."""
+    """Seeded random_fit entries == a fresh per-unit run per seed, bit for bit."""
     inst = CORPUS[1].instance
     seeds = derive_unit_seeds(99, 6)
-    trials = BatchRunner(inst).run_trials(seeds)
+    trials = BatchRunner(inst).run_units([("random_fit", {"seed": s}) for s in seeds])
     assert len(trials) == len(seeds)
     for seed, unit in zip(seeds, trials):
         packing = FastEngine(inst, "random_fit", seed=seed).run()
@@ -354,7 +354,7 @@ def test_batch_runner_computes_lower_bound_once(monkeypatch):
     calls = _counting(monkeypatch, batch_mod)
     runner = BatchRunner(CORPUS[0].instance)
     runner.run_units([(p, None) for p in PAPER_ALGORITHMS if p != "random_fit"])
-    runner.run_trials(range(4))
+    runner.run_units([("random_fit", {"seed": s}) for s in range(4)])
     assert len(calls) == 1
 
 

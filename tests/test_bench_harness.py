@@ -193,6 +193,31 @@ class TestCliBench:
         }
 
 
+class TestFastpathSuite:
+    def test_run_fastpath_suite_payload(self):
+        from repro.bench import (
+            FASTPATH_SMOKE_SCENARIOS,
+            MEASURE_KERNEL_SPECS,
+            run_fastpath_suite,
+        )
+
+        payload = run_fastpath_suite(FASTPATH_SMOKE_SCENARIOS, repeats=1)
+        # bit-identity is the acceptance bar; speed is asserted only at
+        # full scale, not at smoke scale
+        assert payload["headline"]["identical"] is True
+        assert len(payload["scenarios"]) == len(FASTPATH_SMOKE_SCENARIOS)
+        # the L1/Lp measure kernels run on the grid's first d = 2 cell
+        assert payload["measure_scenario"] == next(
+            s.name for s in FASTPATH_SMOKE_SCENARIOS if s.d == 2
+        )
+        cells = payload["measure_kernels"]
+        assert set(cells) == {name for name, _, _ in MEASURE_KERNEL_SPECS}
+        for cell in cells.values():
+            assert cell["identical"] is True
+            assert cell["fast_numpy_s"] > 0 and cell["classic_s"] > 0
+        json.loads(json.dumps(payload, allow_nan=False))
+
+
 class TestAdversarySuite:
     def test_run_adversary_suite_payload(self):
         # two scenarios keep the test in tier-1 time; the full grid runs
@@ -240,31 +265,6 @@ class TestRepackingSuite:
         json.loads(json.dumps(payload, allow_nan=False))
 
 
-class TestVectorizedSuite:
-    def test_run_vectorized_suite_payload(self):
-        from repro.bench import (
-            MEASURE_KERNEL_SPECS,
-            VECTORIZED_SMOKE_SCENARIO,
-            run_vectorized_suite,
-        )
-
-        payload = run_vectorized_suite(
-            VECTORIZED_SMOKE_SCENARIO, n_trials=8, repeats=1
-        )
-        head = payload["headline"]
-        assert head["n_trials"] == 8
-        # bit-identity is the acceptance bar; speed is asserted only at
-        # full scale (the CI fastpath-vectorized leg), not at smoke scale
-        assert head["identical"] is True
-        assert payload["trials"]["identical"] is True
-        cells = payload["measure_kernels"]
-        assert set(cells) == {name for name, _, _ in MEASURE_KERNEL_SPECS}
-        for cell in cells.values():
-            assert cell["identical"] is True
-            assert cell["fast_numpy_s"] > 0 and cell["classic_s"] > 0
-        json.loads(json.dumps(payload, allow_nan=False))
-
-
 # ----------------------------------------------------------------------
 # one write path: a run replaces its own key and nothing else
 # ----------------------------------------------------------------------
@@ -273,7 +273,6 @@ class TestVectorizedSuite:
 FAST_FORMS = {
     "core": "smoke",
     "fastpath": "fastpath-smoke",
-    "fastpath-vectorized": "fastpath-vectorized-smoke",
     "batch": "batch-smoke",
     "streaming": "streaming-smoke",
     "repacking": "repacking-smoke",

@@ -53,8 +53,8 @@ class TestBackendSelection:
         assert BACKENDS == ("numpy", "python")
 
     def test_vectorized_is_not_a_backend(self, monkeypatch, tiny_instance):
-        # lockstep is a run_trials strategy of the numpy backend, not a
-        # backend name of its own
+        # "vectorized" named a removed trial-lockstep kernel, never a
+        # backend of its own
         monkeypatch.setenv(BACKEND_ENV, "vectorized")
         with pytest.raises(ConfigurationError, match="not a fastpath backend"):
             default_backend()
@@ -190,20 +190,28 @@ class TestReplayEquality:
 # ----------------------------------------------------------------------
 class TestCollectorCounters:
     def test_deterministic_counters_match_classic(self, churny_instance):
-        for policy in ("move_to_front", "first_fit", "next_fit", "best_fit"):
-            col_c = StatsCollector()
-            run(make_algorithm(policy), churny_instance, collector=col_c)
-            for backend in BACKENDS:
-                col_f = StatsCollector()
-                FastEngine(
-                    churny_instance, policy, collector=col_f, backend=backend
-                ).run()
-                c, f = col_c.snapshot(), col_f.snapshot()
-                for field in (
-                    "runs", "events", "arrivals", "departures", "bins_opened",
-                    "bins_closed", "peak_open_bins", "candidate_scans", "fit_checks",
-                ):
-                    assert getattr(f, field) == getattr(c, field), (policy, backend, field)
+        # d = 1, 2 and 4: every policy's counters, Next Fit's on the
+        # numpy backend included, are pinned below, at and above d = 2
+        instances = [
+            UniformWorkload(d=1, n=80, mu=4, T=30, B=6).sample_seeded(12),
+            churny_instance,
+            UniformWorkload(d=4, n=80, mu=4, T=30, B=6).sample_seeded(13),
+        ]
+        for inst in instances:
+            for policy in ("move_to_front", "first_fit", "next_fit", "best_fit"):
+                col_c = StatsCollector()
+                run(make_algorithm(policy), inst, collector=col_c)
+                for backend in BACKENDS:
+                    col_f = StatsCollector()
+                    FastEngine(inst, policy, collector=col_f, backend=backend).run()
+                    c, f = col_c.snapshot(), col_f.snapshot()
+                    for field in (
+                        "runs", "events", "arrivals", "departures", "bins_opened",
+                        "bins_closed", "peak_open_bins", "candidate_scans", "fit_checks",
+                    ):
+                        assert getattr(f, field) == getattr(c, field), (
+                            inst.d, policy, backend, field,
+                        )
 
     def test_fastpath_backend_recorded_and_zeroed(self, churny_instance):
         col = StatsCollector()
@@ -490,22 +498,16 @@ class TestMeasureKernels:
 
 
 # ----------------------------------------------------------------------
-# trial-lockstep strategy of the numpy backend's run_trials
+# run_trials: seeded random_fit trials through one re-armed engine
 # ----------------------------------------------------------------------
-def _spy_lockstep(monkeypatch):
-    """Count calls into ``FastEngine._replay_lockstep``."""
-    calls = []
-    original = FastEngine._replay_lockstep
-
-    def spy(self, seeds):
-        calls.append(list(seeds))
-        return original(self, seeds)
-
-    monkeypatch.setattr(FastEngine, "_replay_lockstep", spy)
-    return calls
-
-
 class TestLockstepTrials:
+    """``FastEngine.run_trials`` on both backends.
+
+    The ``lockstep`` test names predate the per-seed loop (they pinned a
+    since-deleted numpy trial-lockstep kernel); the behaviour they check
+    is the loop's too.
+    """
+
     SEEDS = (0, 1, 2, 5, 11, 42)
 
     def test_lockstep_matches_per_seed_runs(self, churny_instance):
@@ -530,36 +532,6 @@ class TestLockstepTrials:
         )
         assert out[0] != out[1]
 
-    def test_numpy_run_trials_enters_lockstep(self, churny_instance, monkeypatch):
-        # bit-identity tests cannot tell lockstep from a sequential loop,
-        # so pin the strategy itself: >= 2 seeds and no collector on the
-        # numpy backend must take the lockstep kernel
-        calls = _spy_lockstep(monkeypatch)
-        FastEngine(churny_instance, "random_fit", backend="numpy").run_trials(
-            (0, 1)
-        )
-        assert calls == [[0, 1]]
-
-    @pytest.mark.parametrize(
-        "backend,seeds,collector",
-        [("numpy", (3,), False), ("numpy", (0, 1), True), ("python", (0, 1), False)],
-        ids=["numpy-one-seed", "numpy-collector", "python"],
-    )
-    def test_other_run_trials_replay_sequentially(
-        self, backend, seeds, collector, churny_instance, monkeypatch
-    ):
-        calls = _spy_lockstep(monkeypatch)
-        eng = FastEngine(
-            churny_instance, "random_fit", backend=backend,
-            collector=StatsCollector() if collector else None,
-        )
-        out = eng.run_trials(seeds)
-        assert calls == []
-        for seed, got in zip(seeds, out):
-            assert got == FastEngine(
-                churny_instance, "random_fit", seed=seed, backend=backend
-            ).run_assignment()
-
     def test_python_backend_run_trials_matches_numpy_lockstep(self, churny_instance):
         py = FastEngine(churny_instance, "random_fit", backend="python")
         npy = FastEngine(churny_instance, "random_fit", backend="numpy")
@@ -568,7 +540,7 @@ class TestLockstepTrials:
     @pytest.mark.parametrize("n_seeds", [1, 4])
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_run_trials_contract(self, backend, n_seeds, churny_instance):
-        # one contract for both strategies: run_trials re-arms after a
+        # one contract on both backends: run_trials re-arms after a
         # prior run(), leaves ``seed`` untouched, and leaves the engine
         # spent like run() does
         seeds = [11, 12, 13, 14][:n_seeds]
@@ -584,14 +556,23 @@ class TestLockstepTrials:
             eng.run_assignment()
         assert eng.reset().run_assignment() == first
 
+    def test_run_trials_with_a_collector(self, churny_instance):
+        # a collector sees one run per seed and changes no assignment
+        col = StatsCollector()
+        eng = FastEngine(churny_instance, "random_fit", backend="numpy", collector=col)
+        assert eng.run_trials(self.SEEDS) == FastEngine(
+            churny_instance, "random_fit", backend="numpy"
+        ).run_trials(self.SEEDS)
+        assert col.snapshot().runs == col.snapshot().fastpath_runs == len(self.SEEDS)
+
     def test_run_trials_rejects_non_random_policies(self, churny_instance):
         eng = FastEngine(churny_instance, "first_fit", backend="numpy")
         with pytest.raises(ConfigurationError):
             eng.run_trials((0, 1))
 
     def test_lockstep_slot_growth(self):
-        # 150 simultaneous unit items force every trial's shared slot
-        # capacity to double past the initial allocation mid-run
+        # 150 simultaneous unit items force the slot buffers to double
+        # past the initial allocation mid-run, in every trial
         items = [Item(0.0, 5.0, np.array([1.0]), uid) for uid in range(150)]
         inst = Instance(items)
         out = FastEngine(inst, "random_fit", backend="numpy").run_trials((0, 3))
@@ -601,7 +582,7 @@ class TestLockstepTrials:
 
     def test_lockstep_compaction(self):
         # strictly sequential items: bins die continuously, exercising
-        # the per-trial stable compaction path
+        # the stable compaction path in every trial
         items = [
             Item(float(2 * k), float(2 * k + 1), np.array([1.0]), k)
             for k in range(120)
@@ -611,43 +592,6 @@ class TestLockstepTrials:
         for seed, got in zip((0, 7), out):
             single = FastEngine(inst, "random_fit", seed=seed).run_assignment()
             assert got == single
-
-    def test_batch_runner_auto_selects_lockstep(self, churny_instance, monkeypatch):
-        from repro.simulation.batch import BatchRunner
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        calls = _spy_lockstep(monkeypatch)
-        seeds = list(range(6))
-        auto = BatchRunner(churny_instance).run_trials(seeds)
-        assert calls == [seeds]
-        runner = BatchRunner(churny_instance)
-        per_seed = [u for s in seeds for u in runner.run_trials([s])]
-        assert calls == [seeds]  # one seed per call: no lockstep
-        assert [(u.cost, u.num_bins) for u in auto] == \
-            [(u.cost, u.num_bins) for u in per_seed]
-
-    @pytest.mark.parametrize("backend,lockstep", [("numpy", True), ("python", False)])
-    def test_batch_runner_backend_pins_trials(
-        self, backend, lockstep, churny_instance, monkeypatch
-    ):
-        from repro.simulation.batch import BatchRunner
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        seeds = list(range(4))
-        auto = BatchRunner(churny_instance).run_trials(seeds)
-        calls = _spy_lockstep(monkeypatch)
-        pinned = BatchRunner(churny_instance, backend=backend).run_trials(seeds)
-        assert bool(calls) is lockstep
-        assert [(u.cost, u.num_bins) for u in pinned] == \
-            [(u.cost, u.num_bins) for u in auto]
-
-    def test_batch_runner_env_pins_trials(self, churny_instance, monkeypatch):
-        from repro.simulation.batch import BatchRunner
-
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        calls = _spy_lockstep(monkeypatch)
-        BatchRunner(churny_instance).run_trials(list(range(4)))
-        assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -108,8 +108,7 @@ def test_measure_kernel_matrix(backend, base, kwargs, spec):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_trials_lockstep_matrix(backend):
-    """Batched ``run_trials`` on every backend (numpy: the lockstep
-    kernel; python: sequential replays) must equal per-seed classic
+    """``run_trials`` on every backend must equal per-seed classic
     random_fit runs — same seeds, same assignments, in seed order."""
     seeds = [0, 1, 2, 3]
     for entry in CORPUS[:6]:

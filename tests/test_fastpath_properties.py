@@ -63,11 +63,10 @@ def test_fastpath_on_lower_bound_gadgets(inst, policy):
 
 @given(inst=sts.instances(max_items=14), seed=sts.trial_seeds())
 def test_trial_lockstep_rng_streams_pinned(inst, seed):
-    """Batched trials on both backends consume per-seed
+    """``run_trials`` on both backends consumes per-seed
     ``default_rng(seed)`` streams identical to the classic engine's —
-    one draw per non-empty candidate set, in event order, regardless of
-    how the trial loop is fused.  Two trials, so the numpy backend takes
-    its lockstep kernel."""
+    one draw per non-empty candidate set, in event order — and a
+    re-armed replay of the same seed draws the same stream again."""
     classic = run(make_algorithm("random_fit", seed=seed), inst)
     for backend in BACKENDS:
         batched = FastEngine(inst, "random_fit", backend=backend).run_trials(

@@ -9,7 +9,10 @@ from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm
 from repro.core.instance import Instance
 from repro.core.items import Item
 from repro.optimum.opt_cost import active_segments, optimum_cost, optimum_cost_bounds
+from repro.optimum.vbp_solver import first_fit_decreasing, load_lower_bound
 from repro.simulation.runner import run
+from repro.verify.generators import corpus_list
+from repro.verify.harness import PROFILES
 from repro.workloads.uniform import UniformWorkload
 
 
@@ -97,3 +100,49 @@ class TestOptimumBounds:
         inst = UniformWorkload(d=2, n=500, mu=10, T=500, B=100).sample_seeded(1)
         lo, hi = optimum_cost_bounds(inst)
         assert 0 < lo <= hi
+
+
+def _reference_segments(instance):
+    """``active_segments`` as a scan of every item per breakpoint."""
+    times = instance.event_times()
+    for t0, t1 in zip(times, times[1:]):
+        active = [it for it in instance.items if it.arrival <= t0 and t1 <= it.departure]
+        if active:
+            yield t0, t1, active
+
+
+def _reference_bounds(instance):
+    """``optimum_cost_bounds`` over :func:`_reference_segments`, each
+    segment's size list handed to both helpers (each stacks it)."""
+    cache_lb, cache_ub = {}, {}
+    lower = upper = 0.0
+    for t0, t1, active in _reference_segments(instance):
+        key = frozenset(it.uid for it in active)
+        if key not in cache_lb:
+            sizes = [it.size for it in active]
+            cache_lb[key] = max(load_lower_bound(sizes, instance.capacity), 1)
+            cache_ub[key] = len(first_fit_decreasing(sizes, instance.capacity))
+        dt = t1 - t0
+        lower += cache_lb[key] * dt
+        upper += cache_ub[key] * dt
+    return lower, upper
+
+
+class TestAgainstReferenceLoops:
+    """The column-based segments and once-stacked bounds equal the
+    per-item reference loops on the quick verify corpus."""
+
+    CORPUS = corpus_list(120, seed=PROFILES["quick"].seed)
+
+    def test_segments_match(self):
+        for entry in self.CORPUS:
+            got = active_segments(entry.instance)
+            want = list(_reference_segments(entry.instance))
+            assert [(t0, t1, [it.uid for it in a]) for t0, t1, a in got] == \
+                [(t0, t1, [it.uid for it in a]) for t0, t1, a in want], entry.recipe
+
+    def test_bounds_match_bit_for_bit(self):
+        for entry in self.CORPUS:
+            got = optimum_cost_bounds(entry.instance)
+            want = _reference_bounds(entry.instance)
+            assert [x.hex() for x in got] == [x.hex() for x in want], entry.recipe

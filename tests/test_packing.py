@@ -65,6 +65,45 @@ class TestMetrics:
         assert {"algorithm", "cost", "num_bins", "span"} <= set(s)
 
 
+def _peak_at_opening_times(packing):
+    """``max_concurrent_bins`` by definition: the most bins open at any
+    bin's opening time."""
+    times = sorted({b.opened_at for b in packing.bins})
+    return max((packing.bins_open_at(t) for t in times), default=0)
+
+
+class TestMaxConcurrentBins:
+    def test_matches_open_count_at_opening_times_on_corpus(self):
+        from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm
+        from repro.simulation.runner import run
+        from repro.verify.generators import corpus_list
+        from repro.verify.harness import PROFILES
+
+        for entry in corpus_list(60, seed=PROFILES["quick"].seed):
+            for policy in PAPER_ALGORITHMS:
+                packing = run(make_algorithm(policy), entry.instance)
+                assert packing.max_concurrent_bins() == _peak_at_opening_times(
+                    packing
+                ), (entry.recipe, policy)
+
+    def test_a_bin_closing_as_another_opens_is_not_counted(self):
+        # bin 0 holds [0, 2) and bin 1 [0, 5); bins 2 and 3 open at 2,
+        # the instant bin 0 closes
+        inst = Instance([
+            Item(0.0, 2.0, np.array([0.6]), 0),
+            Item(0.0, 5.0, np.array([0.6]), 1),
+            Item(2.0, 4.0, np.array([0.6]), 2),
+            Item(2.0, 3.0, np.array([0.6]), 3),
+        ])
+        packing = Packing.from_assignment(inst, {0: 0, 1: 1, 2: 2, 3: 3})
+        assert packing.bins_open_at(2.0) == 3
+        assert packing.max_concurrent_bins() == 3 == _peak_at_opening_times(packing)
+
+    def test_no_bins(self):
+        packing = Packing(instance=None, assignment={}, bins=())
+        assert packing.max_concurrent_bins() == 0
+
+
 class TestAudit:
     def test_feasible_packing_validates(self, simple_packing):
         simple_packing.validate()
