@@ -10,7 +10,7 @@ differ only in
 * how ``L`` is reordered/pruned (Lines 9 and 12).
 
 :class:`AnyFitAlgorithm` implements the template once — including the
-vectorised fit check over a load matrix kept in step with ``L`` and the
+fit check over a load matrix kept in step with ``L`` and the
 enforcement of the Any Fit property — so subclasses only provide
 :meth:`choose` plus the list-maintenance hooks.
 """
@@ -18,6 +18,7 @@ enforcement of the Any Fit property — so subclasses only provide
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,9 +27,17 @@ from ..core.bins import Bin
 from ..core.errors import AlgorithmError
 from ..core.instance import Instance
 from ..core.items import Item
-from ..core.vectors import fits_batch
+from ..core.vectors import EPS
 
-__all__ = ["OnlineAlgorithm", "AnyFitAlgorithm"]
+__all__ = ["OnlineAlgorithm", "AnyFitAlgorithm", "SCALAR_SCAN_ROWS"]
+
+#: Longest open list :meth:`AnyFitAlgorithm._fitting_rows` scans on
+#: Python floats; a longer one takes one numpy comparison.  Below about
+#: this many rows the fixed cost of the numpy calls exceeds the
+#: per-row cost of the Python loop (the crossover measurement is in
+#: ``docs/performance.md``).  Both scans make the same IEEE-754 adds
+#: and compares, so the constant changes speed, never a fit result.
+SCALAR_SCAN_ROWS = 10
 
 
 class OnlineAlgorithm(abc.ABC):
@@ -171,9 +180,14 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     loudly instead of producing an infeasible or non-Any-Fit packing.
 
     **The load matrix.**  Next to ``L`` the base class keeps a float64
-    matrix whose row ``i`` is a copy of ``L[i].load``, so a candidate
-    scan is one :func:`~repro.core.vectors.fits_batch` call over rows
-    already in place.  Rows are only ever copied from ``bin.load``,
+    matrix whose row ``i`` is a copy of ``L[i].load``, and :meth:`start`
+    computes the tolerance-adjusted capacity slack once, so a candidate
+    scan compares rows already in place against it.  Up to
+    :data:`SCALAR_SCAN_ROWS` open bins the scan runs on the rows as
+    Python floats; a longer ``L`` takes one numpy comparison laid out
+    one row per dimension, and ANDs its d rows.  Both make the adds and
+    compares of :func:`~repro.core.vectors.fits_batch`, so they agree
+    with it bit for bit.  Rows are only ever copied from ``bin.load``,
     never recomputed, so every fit result is bit-identical to stacking
     the loads afresh.  A row is re-read when its bin's load changes:
 
@@ -190,6 +204,10 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     def __init__(self) -> None:
         self._list: List[Bin] = []
         self._capacity: Optional[np.ndarray] = None
+        #: ``capacity + EPS * max(capacity, 1)``, as a ``(d, 1)`` column
+        #: for the numpy scan and as Python floats for the scalar one
+        self._slack = np.empty((0, 1))
+        self._slack_floats: List[float] = []
         #: row ``i`` is a copy of ``self._list[i].load``; rows past
         #: ``len(self._list)`` are spare capacity
         self._loads = np.empty((0, 0))
@@ -202,8 +220,12 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     # OnlineAlgorithm API
     # ------------------------------------------------------------------
     def start(self, instance: Instance) -> None:
-        self._capacity = instance.capacity
-        self._loads = np.empty((16, self._capacity.size))
+        capacity = instance.capacity
+        self._capacity = capacity
+        slack = capacity + EPS * np.maximum(capacity, 1.0)
+        self._slack = slack[:, np.newaxis]
+        self._slack_floats = slack.tolist()
+        self._loads = np.empty((16, capacity.size))
         self._reset(())
 
     @property
@@ -348,8 +370,11 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     def _fitting_rows(self, item: Item) -> List[int]:
         """Rows of ``L`` whose bin can fit ``item``, in ``L``-order.
 
-        One vectorised comparison over the maintained load matrix (the
-        hot path of every simulation) instead of per-bin Python checks.
+        The hot path of every simulation.  A short ``L`` is scanned row
+        by row on Python floats, where one numpy call would cost more
+        than the whole loop; a longer one in one numpy comparison.  Row
+        ``i`` fits iff ``load + size <= slack`` in every dimension, the
+        same IEEE-754 operations on either path.
         """
         n = len(self._list)
         if not n:
@@ -358,15 +383,34 @@ class AnyFitAlgorithm(OnlineAlgorithm):
         if col is not None:
             col.candidate_scans += 1
             col.fit_checks += n
-        mask = fits_batch(self._loads[:n], item.size, self._capacity)
-        return np.flatnonzero(mask).tolist()
+        if n <= SCALAR_SCAN_ROWS:
+            size = item.size.tolist()
+            slack = self._slack_floats
+            rows = []
+            for i, load in enumerate(self._loads[:n].tolist()):
+                for used, need, room in zip(load, size, slack):
+                    if not used + need <= room:
+                        break
+                else:
+                    rows.append(i)
+            return rows
+        # one row per dimension, so the compare and the ANDs run along L
+        sums = np.add(self._loads[:n].T, item.size[:, np.newaxis], order="C")
+        ok = sums <= self._slack
+        mask = ok[0]
+        for row in ok[1:]:
+            mask &= row
+        return mask.nonzero()[0].tolist()
 
 
 def _position(seq: List[Any], obj: Any) -> int:
-    """Index of ``obj`` in ``seq``, or -1 when absent.
+    """Index of ``obj`` in ``seq``, or -1 when absent, in one scan.
 
-    Tests membership first instead of catching ``list.index``'s
-    ``ValueError``, whose message formats ``repr(obj)`` — for a
-    :class:`Bin` that costs more than the whole search.
+    ``operator.indexOf`` rather than ``list.index``: the latter's
+    ``ValueError`` message formats ``repr(obj)``, which for a
+    :class:`Bin` costs more than the whole search.
     """
-    return seq.index(obj) if obj in seq else -1
+    try:
+        return operator.indexOf(seq, obj)
+    except ValueError:
+        return -1

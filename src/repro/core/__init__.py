@@ -17,7 +17,7 @@ from .errors import (
     SolverLimitError,
     UnitFailedError,
 )
-from .events import Event, EventKind, event_stream, iter_arrivals
+from .events import Event, EventKind, event_order, event_stream, iter_arrivals
 from .instance import Instance
 from .intervals import (
     Interval,
@@ -55,6 +55,7 @@ __all__ = [
     "as_size_vector",
     "breakpoints",
     "check_proposition1",
+    "event_order",
     "event_stream",
     "fits",
     "fits_batch",

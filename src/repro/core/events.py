@@ -20,10 +20,12 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, List
 
+import numpy as np
+
 from .instance import Instance
 from .items import DATACLASS_SLOTS, Item
 
-__all__ = ["EventKind", "Event", "event_stream"]
+__all__ = ["EventKind", "Event", "event_stream", "event_order"]
 
 
 class EventKind(enum.IntEnum):
@@ -65,6 +67,28 @@ def event_stream(instance: Instance) -> List[Event]:
         events.append(Event(item.departure, EventKind.DEPARTURE, item.uid, item))
     events.sort(key=lambda ev: (ev.time, ev.kind, ev.seq))
     return events
+
+
+def event_order(instance: Instance) -> List[int]:
+    """The order of :func:`event_stream` as ``2n`` event positions.
+
+    Value ``p < n`` is the arrival of ``instance.items[p]``; ``p >= n``
+    is the departure of ``instance.items[p - n]``.  One lexsort over the
+    instance's time columns replaces building and sorting ``2n``
+    :class:`Event` objects.  Its last key is primary, so the keys are
+    ``(time, kind, seq)`` with ``DEPARTURE(0) < ARRIVAL(1)``, arrival
+    ``seq`` = position and departure ``seq`` = uid, as above.  Every
+    event's key is distinct (uids are unique), so the order does not
+    depend on the sort's stability.
+    """
+    n = len(instance.items)
+    times = np.concatenate([instance.arrival_times, instance.departure_times])
+    seqs = np.empty(2 * n, dtype=np.int64)
+    seqs[:n] = np.arange(n)
+    seqs[n:] = [it.uid for it in instance.items]
+    kinds = np.zeros(2 * n, dtype=np.int64)
+    kinds[:n] = EventKind.ARRIVAL
+    return np.lexsort((seqs, kinds, times)).tolist()
 
 
 def iter_arrivals(instance: Instance) -> Iterator[Item]:

@@ -112,15 +112,43 @@ def lp(v: np.ndarray, p: float) -> float:
     return float(np.sum(v**p) ** (1.0 / p))
 
 
-def fits(load: np.ndarray, size: np.ndarray, capacity: np.ndarray) -> bool:
+def fits(load: VectorLike, size: VectorLike, capacity: VectorLike) -> bool:
     """Return ``True`` if an item of ``size`` fits a bin at ``load``.
 
     The check is per-dimension: ``load + size <= capacity`` within a
     relative tolerance of :data:`EPS` (scaled by the capacity so the
     tolerance is meaningful for non-unit capacities, e.g. the B=100
-    integer experiments of Section 7).
+    integer experiments of Section 7).  It runs on Python floats, whose
+    adds and compares are the IEEE-754 float64 operations
+    :func:`fits_batch` makes, so the two agree bit for bit.
+
+    Raises
+    ------
+    ValueError
+        If the three vectors differ in length (nothing is broadcast).
     """
-    return bool(np.all(load + size <= capacity + EPS * np.maximum(capacity, 1.0)))
+    load, size, capacity = _floats(load), _floats(size), _floats(capacity)
+    if not len(load) == len(size) == len(capacity):
+        raise ValueError(
+            f"fits needs vectors of one length, got load {len(load)}, "
+            f"size {len(size)}, capacity {len(capacity)}"
+        )
+    for used, need, cap in zip(load, size, capacity):
+        # ``max(cap, 1.0)`` as a conditional: the builtin call costs more
+        # than the rest of the dimension's check
+        if not used + need <= cap + EPS * (cap if cap > 1.0 else 1.0):
+            return False
+    return True
+
+
+_F64 = np.dtype(np.float64)
+
+
+def _floats(v: VectorLike) -> list:
+    """``v`` as a flat list of Python floats (a float64 vector's values)."""
+    if type(v) is np.ndarray and v.dtype is _F64 and v.ndim == 1:
+        return v.tolist()
+    return np.asarray(v, dtype=np.float64).reshape(-1).tolist()
 
 
 def fits_batch(loads: np.ndarray, size: np.ndarray, capacity: np.ndarray) -> np.ndarray:

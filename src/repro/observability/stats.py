@@ -14,12 +14,12 @@ Counter semantics
 ``bins_opened`` / ``bins_closed`` / ``peak_open_bins``
     Bin lifecycle totals plus the peak simultaneously open count.
 ``candidate_scans`` / ``fit_checks``
-    The Any Fit hot path: one *scan* per vectorised
-    :func:`~repro.core.vectors.fits_batch` call (i.e. per arrival that
-    found a non-empty open list), and one *fit check* per candidate bin
-    inspected by that call.  ``fit_checks`` is the size of the work the
-    dispatch loop does — the quantity perf PRs on the hot path must
-    drive down.
+    The Any Fit hot path: one *scan* per arrival that found a non-empty
+    open list (scalar or numpy, see
+    :data:`~repro.algorithms.base.SCALAR_SCAN_ROWS`), and one *fit
+    check* per candidate bin that scan inspected.  ``fit_checks`` is
+    the size of the work the dispatch loop does — the quantity perf PRs
+    on the hot path must drive down.
 ``fastpath_runs``
     How many of the observed runs were executed by the flat-array
     :class:`~repro.simulation.fastpath.FastEngine` rather than the

@@ -37,7 +37,7 @@ from ..core.errors import (
     CapacityExceededError,
     ConfigurationError,
 )
-from ..core.events import EventKind, event_stream
+from ..core.events import EventKind, event_order
 from ..core.instance import Instance
 from ..core.items import Item
 from ..core.packing import BinRecord, Packing
@@ -303,24 +303,28 @@ class RepackingEngine:
             )
             self.repacker.start(self.instance)
 
-            arrival = EventKind.ARRIVAL
+            items = self.instance.items
+            n = len(items)
             bins = self.bins
-            for event in event_stream(self.instance):
+            for pos in event_order(self.instance):
                 self._event_index += 1
-                item, now = event.item, event.time
-                if event.kind is arrival:
+                if pos < n:
+                    item = items[pos]
+                    now, kind = item.arrival, EventKind.ARRIVAL
                     target = core.place(item, now)
                     if target.index == len(bins):
                         bins.append(target)
                     self._segments[item.uid] = [[target.index, now, item.departure]]
                 else:
+                    item = items[pos - n]
+                    now, kind = item.departure, EventKind.DEPARTURE
                     core.depart(item.uid, now)
                     self._segments[item.uid][-1][2] = now
                 # the repack window: budget accrues per event whether or
                 # not the policy uses it (amortized credits accumulate)
                 self.ledger.begin_event()
                 ctx.now = now
-                self.repacker.after_event(ctx, event.kind, now)
+                self.repacker.after_event(ctx, kind, now)
         finally:
             if col is not None:
                 self.algorithm.bind_collector(None)

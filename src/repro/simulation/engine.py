@@ -1,6 +1,7 @@
 """Discrete-event simulation engine for online DVBP.
 
-The engine replays the event stream in order through a
+The engine replays the event order of
+:func:`~repro.core.events.event_order` through a
 :class:`~repro.simulation.live.LivePacking` core, which owns bin
 lifecycle, irrevocability and usage-time accounting (Eq. 1); the policy
 — which bin an arriving item goes to — is an
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..algorithms.base import OnlineAlgorithm
 from ..core.bins import Bin
 from ..core.errors import AlgorithmError
-from ..core.events import EventKind, event_stream
+from ..core.events import event_order
 from ..core.instance import Instance
 from ..core.items import Item
 from ..core.packing import Packing
@@ -137,18 +138,20 @@ class Engine:
                 timed=col is not None,
             )
 
-            arrival = EventKind.ARRIVAL
+            items = self.instance.items
+            n = len(items)
             bins = self.bins
             assignment: Dict[int, int] = {}
-            for event in event_stream(self.instance):
-                item = event.item
-                if event.kind is arrival:
-                    target = core.place(item, event.time)
+            for pos in event_order(self.instance):
+                if pos < n:
+                    item = items[pos]
+                    target = core.place(item, item.arrival)
                     if target.index == len(bins):
                         bins.append(target)
                     assignment[item.uid] = target.index
                 else:
-                    core.depart(item.uid, event.time)
+                    item = items[pos - n]
+                    core.depart(item.uid, item.departure)
 
             packing = Packing.from_assignment(
                 self.instance, assignment, algorithm=self.algorithm.name

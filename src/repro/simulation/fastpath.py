@@ -101,6 +101,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as _np
 
 from ..core.errors import AlgorithmError, ConfigurationError
+from ..core.events import event_order
 from ..core.instance import Instance
 from ..core.packing import Packing
 from ..core.vectors import EPS
@@ -439,10 +440,10 @@ class ReplayContext:
     Everything a kernel reads but never writes: the instance's size
     matrix (its read-only ``size_matrix`` column, or that column's
     ``tolist()`` on the python backend), the tolerance-adjusted capacity
-    slack, the lexsorted flat event-index array (the ``(time, kind,
-    seq)`` order of :mod:`repro.core.events`, encoded as ``pos`` for
-    arrivals and ``n + pos`` for departures), and the uid list used to
-    emit the final assignment.  Building these is
+    slack, the flat event-index list of
+    :func:`~repro.core.events.event_order` (``pos`` for arrivals and
+    ``n + pos`` for departures), and the uid list used to emit the final
+    assignment.  Building these is
     roughly half the cost of a single replay at Table 2 scale, so
     :class:`~repro.simulation.batch.BatchRunner` builds one context per
     instance and shares it across all N policies x M trials; a lone
@@ -458,6 +459,7 @@ class ReplayContext:
         "slack",
         "order",
         "uids",
+        "_python_layout",
     )
 
     def __init__(self, instance: Instance, backend: Optional[str] = None) -> None:
@@ -468,29 +470,32 @@ class ReplayContext:
         self.backend = resolved
         self.n = n
         self.d = instance.d
+        # value < n is the arrival of item position `value`; value >= n
+        # is the departure of `value - n`; both backends share it.  Built
+        # first, so its own uid list is freed before this one exists.
+        self.order = event_order(instance)
         self.uids = [it.uid for it in items]
-        # Pre-sorted event indices: value < n is the arrival of item
-        # position `value`; value >= n is the departure of `value - n`.
-        # lexsort's last key is primary, matching the classic engine's
-        # (time, kind, seq) sort with DEPARTURE(0) < ARRIVAL(1), arrival
-        # seq = instance position, departure seq = uid.  Every event's key
-        # is distinct, so the order does not depend on the sort's
-        # stability, and both backends share it.
-        times = _np.concatenate([instance.arrival_times, instance.departure_times])
-        seqs = _np.empty(2 * n, dtype=_np.int64)
-        kinds = _np.empty(2 * n, dtype=_np.int64)
-        seqs[:n] = _np.arange(n)
-        seqs[n:] = self.uids
-        kinds[:n] = 1
-        kinds[n:] = 0
-        self.order = _np.lexsort((seqs, kinds, times)).tolist()
         if resolved != PYTHON_BACKEND:
             capacity = _np.asarray(instance.capacity, dtype=_np.float64)
             self.slack = capacity + EPS * _np.maximum(capacity, 1.0)
             self.sizes = instance.size_matrix
+            self._python_layout = None
         else:
             self.slack = [float(c) + EPS * max(float(c), 1.0) for c in instance.capacity]
             self.sizes = instance.size_matrix.tolist()
+            self._python_layout = (self.sizes, self.slack)
+
+    def python_layout(self) -> Tuple[List[List[float]], List[float]]:
+        """``(sizes, slack)`` as lists of Python floats: the python kernel's input.
+
+        A python-backend context holds them from the start.  A numpy one
+        converts its arrays on the first call and keeps the lists, so the
+        Next Fit replays it serves (Next Fit always runs the python
+        kernel) convert once per context, not once per replay.
+        """
+        if self._python_layout is None:
+            self._python_layout = (self.sizes.tolist(), self.slack.tolist())
+        return self._python_layout
 
 
 #: Sentinel distinguishing "leave the collector alone" from "clear it"
@@ -1068,12 +1073,8 @@ class FastEngine:
             return {}
         d = inst.d
         ctx = self._context()
-        slack = ctx.slack
-        sizes = ctx.sizes
+        sizes, slack = ctx.python_layout()
         order = ctx.order
-        if not isinstance(sizes, list):  # numpy-layout context (Next Fit)
-            slack = slack.tolist()
-            sizes = sizes.tolist()
 
         base = self._base
         measure = self._measure

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.bins import Bin
 from repro.core.errors import CapacityExceededError
 from repro.core.intervals import Interval
 from repro.core.items import Item
+from repro.core.vectors import EPS
 
 
 def make_bin(d=1, index=0, opened_at=0.0, capacity=None):
@@ -99,6 +102,54 @@ class TestCapacity:
             b.remove(it, now=0.5)
             b.closed_at = None  # reopen for the test's purposes
         assert b.load[0] == 0.0
+
+
+    @pytest.mark.parametrize("cap", [1.0, 100.0])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_pack_boundary_is_the_slack(self, d, cap):
+        """``load + size == slack`` packs; one ulp above it raises."""
+        slack = cap + EPS * max(cap, 1.0)
+        need = cap / 2
+        exact, over = slack - need, math.nextafter(slack, math.inf) - need
+        assert exact + need == slack and over + need == math.nextafter(slack, math.inf)
+        for last, fits in ((exact, True), (over, False)):
+            b = make_bin(d=d, capacity=np.full(d, cap))
+            b.load = np.zeros(d)
+            b.load[-1] = last
+            item = Item(0, 1, np.full(d, need), 0)
+            assert b.can_fit(item) is fits
+            if fits:
+                b.pack(item)
+                assert b.load[-1] == slack
+            else:
+                with pytest.raises(CapacityExceededError):
+                    b.pack(item)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_remove_resums_residents_in_packing_order(self, d):
+        """After each removal ``load`` is, bit for bit, numpy's
+        sequential sum of the residents' sizes in packing order."""
+        rng = np.random.default_rng(d)
+        b = make_bin(d=d, capacity=np.full(d, 1e6))
+        resident = []
+        for uid in range(300):
+            if resident and rng.random() < 0.45:
+                it = resident.pop(int(rng.integers(len(resident))))
+                closed = b.remove(it, now=1.0)
+                expected = np.zeros(d)
+                for r in resident:
+                    expected += r.size
+                assert [x.hex() for x in b.load.tolist()] == [
+                    x.hex() for x in expected.tolist()
+                ]
+                if closed:
+                    b = make_bin(d=d, capacity=np.full(d, 1e6))
+                continue
+            # sizes spanning six decades, so the sum depends on its order
+            size = rng.random(d) * 10.0 ** rng.uniform(-3, 3, d)
+            it = Item(0, 2, size, uid)
+            b.pack(it)
+            resident.append(it)
 
 
 class TestUsageAccounting:

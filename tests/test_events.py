@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.events import Event, EventKind, event_stream, iter_arrivals
+from repro.core.events import Event, EventKind, event_order, event_stream, iter_arrivals
 from repro.core.instance import Instance
 from repro.core.items import Item
 
@@ -54,6 +54,30 @@ def test_simultaneous_departures_ordered_by_uid():
 def test_iter_arrivals_matches_instance_order(uniform_small):
     uids = [it.uid for it in iter_arrivals(uniform_small)]
     assert uids == [it.uid for it in uniform_small.items]
+
+
+def test_event_order_is_the_stream_order(uniform_small):
+    # shared instants and uids out of position order, so ties between
+    # arrivals, between departures and across kinds all occur
+    shared = Instance(
+        [
+            Item(0.0, 1.0, np.array([0.2]), uid=5),
+            Item(0.0, 1.0, np.array([0.2]), uid=2),
+            Item(0.0, 2.0, np.array([0.2]), uid=9),
+            Item(1.0, 2.0, np.array([0.2]), uid=0),
+            Item(1.0, 2.0, np.array([0.2]), uid=7),
+        ]
+    )
+    for inst in (uniform_small, shared):
+        n = len(inst.items)
+        pos = {it.uid: p for p, it in enumerate(inst.items)}
+        expected = [
+            pos[ev.item.uid] + (0 if ev.kind is EventKind.ARRIVAL else n)
+            for ev in event_stream(inst)
+        ]
+        order = event_order(inst)
+        assert order == expected
+        assert all(type(p) is int for p in order)
 
 
 def test_event_requires_item():

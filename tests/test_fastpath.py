@@ -666,3 +666,23 @@ class TestReplayContextOrder:
         assert ReplayContext(inst, "python").order == expected
         assert ReplayContext(inst, "numpy").order == expected
         assert expected == [0, 1, 2, 6, 5, 3, 4, 8, 9, 7]
+
+    def test_numpy_context_converts_for_next_fit_once(self, churny_instance):
+        from repro.simulation.fastpath import ReplayContext
+
+        class CountingMatrix(np.ndarray):
+            conversions = 0
+
+            def tolist(self):
+                type(self).conversions += 1
+                return super().tolist()
+
+        ctx = ReplayContext(churny_instance, "numpy")
+        ctx.sizes = ctx.sizes.view(CountingMatrix)
+        # Next Fit runs the python kernel on either backend
+        engine = FastEngine(churny_instance, "next_fit", backend="numpy", context=ctx)
+        first = engine.run_assignment()
+        second = engine.reset().run_assignment()
+        expected = FastEngine(churny_instance, "next_fit", backend="python").run_assignment()
+        assert first == second == expected
+        assert CountingMatrix.conversions == 1

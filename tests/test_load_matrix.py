@@ -6,11 +6,15 @@ bins on every arrival.  A checking subclass compares the rows with a
 fresh ``np.stack`` of the open list — bit for bit — after every
 ``dispatch``, ``notify_departure`` and ``notify_packed``, and each engine
 that drives policy objects runs the stock Any Fit policies through it.
+Each engine test runs on two instances, whose open lists cross
+``SCALAR_SCAN_ROWS`` both ways, so the rows are checked under both the
+scalar and the numpy candidate scan.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,14 +23,20 @@ import pytest
 import repro.adversaries.driver as driver_module
 import repro.streaming.service as service_module
 from repro.adversaries.scenarios import MUST_EXCEED_SCENARIOS, run_scenario
+from repro.algorithms.base import SCALAR_SCAN_ROWS
 from repro.algorithms.best_fit import BestFit, WorstFit
 from repro.algorithms.first_fit import FirstFit
 from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm
 from repro.core.bins import Bin
+from repro.core.instance import Instance
+from repro.core.items import Item
+from repro.core.vectors import EPS
 from repro.repacking.engine import repacking_run
 from repro.simulation.engine import simulate
+from repro.simulation.fastpath import FastEngine, fast_policy_for
 from repro.streaming import PlacementService
 from repro.streaming.engine import streaming_run
+from repro.verify.reference import REFERENCE_POLICIES, ReferenceSimulator
 from repro.workloads.uniform import UniformWorkload
 
 MEASURE_VARIANTS = {
@@ -97,56 +107,135 @@ def instance():
     return UniformWorkload(d=2, n=200, mu=10, T=60).sample_seeded(11)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_classic_engine(policy, instance):
-    algo = checked_policy(policy)
-    packing = simulate(algo, instance)
-    reference = simulate(fresh_policy(policy), instance)
-    assert dict(packing.assignment) == dict(reference.assignment)
-    assert algo.checks >= 2 * instance.n
+@pytest.fixture(scope="module")
+def crossing():
+    # four d = 3 bursts of 60 arrivals, each gone before the next: the
+    # open list climbs to about 2.5 x SCALAR_SCAN_ROWS and drains to
+    # empty, so the scan switches regime in both directions
+    rng = np.random.default_rng(3)
+    rows = []
+    for burst in range(4):
+        for arrival in np.sort(10.0 * burst + 2.0 * rng.random(60)).tolist():
+            departure = arrival + 1.0 + 3.0 * float(rng.random())
+            rows.append((arrival, departure, rng.uniform(0.05, 0.6, 3)))
+    return Instance.from_tuples(rows)
+
+
+@pytest.fixture(scope="module")
+def instances(instance, crossing):
+    return (instance, crossing)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_streaming_engine(policy, instance):
-    algo = checked_policy(policy)
-    packing = streaming_run(algo, instance)
-    assert packing.num_bins >= 2
-    assert algo.checks >= 2 * instance.n
+def test_classic_engine(policy, instances):
+    for instance in instances:
+        algo = checked_policy(policy)
+        packing = simulate(algo, instance)
+        reference = simulate(fresh_policy(policy), instance)
+        assert dict(packing.assignment) == dict(reference.assignment)
+        assert algo.checks >= 2 * instance.n
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_streaming_engine(policy, instances):
+    for instance in instances:
+        algo = checked_policy(policy)
+        packing = streaming_run(algo, instance)
+        assert packing.num_bins >= 2
+        assert algo.checks >= 2 * instance.n
 
 
 @pytest.mark.parametrize("policy", PAPER_ALGORITHMS)
-def test_placement_service_across_snapshot_restore(policy, instance, monkeypatch):
+def test_placement_service_across_snapshot_restore(policy, instances, monkeypatch):
     monkeypatch.setattr(service_module, "make_algorithm", checked_policy)
-    svc = PlacementService(policy=policy, capacity=instance.capacity)
-    assignment = {}
-    half = instance.n // 2
-    for item in instance.items[:half]:
-        assignment[item.uid] = svc.place(
-            item.size, departure=item.departure, at=item.arrival, item_id=item.uid,
-        )
-    # restore rebuilds every row from the re-packed bins
-    svc = PlacementService.restore(json.loads(json.dumps(svc.snapshot())))
-    assert isinstance(svc._algorithm, MatrixChecked)
-    for item in instance.items[half:]:
-        assignment[item.uid] = svc.place(
-            item.size, departure=item.departure, at=item.arrival, item_id=item.uid,
-        )
-    svc.advance(max(it.departure for it in instance.items))
-    assert svc.live_items == 0
-    assert svc._algorithm.checks >= instance.n
-    kwargs = {"seed": 0} if policy == "random_fit" else {}
-    classic = simulate(make_algorithm(policy, **kwargs), instance)
-    assert assignment == dict(classic.assignment)
+    for instance in instances:
+        svc = PlacementService(policy=policy, capacity=instance.capacity)
+        assignment = {}
+        half = instance.n // 2
+        for item in instance.items[:half]:
+            assignment[item.uid] = svc.place(
+                item.size, departure=item.departure, at=item.arrival, item_id=item.uid,
+            )
+        # restore rebuilds every row from the re-packed bins
+        svc = PlacementService.restore(json.loads(json.dumps(svc.snapshot())))
+        assert isinstance(svc._algorithm, MatrixChecked)
+        for item in instance.items[half:]:
+            assignment[item.uid] = svc.place(
+                item.size, departure=item.departure, at=item.arrival, item_id=item.uid,
+            )
+        svc.advance(max(it.departure for it in instance.items))
+        assert svc.live_items == 0
+        assert svc._algorithm.checks >= instance.n
+        kwargs = {"seed": 0} if policy == "random_fit" else {}
+        classic = simulate(make_algorithm(policy, **kwargs), instance)
+        assert assignment == dict(classic.assignment)
 
 
 @pytest.mark.parametrize("repacker", ["greedy_consolidate", "budgeted_rebalance"])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_repacking_engine(policy, repacker, instance):
-    algo = checked_policy(policy)
-    result = repacking_run(algo, instance, repacker=repacker, budget=2)
-    # the moves are what exercise notify_packed on their destinations
-    assert result.num_moves > 0
-    assert algo.checks >= 2 * instance.n + result.num_moves
+def test_repacking_engine(policy, repacker, instances):
+    for instance in instances:
+        algo = checked_policy(policy)
+        result = repacking_run(algo, instance, repacker=repacker, budget=2)
+        # the moves are what exercise notify_packed on their destinations
+        assert result.num_moves > 0
+        assert algo.checks >= 2 * instance.n + result.num_moves
+
+
+def test_crossing_instance_switches_scan_regime_both_ways(crossing):
+    lengths = []
+
+    class Recording(FirstFit):
+        def _fitting_rows(self, item):
+            lengths.append(len(self._list))
+            return super()._fitting_rows(item)
+
+    simulate(Recording(), crossing)
+    above = [n > SCALAR_SCAN_ROWS for n in lengths]
+    ups = sum(1 for was, now in zip(above, above[1:]) if now and not was)
+    downs = sum(1 for was, now in zip(above, above[1:]) if was and not now)
+    assert ups >= 3 and downs >= 3
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_engines_agree_across_the_scan_constant(policy, crossing):
+    """Classic, python-kernel and (where modelled) reference replays."""
+    classic = dict(simulate(fresh_policy(policy), crossing).assignment)
+    fast_policy, seed = fast_policy_for(fresh_policy(policy))
+    fast = FastEngine(crossing, fast_policy, seed=seed, backend="python").run()
+    assert dict(fast.assignment) == classic
+    if policy in REFERENCE_POLICIES:
+        assert ReferenceSimulator(policy, seed=0).run(crossing).assignment == classic
+
+
+@pytest.mark.parametrize(
+    "rows", [SCALAR_SCAN_ROWS, SCALAR_SCAN_ROWS + 1], ids=["scalar", "numpy"]
+)
+@pytest.mark.parametrize("cap", [1.0, 100.0])
+@pytest.mark.parametrize("d", [1, 3])
+def test_fit_boundary_is_the_slack_in_both_scans(d, cap, rows):
+    """``load + size == slack`` fits; one ulp above it does not."""
+    capacity = np.full(d, cap)
+    slack = cap + EPS * max(cap, 1.0)
+    need = cap / 2
+    exact, over = slack - need, math.nextafter(slack, math.inf) - need
+    assert exact + need == slack and over + need == math.nextafter(slack, math.inf)
+
+    def bin_at(index, last):
+        b = Bin(capacity, index=index, opened_at=0.0)
+        b.load = np.zeros(d)
+        b.load[-1] = last
+        return b
+
+    # full bins first, then the exact fit, then the one just over
+    bins = [bin_at(i, cap) for i in range(rows - 2)]
+    bins += [bin_at(rows - 2, exact), bin_at(rows - 1, over)]
+    algo = FirstFit()
+    algo.start(SimpleNamespace(capacity=capacity))
+    algo._reset(bins)
+    item = Item(0.0, 1.0, np.full(d, need))
+    assert algo._fitting_rows(item) == [rows - 2]
+    assert algo.dispatch(item, 0.0, lambda: pytest.fail("opened a bin")) is bins[-2]
 
 
 @pytest.mark.parametrize("scenario", MUST_EXCEED_SCENARIOS, ids=lambda s: s.label)

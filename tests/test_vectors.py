@@ -130,6 +130,15 @@ class TestFits:
         assert fits(np.array([60.0, 10.0]), np.array([40.0, 20.0]), cap)
         assert not fits(np.array([61.0, 10.0]), np.array([40.0, 20.0]), cap)
 
+    def test_mismatched_lengths_raise(self):
+        # nothing is broadcast: a length-1 size is not a d-vector
+        with pytest.raises(ValueError):
+            fits(np.array([0.1, 0.2]), np.array([0.1]), self.CAP)
+        with pytest.raises(ValueError):
+            fits(np.array([0.1]), np.array([0.1, 0.2]), self.CAP)
+        with pytest.raises(ValueError):
+            fits(np.array([0.1, 0.2]), np.array([0.1, 0.2]), np.ones(3))
+
     def test_fits_batch_empty(self):
         out = fits_batch(np.zeros((0, 2)), np.array([0.1, 0.1]), self.CAP)
         assert out.shape == (0,)
