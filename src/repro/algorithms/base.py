@@ -186,8 +186,8 @@ class AnyFitAlgorithm(OnlineAlgorithm):
     :data:`SCALAR_SCAN_ROWS` open bins the scan runs on the rows as
     Python floats; a longer ``L`` takes one numpy comparison laid out
     one row per dimension, and ANDs its d rows.  Both make the adds and
-    compares of :func:`~repro.core.vectors.fits_batch`, so they agree
-    with it bit for bit.  Rows are only ever copied from ``bin.load``,
+    compares of :func:`~repro.core.vectors.fits`, so they agree with it
+    bit for bit.  Rows are only ever copied from ``bin.load``,
     never recomputed, so every fit result is bit-identical to stacking
     the loads afresh.  A row is re-read when its bin's load changes:
 

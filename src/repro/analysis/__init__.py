@@ -1,13 +1,11 @@
 """Analysis: empirical ratios, aggregation, sweeps, theory, reporting."""
 
-from .aggregate import SampleStats, bootstrap_ci, summarize
+from .aggregate import SampleStats, summarize
 from .augmentation import AugmentationPoint, augmentation_curve, augmented_run
 from .competitive import SearchResult, certified_ratio, mutate_instance, random_search
-from .io import SCHEMA_VERSION, load_cells, save_cells
 from .proofs import ProofCheck, Theorem2Report, Theorem4Report, verify_theorem2, verify_theorem4
-from .ratios import ratio_bracket, ratio_to_exact_opt, ratio_to_lower_bound
 from .report import format_interval_diagram, format_series_chart, format_table
-from .sweep import SweepCell, sweep_cell, sweep_grid
+from .sweep import SweepCell, sweep_cell
 from .theory import (
     TABLE1,
     BoundEntry,
@@ -28,7 +26,6 @@ __all__ = [
     "Theorem2Report",
     "Theorem4Report",
     "AugmentationPoint",
-    "bootstrap_ci",
     "augmentation_curve",
     "augmented_run",
     "certified_ratio",
@@ -36,15 +33,12 @@ __all__ = [
     "random_search",
     "verify_theorem2",
     "verify_theorem4",
-    "SCHEMA_VERSION",
     "SampleStats",
     "SweepCell",
     "TABLE1",
     "any_fit_lower_bound",
     "first_fit_upper_bound",
     "format_interval_diagram",
-    "load_cells",
-    "save_cells",
     "format_series_chart",
     "format_table",
     "lower_bound",
@@ -52,11 +46,7 @@ __all__ = [
     "move_to_front_upper_bound",
     "next_fit_lower_bound",
     "next_fit_upper_bound",
-    "ratio_bracket",
-    "ratio_to_exact_opt",
-    "ratio_to_lower_bound",
     "summarize",
     "sweep_cell",
-    "sweep_grid",
     "upper_bound",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.errors import ConfigurationError
 
-__all__ = ["SampleStats", "bootstrap_ci", "summarize"]
+__all__ = ["SampleStats", "summarize"]
 
 #: Two-sided z critical values for common confidence levels.
 _Z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
@@ -63,33 +63,6 @@ class SampleStats:
             "q75": self.q75,
             "max": self.maximum,
         }
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> tuple:
-    """Percentile-bootstrap confidence interval on the mean.
-
-    Distribution-free alternative to the normal-approximation CI of
-    :func:`summarize` — preferable for the skewed ratio samples produced
-    by heavy-tailed workloads.  Returns ``(low, high)``.
-    """
-    if len(values) == 0:
-        raise ConfigurationError("cannot bootstrap an empty sample")
-    if not 0 < confidence < 1:
-        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 1:
-        return float(arr[0]), float(arr[0])
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
-    means = arr[idx].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.percentile(means, [100 * alpha, 100 * (1 - alpha)])
-    return float(lo), float(hi)
 
 
 def summarize(values: Sequence[float], confidence: float = 0.95) -> SampleStats:

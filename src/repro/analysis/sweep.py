@@ -20,7 +20,7 @@ from ..core.instance import Instance
 from .aggregate import SampleStats, summarize
 from .theory import TABLE1, lower_bound, upper_bound
 
-__all__ = ["SweepCell", "sweep_cell", "sweep_grid"]
+__all__ = ["SweepCell", "sweep_cell"]
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,3 @@ def sweep_cell(
     ratios = {name: [r.ratio for r in unit_results[name]] for name in algorithms}
     stats = {name: summarize(vals) for name, vals in ratios.items() if vals}
     return SweepCell(params=dict(params or {}), ratios=ratios, stats=stats)
-
-
-def sweep_grid(
-    algorithms: Sequence[str],
-    cells: Mapping[tuple, Iterable[Instance]],
-    param_names: Sequence[str] = (),
-) -> List[SweepCell]:
-    """Run a whole grid: ``cells`` maps parameter tuples to instance batches.
-
-    ``param_names`` label the tuple components (e.g. ``("d", "mu")``).
-    Returns one :class:`SweepCell` per grid cell, in mapping order.
-    """
-    results: List[SweepCell] = []
-    for key, instances in cells.items():
-        params = dict(zip(param_names, key)) if param_names else {"key": key}
-        results.append(sweep_cell(algorithms, instances, params=params))
-    return results

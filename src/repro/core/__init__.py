@@ -30,7 +30,7 @@ from .intervals import (
 from .items import Item, make_item
 from .bins import Bin
 from .packing import BinRecord, Packing
-from .vectors import EPS, as_size_vector, check_proposition1, fits, fits_batch, l1, linf, lp
+from .vectors import EPS, as_size_vector, check_proposition1, fits, l1, linf, lp
 
 __all__ = [
     "AlgorithmError",
@@ -58,7 +58,6 @@ __all__ = [
     "event_order",
     "event_stream",
     "fits",
-    "fits_batch",
     "intervals_partition",
     "iter_arrivals",
     "l1",

@@ -11,14 +11,13 @@ constant breakpoint machinery used by the exact-optimum integral (Eq. 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 __all__ = [
     "Interval",
     "union_length",
     "merge_intervals",
     "total_span",
-    "intersect",
     "intervals_partition",
     "breakpoints",
 ]
@@ -103,21 +102,6 @@ def total_span(intervals: Iterable[Interval]) -> Interval:
     if not items:
         return Interval(0.0, 0.0)
     return Interval(min(iv.start for iv in items), max(iv.end for iv in items))
-
-
-def intersect(a: Sequence[Interval], b: Sequence[Interval]) -> List[Interval]:
-    """Pairwise intersection of two *disjoint, sorted* interval lists."""
-    out: List[Interval] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        iv = a[i].intersection(b[j])
-        if not iv.empty:
-            out.append(iv)
-        if a[i].end <= b[j].end:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 def intervals_partition(

@@ -25,7 +25,6 @@ __all__ = [
     "l1",
     "lp",
     "fits",
-    "fits_batch",
     "check_proposition1",
     "dominates",
 ]
@@ -119,8 +118,9 @@ def fits(load: VectorLike, size: VectorLike, capacity: VectorLike) -> bool:
     relative tolerance of :data:`EPS` (scaled by the capacity so the
     tolerance is meaningful for non-unit capacities, e.g. the B=100
     integer experiments of Section 7).  It runs on Python floats, whose
-    adds and compares are the IEEE-754 float64 operations
-    :func:`fits_batch` makes, so the two agree bit for bit.
+    adds and compares are the IEEE-754 float64 operations of a float64
+    array, so a vectorised check over a load matrix agrees with it bit
+    for bit.
 
     Raises
     ------
@@ -149,31 +149,6 @@ def _floats(v: VectorLike) -> list:
     if type(v) is np.ndarray and v.dtype is _F64 and v.ndim == 1:
         return v.tolist()
     return np.asarray(v, dtype=np.float64).reshape(-1).tolist()
-
-
-def fits_batch(loads: np.ndarray, size: np.ndarray, capacity: np.ndarray) -> np.ndarray:
-    """Vectorised fit check over many bins at once.
-
-    Parameters
-    ----------
-    loads:
-        Array of shape ``(m, d)`` — one row per open bin.
-    size:
-        The arriving item's size, shape ``(d,)``.
-    capacity:
-        The (common) bin capacity, shape ``(d,)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Boolean array of shape ``(m,)`` where entry ``i`` is ``True``
-        iff the item fits bin ``i``.  This is the hot path of every Any
-        Fit algorithm and deliberately avoids Python-level loops.
-    """
-    if loads.size == 0:
-        return np.zeros(0, dtype=bool)
-    slack = capacity + EPS * np.maximum(capacity, 1.0)
-    return np.all(loads + size[np.newaxis, :] <= slack[np.newaxis, :], axis=1)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:

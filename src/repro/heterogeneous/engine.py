@@ -1,12 +1,16 @@
 """Online engine and policies for heterogeneous fleets.
 
 The homogeneous engine's contract changes in one place: *opening a bin
-requires choosing a type*.  :class:`TypedEngine` mirrors
-:class:`repro.simulation.engine.Engine` with typed bins and rate-weighted
-cost accounting; :class:`TypedAnyFit` generalises the Any Fit template —
-pack into an open bin if any fits, otherwise open a bin of the type the
-``opening_rule`` selects, choosing among fitting bins with a pluggable
-selection rule (default: Move To Front recency).
+requires choosing a type*.  :class:`TypedAnyFit` generalises the Any Fit
+template — pack into an open bin if any fits, otherwise open a bin of
+the type the ``opening_rule`` selects, choosing among fitting bins with
+a pluggable selection rule (default: Move To Front recency).  It opens
+each bin through the core's callback with its type's capacity, so
+:class:`TypedEngine` is the classic
+:class:`repro.simulation.engine.Engine` replay plus the rate-weighted
+bill of each bin's type.  On a one-type fleet at unit rate, ``recent``
+is Move To Front and ``first`` is First Fit, bit for bit; ``repro
+verify`` holds it to that.
 
 The interesting new trade-off: a big cheap-per-unit server improves
 *packing* but is wasted when mostly idle; the small expensive-per-unit
@@ -18,17 +22,16 @@ single-type fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.bins import Bin
 from ..core.errors import AlgorithmError, ConfigurationError, PackingAuditError
-from ..core.events import EventKind, event_stream
 from ..core.instance import Instance
-from ..core.intervals import Interval
 from ..core.items import Item
 from ..core.vectors import EPS
+from ..simulation.engine import Engine
 from .types import Fleet, ServerType
 
 __all__ = ["TypedBinRecord", "TypedPacking", "TypedAnyFit", "TypedEngine", "typed_run"]
@@ -143,23 +146,28 @@ class TypedAnyFit:
         self.selection = selection
         self.name = f"typed_any_fit({self.opening_rule},{selection})"
         self._list: List[Tuple[Bin, ServerType]] = []
+        #: the server type of every bin opened in the current run, by
+        #: bin index
+        self.bin_types: List[ServerType] = []
 
     def start(self, instance: Instance) -> None:
         self._list = []
+        self.bin_types = []
 
     # -- engine interface ----------------------------------------------
     def dispatch(
         self,
         item: Item,
         now: float,
-        open_new_bin: Callable[[ServerType], Bin],
+        open_new_bin: Callable[[Optional[np.ndarray]], Bin],
     ) -> Bin:
         fitting = [(b, t) for b, t in self._list if b.can_fit(item)]
         if fitting:
             chosen_pair = self._select(fitting)
         else:
             stype = self._open_rule(self.fleet, item)
-            fresh = open_new_bin(stype)
+            fresh = open_new_bin(stype.capacity_array)
+            self.bin_types.append(stype)
             chosen_pair = (fresh, stype)
             self._list.insert(0, chosen_pair)
         self._touch(chosen_pair)
@@ -183,7 +191,14 @@ class TypedAnyFit:
 
 
 class TypedEngine:
-    """Replays one instance through one typed policy."""
+    """Replays one instance through one typed policy.
+
+    The replay is the classic :class:`~repro.simulation.engine.Engine`'s:
+    the policy opens each bin through the core's callback with its
+    type's capacity, and the typed records are the classic
+    :class:`~repro.core.packing.Packing`'s bins with the type the policy
+    recorded for each.  Engines are single-use.
+    """
 
     def __init__(self, instance: Instance, algorithm: TypedAnyFit) -> None:
         if instance.d != algorithm.fleet.d:
@@ -192,80 +207,31 @@ class TypedEngine:
             )
         self.instance = instance
         self.algorithm = algorithm
-        self._bins: List[Tuple[Bin, ServerType]] = []
-        self._bin_of_item: Dict[int, Bin] = {}
-        self._type_of_bin: Dict[int, ServerType] = {}
-        self._assignment: Dict[int, int] = {}
-        self._close_times: Dict[int, float] = {}
         self._ran = False
 
     def run(self) -> TypedPacking:
         if self._ran:
             raise AlgorithmError("TypedEngine instances are single-use")
         self._ran = True
-        self.algorithm.start(self.instance)
-
-        for event in event_stream(self.instance):
-            if event.kind is EventKind.ARRIVAL:
-                self._arrival(event.item, event.time)
-            else:
-                self._departure(event.item, event.time)
-
-        records = []
-        for bin_, stype in self._bins:
-            closed = self._close_times.get(bin_.index)
-            if closed is None:
-                closed = max(
-                    self.instance.items[self._uid_index(u)].departure
-                    for u in (it.uid for it in bin_.history)
-                )
-            records.append(
-                TypedBinRecord(
-                    index=bin_.index,
-                    type_name=stype.name,
-                    cost_rate=stype.cost_rate,
-                    opened_at=bin_.opened_at,
-                    closed_at=closed,
-                    item_uids=tuple(it.uid for it in bin_.history),
-                )
-            )
+        packing = Engine(self.instance, self.algorithm).run()
+        types = self.algorithm.bin_types
         return TypedPacking(
             instance=self.instance,
             fleet=self.algorithm.fleet,
-            assignment=dict(self._assignment),
-            bins=tuple(records),
+            assignment=packing.assignment,
+            bins=tuple(
+                TypedBinRecord(
+                    index=rec.index,
+                    type_name=types[rec.index].name,
+                    cost_rate=types[rec.index].cost_rate,
+                    opened_at=rec.opened_at,
+                    closed_at=rec.closed_at,
+                    item_uids=rec.item_uids,
+                )
+                for rec in packing.bins
+            ),
             algorithm=self.algorithm.name,
         )
-
-    def _uid_index(self, uid: int) -> int:
-        # uids equal positions for generator-produced instances; fall
-        # back to a scan otherwise
-        items = self.instance.items
-        if uid < len(items) and items[uid].uid == uid:
-            return uid
-        for i, it in enumerate(items):
-            if it.uid == uid:
-                return i
-        raise KeyError(uid)
-
-    def _arrival(self, item: Item, now: float) -> None:
-        def open_new_bin(stype: ServerType) -> Bin:
-            fresh = Bin(stype.capacity_array, index=len(self._bins), opened_at=now)
-            self._bins.append((fresh, stype))
-            self._type_of_bin[fresh.index] = stype
-            return fresh
-
-        target = self.algorithm.dispatch(item, now, open_new_bin)
-        target.pack(item)
-        self._bin_of_item[item.uid] = target
-        self._assignment[item.uid] = target.index
-
-    def _departure(self, item: Item, now: float) -> None:
-        bin_ = self._bin_of_item.pop(item.uid)
-        closed = bin_.remove(item, now)
-        if closed:
-            self._close_times[bin_.index] = now
-        self.algorithm.notify_departure(bin_, item, now, closed)
 
 
 def typed_run(algorithm: TypedAnyFit, instance: Instance, validate: bool = False) -> TypedPacking:

@@ -1,12 +1,10 @@
-"""Runtime observability: counters, timers, per-run stats, trace sinks.
+"""Runtime observability: per-run stats and trace sinks.
 
 The simulation engine is the hot path of every experiment, yet until
 this layer existed the repo had no way to *measure* it — no per-phase
 timings, no dispatch counters, no reproducible baseline to judge perf
 PRs against.  This package provides that measurement plane:
 
-* :mod:`repro.observability.metrics` — a low-overhead :class:`Counter` /
-  :class:`Timer` pair and a :class:`MetricsRegistry` to group them;
 * :mod:`repro.observability.stats` — :class:`RunStats` (the structured
   per-run record: events processed, bins opened, fit checks, dispatch
   wall-time, peak open bins, optional RSS) and the mutable
@@ -23,18 +21,14 @@ test timings are unaffected (see docs/observability.md for the measured
 overhead protocol).
 """
 
-from .metrics import Counter, MetricsRegistry, Timer
 from .sinks import JsonLinesSink, MemorySink, NullSink, TraceSink
 from .stats import RunStats, StatsCollector
 
 __all__ = [
-    "Counter",
     "JsonLinesSink",
     "MemorySink",
-    "MetricsRegistry",
     "NullSink",
     "RunStats",
     "StatsCollector",
-    "Timer",
     "TraceSink",
 ]

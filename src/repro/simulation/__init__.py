@@ -38,7 +38,7 @@ from .metrics import (
 )
 from .parallel import UnitResult, aggregate_sweep_stats, parallel_sweep
 from .runner import compare_algorithms, run, run_many
-from .trace import TraceRecord, TraceRecorder, render_trace, traces_equal
+from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "BatchRunner",
@@ -73,8 +73,6 @@ __all__ = [
     "UnitResult",
     "aggregate_sweep_stats",
     "parallel_sweep",
-    "render_trace",
-    "traces_equal",
     "UsagePeriodTracker",
     "compare_algorithms",
     "compute_metrics",

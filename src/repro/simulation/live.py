@@ -1,15 +1,17 @@
 """The live packing: Algorithm 1's per-item step, written once.
 
-The classic :class:`~repro.simulation.engine.Engine`, the streaming
-engine, the placement service, the repacking engine and the adversary
-driver change their packing only through :class:`LivePacking`'s three
-operations — the insert, delete and repack of fully dynamic bin
-packing: :meth:`~LivePacking.place` packs an arrival where the policy
-says, opening a bin when it asks for one (Lines 3–9);
-:meth:`~LivePacking.depart` removes an item, and the policy prunes
-``L`` when its bin closed (Lines 10–12); :meth:`~LivePacking.move`
-relocates a live item (repacking).  An engine keeps only what it alone
-needs on top: event order, every bin, the assignment, a clock.
+The classic :class:`~repro.simulation.engine.Engine` (and the
+heterogeneous-fleet :class:`~repro.heterogeneous.engine.TypedEngine`
+that runs it), the streaming engine, the placement service, the
+repacking engine and the adversary driver change their packing only
+through :class:`LivePacking`'s three operations — the insert, delete
+and repack of fully dynamic bin packing: :meth:`~LivePacking.place`
+packs an arrival where the policy says, opening a bin when it asks for
+one (Lines 3–9); :meth:`~LivePacking.depart` removes an item, and the
+policy prunes ``L`` when its bin closed (Lines 10–12);
+:meth:`~LivePacking.move` relocates a live item (repacking).  An engine
+keeps only what it alone needs on top: event order, every bin, the
+assignment, a clock.
 
 The core is the only caller of ``dispatch``, ``notify_departure`` and
 ``notify_packed``, so the policy hears of every load change and may
@@ -154,15 +156,22 @@ class LivePacking:
             dispatch_time_s=st.dispatch_time_s,
         )
 
-    def _open_new_bin(self) -> Bin:
-        """The ``open_new_bin`` callback :meth:`place` hands the policy."""
+    def _open_new_bin(self, capacity: Optional[np.ndarray] = None) -> Bin:
+        """The ``open_new_bin`` callback :meth:`place` hands the policy.
+
+        The bin has the core's capacity unless the policy passes its own
+        (a heterogeneous fleet's server type).
+        """
         if self._opened:
             raise AlgorithmError(
                 f"{self.algorithm.name} opened two bins for one item "
                 f"(item {self._item.uid})"
             )
         now = self._now
-        fresh = self.bin_type(self.capacity, index=self.next_index, opened_at=now)
+        fresh = self.bin_type(
+            self.capacity if capacity is None else capacity,
+            index=self.next_index, opened_at=now,
+        )
         self.next_index += 1
         self.open[fresh.index] = fresh
         self._opened = True

@@ -1,10 +1,9 @@
-"""Structured simulation traces: record, render, compare.
+"""Structured simulation traces.
 
 A :class:`TraceRecorder` observer captures every engine transition as a
-typed record; traces can be rendered as human-readable logs (for
-debugging a policy decision-by-decision), diffed against each other (two
-runs of a deterministic policy must produce identical traces — a
-property the tests rely on), and summarised.
+typed record, for debugging a policy decision by decision; two runs of
+a deterministic policy record equal traces (a property the tests rely
+on).
 
 Record kinds:
 
@@ -27,7 +26,7 @@ from ..core.items import Item
 from ..core.packing import Packing
 from .engine import SimulationObserver
 
-__all__ = ["TraceRecord", "TraceRecorder", "render_trace", "traces_equal"]
+__all__ = ["TraceRecord", "TraceRecorder"]
 
 
 @dataclass(frozen=True)
@@ -81,54 +80,3 @@ class TraceRecorder(SimulationObserver):
     def opens(self) -> List[TraceRecord]:
         """Open records only, in order."""
         return [r for r in self.records if r.kind == "open"]
-
-
-def render_trace(recorder: TraceRecorder, max_records: Optional[int] = None) -> str:
-    """Human-readable log of a trace.
-
-    One line per record: ``t=3.0  pack    item 7 -> bin 2  load=[0.4 0.7]``.
-    """
-    lines = [f"trace of {recorder.algorithm_name} ({len(recorder.records)} records)"]
-    records = recorder.records[: max_records or len(recorder.records)]
-    for r in records:
-        load = "[" + " ".join(f"{x:.3g}" for x in r.load_after) + "]"
-        if r.kind == "open":
-            lines.append(f"t={r.time:<8g} open    bin {r.bin_index}")
-        elif r.kind == "pack":
-            star = " (new bin)" if r.flag else ""
-            lines.append(
-                f"t={r.time:<8g} pack    item {r.item_uid} -> bin "
-                f"{r.bin_index}  load={load}{star}"
-            )
-        else:
-            star = " (bin closed)" if r.flag else ""
-            lines.append(
-                f"t={r.time:<8g} depart  item {r.item_uid} <- bin "
-                f"{r.bin_index}  load={load}{star}"
-            )
-    if max_records and len(recorder.records) > max_records:
-        lines.append(f"... {len(recorder.records) - max_records} more records")
-    return "\n".join(lines)
-
-
-def traces_equal(a: TraceRecorder, b: TraceRecorder, tol: float = 1e-12) -> bool:
-    """Whether two traces describe the identical execution.
-
-    Loads are compared within ``tol``; everything else exactly.
-    """
-    if len(a.records) != len(b.records):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if (ra.kind, ra.time, ra.bin_index, ra.item_uid, ra.flag) != (
-            rb.kind,
-            rb.time,
-            rb.bin_index,
-            rb.item_uid,
-            rb.flag,
-        ):
-            return False
-        if len(ra.load_after) != len(rb.load_after):
-            return False
-        if any(abs(x - y) > tol for x, y in zip(ra.load_after, rb.load_after)):
-            return False
-    return True

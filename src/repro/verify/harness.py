@@ -8,7 +8,10 @@ twin-engine differential, the classic-vs-streaming bounded-memory
 differential, the classic-vs-repacking budget-0 differential (the
 migration engine's ``no_repack`` twin must be bit-identical), the
 invariant auditor, and the Eq. 1 cost
-recomputation; each instance then hosts one live budget-k repacking run
+recomputation; each instance's Move To Front (even index) or First Fit
+(odd index) packing is replayed by the heterogeneous-fleet engine on a
+one-type unit-rate fleet (:func:`repro.verify.oracles.compare_with_typed`);
+each instance then hosts one live budget-k repacking run
 whose move log is replayed through the independent migration-budget
 auditor (:func:`repro.verify.oracles.repacking_budget_check`,
 alternating the greedy-consolidate and budgeted-rebalance policies),
@@ -68,6 +71,7 @@ from .oracles import (
     compare_with_reference,
     compare_with_repacking,
     compare_with_streaming,
+    compare_with_typed,
     cost_check,
     instrumented_equality_check,
     repacking_budget_check,
@@ -88,6 +92,13 @@ _MEASURE_VARIANTS: Tuple[Tuple[str, Callable[[], object], str], ...] = (
     ("best_fit_l2", lambda: BestFit(measure="lp", p=2.0), "best_fit:lp:2.0"),
     ("worst_fit_l1", lambda: WorstFit(measure="l1"), "worst_fit:l1"),
     ("worst_fit_lp3", lambda: WorstFit(measure="lp", p=3.0), "worst_fit:lp:3.0"),
+)
+
+#: (typed selection, classic policy it equals on a one-type unit-rate
+#: fleet), alternated across the corpus by index
+_TYPED_TWINS: Tuple[Tuple[str, str], ...] = (
+    ("recent", "move_to_front"),
+    ("first", "first_fit"),
 )
 
 @dataclass(frozen=True)
@@ -178,7 +189,9 @@ class VerifyReport:
                 "null-adversary "
                 f"{'CAUGHT' if self.mutation.null_adversary_caught else 'MISSED'}, "
                 "budget-ignoring "
-                f"{'CAUGHT' if self.mutation.repacking_caught else 'MISSED'}"
+                f"{'CAUGHT' if self.mutation.repacking_caught else 'MISSED'}, "
+                "frozen-recency "
+                f"{'CAUGHT' if self.mutation.typed_caught else 'MISSED'}"
             )
         if self.violations:
             lines.append(f"  VIOLATIONS ({len(self.violations)}):")
@@ -306,6 +319,11 @@ def run_verify(
                     report.violations.append((f"{where}/{policy}", v))
                 report.checks += 1
 
+        selection, twin = _TYPED_TWINS[entry.index % len(_TYPED_TWINS)]
+        for v in compare_with_typed(packing_by_policy[twin], selection):
+            report.violations.append((f"{where}/typed-{selection}", v))
+        report.checks += 1
+
         for v in _repack_audit(inst, entry.index):
             report.violations.append((f"{where}/repack-audit", v))
         report.checks += 1
@@ -405,6 +423,15 @@ def run_verify(
                 "mutation",
                 "BudgetIgnoringRepacker mutant was NOT caught by the "
                 "migration-budget auditor",
+            ),
+        ))
+    if not report.mutation.typed_caught:
+        report.violations.append((
+            "mutation",
+            Violation(
+                "mutation",
+                "FrozenRecencyTypedAnyFit mutant was NOT caught by the "
+                "typed-vs-classic oracle",
             ),
         ))
     report.checks += 1

@@ -27,6 +27,12 @@ invariant auditor catches it:
   (:func:`~repro.repacking.audit.audit_migration_budget`) — which
   replays the engine's raw move log rather than trusting the ledger —
   can catch the over-budget event and the ledger/log disagreement.
+* :class:`FrozenRecencyTypedAnyFit` — the heterogeneous-fleet
+  :class:`~repro.heterogeneous.engine.TypedAnyFit` whose ``recent``
+  selection never moves the chosen bin to the front of ``L``.  Its
+  packings stay feasible and Any Fit, so only the typed-vs-classic
+  oracle (:func:`~repro.verify.oracles.compare_with_typed`), which holds
+  ``recent`` to Move To Front, can catch it.
 * the :class:`~repro.adversaries.attacks.NullAdversary` — a state-blind
   "attack" that emits random arrivals while ignoring the engine view.
   Run through the same must-exceed-bound scenario check as the real
@@ -52,6 +58,7 @@ from ..core.instance import Instance
 from ..core.items import Item
 from ..core.packing import Packing
 from ..core.vectors import EPS
+from ..heterogeneous import TypedAnyFit, typed_run
 from ..adversaries.scenarios import null_adversary_outcome
 from ..repacking import audit_migration_budget, repacking_run
 from ..repacking.ledger import MoveRecord
@@ -60,7 +67,7 @@ from ..simulation.fastpath import FastEngine
 from ..simulation.runner import run
 from ..workloads.uniform import UniformWorkload
 from .invariants import Violation, check_any_fit, check_capacity
-from .oracles import compare_with_fastpath
+from .oracles import _unit_fleet, compare_with_fastpath, compare_with_typed
 from .reference import ReferenceSimulator
 
 __all__ = [
@@ -68,6 +75,7 @@ __all__ = [
     "EagerOpenFirstFit",
     "StaleResidualFastEngine",
     "BudgetIgnoringRepacker",
+    "FrozenRecencyTypedAnyFit",
     "MutationReport",
     "mutation_smoke_test",
 ]
@@ -185,6 +193,18 @@ class BudgetIgnoringRepacker(RepackPolicy):
             return
 
 
+class FrozenRecencyTypedAnyFit(TypedAnyFit):
+    """Typed Any Fit that never moves the chosen bin to the front.
+
+    A new bin still enters ``L`` at the front, so ``L`` stays in opening
+    order, newest first, and ``recent`` picks the newest fitting bin
+    where Move To Front picks the most recently used one.
+    """
+
+    def _touch(self, pair) -> None:
+        pass  # the bug: the chosen bin keeps its place in L
+
+
 @dataclass(frozen=True)
 class MutationReport:
     """Outcome of the smoke test: what each mutant triggered.
@@ -203,6 +223,8 @@ class MutationReport:
     null_adversary_violations: List[Violation] = field(default_factory=list)
     repacking_caught: bool = True
     repacking_violations: List[Violation] = field(default_factory=list)
+    typed_caught: bool = True
+    typed_violations: List[Violation] = field(default_factory=list)
 
     @property
     def all_caught(self) -> bool:
@@ -213,6 +235,7 @@ class MutationReport:
             and self.fastpath_caught
             and self.null_adversary_caught
             and self.repacking_caught
+            and self.typed_caught
         )
 
 
@@ -263,6 +286,27 @@ def mutation_smoke_test(seed: int = 0) -> MutationReport:
         for problem in audit_migration_budget(repack_result)
     ]
 
+    # mutant 6: typed Any Fit whose recency is never refreshed, against
+    # Move To Front on a one-type unit-rate fleet — a hand-built
+    # instance, so no corpus seed can miss it: item 2 fits only the
+    # older bin 0, which Move To Front then moves ahead of bin 1, so
+    # item 3 lands in bin 0 there and in bin 1 under the mutant
+    inst6 = Instance.from_tuples(
+        [
+            (0.0, 10.0, 0.5),   # opens bin 0
+            (1.0, 10.0, 0.7),   # bin 0 too full: opens bin 1
+            (2.0, 10.0, 0.4),   # fits only bin 0
+            (3.0, 10.0, 0.05),  # fits both: the front bin takes it
+        ],
+        name="mutation-typed",
+    )
+    frozen = typed_run(
+        FrozenRecencyTypedAnyFit(_unit_fleet(inst6), opening_rule="cheapest"), inst6
+    )
+    typed_violations = compare_with_typed(
+        run("move_to_front", inst6), "recent", typed_packing=frozen
+    )
+
     # mutant 4: the state-blind NullAdversary judged by the same
     # must-exceed-bound check as the real attacks — "caught" means the
     # check rejected it (its certified ratio fell short of the bound)
@@ -286,4 +330,6 @@ def mutation_smoke_test(seed: int = 0) -> MutationReport:
         null_adversary_violations=null_violations,
         repacking_caught=bool(repacking_violations),
         repacking_violations=repacking_violations,
+        typed_caught=bool(typed_violations),
+        typed_violations=typed_violations,
     )

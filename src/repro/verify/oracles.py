@@ -23,6 +23,12 @@ counterpart and requires the two to agree exactly:
   and must therefore reproduce every assignment, bin count, and Eq. 1
   cost bit for bit — the built-in differential oracle of the
   repacking subsystem;
+* :func:`compare_with_typed` — the classic engine versus the
+  heterogeneous-fleet :class:`~repro.heterogeneous.engine.TypedAnyFit`
+  on a one-type, unit-rate fleet of the instance's capacity, where the
+  ``recent`` selection is Move To Front and ``first`` is First Fit:
+  same assignment, and the rate-weighted bill equals the Eq. 1 cost
+  bit for bit;
 * :func:`repacking_budget_check` — a live budget-k repacking run per
   instance, replayed through the independent
   :func:`~repro.repacking.audit.audit_repacking` auditor: the
@@ -62,6 +68,7 @@ from ..core.intervals import union_length
 from ..core.packing import Packing
 from ..observability.stats import StatsCollector
 from ..core.errors import ConfigurationError
+from ..heterogeneous import Fleet, ServerType, TypedAnyFit, TypedPacking, typed_run
 from ..simulation.fastpath import FAST_POLICIES, FastEngine, parse_policy_spec
 from ..simulation.parallel import parallel_sweep
 from ..simulation.runner import run
@@ -75,6 +82,7 @@ __all__ = [
     "compare_with_batch",
     "compare_with_streaming",
     "compare_with_repacking",
+    "compare_with_typed",
     "repacking_budget_check",
     "differential_check",
     "instrumented_equality_check",
@@ -366,6 +374,59 @@ def compare_with_repacking(
             "repacking",
             f"{policy}: budget-0 repacking cost {repack_packing.cost!r} != "
             f"classic cost {packing.cost!r} (bit-identity contract)",
+        ))
+    return out
+
+
+def _unit_fleet(instance: Instance) -> Fleet:
+    """One server type of ``instance``'s capacity at rate 1: the fleet on
+    which a typed run is the classic, identical-bins one."""
+    return Fleet([ServerType("unit", tuple(instance.capacity.tolist()), 1.0)])
+
+
+def compare_with_typed(
+    packing: Packing,
+    selection: str,
+    typed_packing: Optional[TypedPacking] = None,
+) -> List[Violation]:
+    """Compare a classic-engine ``packing`` against the typed replay.
+
+    On a one-type fleet of the instance's capacity at rate 1,
+    :class:`~repro.heterogeneous.engine.TypedAnyFit` with
+    ``selection="recent"`` is Move To Front and with ``"first"`` is First
+    Fit, and the rate-weighted bill (Kamali–López-Ortiz's renting
+    cost) is the Eq. 1 cost.  The typed run must therefore reproduce the
+    classic packing's item → bin assignment and its cost bit for bit
+    (compared by ``float.hex``).  ``typed_packing`` lets the mutation
+    smoke-test inject a deliberately broken typed run.  Violations name
+    the instance.
+    """
+    instance = packing.instance
+    if typed_packing is None:
+        policy = TypedAnyFit(
+            _unit_fleet(instance), opening_rule="cheapest", selection=selection
+        )
+        typed_packing = typed_run(policy, instance)
+    label = f"{instance.name or 'instance'}: typed {selection} vs {packing.algorithm}"
+    out: List[Violation] = []
+    if dict(packing.assignment) != typed_packing.assignment:
+        typed_assignment = typed_packing.assignment
+        diff = [
+            uid for uid in packing.assignment
+            if typed_assignment.get(uid) != packing.assignment[uid]
+        ]
+        out.append(Violation(
+            "typed",
+            f"{label}: assignments differ on items {diff[:10]}"
+            f"{'...' if len(diff) > 10 else ''} "
+            f"(classic {[packing.assignment.get(u) for u in diff[:10]]}, "
+            f"typed {[typed_assignment.get(u) for u in diff[:10]]})",
+        ))
+    if float.hex(typed_packing.cost) != float.hex(packing.cost):
+        out.append(Violation(
+            "typed",
+            f"{label}: typed cost {typed_packing.cost!r} != classic cost "
+            f"{packing.cost!r} (bit-identity contract)",
         ))
     return out
 

@@ -50,7 +50,8 @@ FitPredicate = Callable[[np.ndarray, np.ndarray, np.ndarray], bool]
 
 
 def reference_fit(load: np.ndarray, size: np.ndarray, capacity: np.ndarray) -> bool:
-    """Scalar per-dimension fit check (the spec of ``fits``/``fits_batch``).
+    """Scalar per-dimension fit check (the spec of ``fits`` and of Any
+    Fit's load-matrix scans).
 
     Written as an explicit loop on purpose: it shares no code with the
     vectorised hot path it oracles.

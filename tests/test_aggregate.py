@@ -69,49 +69,3 @@ class TestSummarize:
     def test_mean_within_minmax(self, vals):
         s = summarize(vals)
         assert s.minimum - 1e-6 <= s.mean <= s.maximum + 1e-6
-
-
-class TestBootstrapCI:
-    def test_contains_mean_for_normal_sample(self):
-        from repro.analysis.aggregate import bootstrap_ci
-
-        vals = list(np.random.default_rng(0).normal(5.0, 1.0, size=100))
-        lo, hi = bootstrap_ci(vals, seed=1)
-        assert lo <= np.mean(vals) <= hi
-
-    def test_reproducible(self):
-        from repro.analysis.aggregate import bootstrap_ci
-
-        vals = [1.0, 4.0, 2.0, 8.0, 3.0]
-        assert bootstrap_ci(vals, seed=5) == bootstrap_ci(vals, seed=5)
-
-    def test_single_value_degenerate(self):
-        from repro.analysis.aggregate import bootstrap_ci
-
-        assert bootstrap_ci([3.0]) == (3.0, 3.0)
-
-    def test_narrows_with_n(self):
-        from repro.analysis.aggregate import bootstrap_ci
-
-        rng = np.random.default_rng(2)
-        lo_s, hi_s = bootstrap_ci(list(rng.normal(size=20)), seed=0)
-        lo_l, hi_l = bootstrap_ci(list(rng.normal(size=2000)), seed=0)
-        assert (hi_l - lo_l) < (hi_s - lo_s)
-
-    def test_validation(self):
-        from repro.analysis.aggregate import bootstrap_ci
-        from repro.core.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([])
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([1.0], confidence=1.5)
-
-    def test_skewed_sample_wider_upper_tail(self):
-        from repro.analysis.aggregate import bootstrap_ci
-
-        rng = np.random.default_rng(3)
-        vals = list(rng.pareto(2.0, size=200))
-        lo, hi = bootstrap_ci(vals, seed=0)
-        m = float(np.mean(vals))
-        assert (hi - m) > 0 and (m - lo) > 0

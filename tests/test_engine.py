@@ -7,12 +7,13 @@ from typing import List
 import numpy as np
 import pytest
 
-from repro.algorithms.base import AnyFitAlgorithm
+from repro.algorithms.base import AnyFitAlgorithm, OnlineAlgorithm
 from repro.algorithms.first_fit import FirstFit
-from repro.core.errors import AlgorithmError
+from repro.core.errors import AlgorithmError, CapacityExceededError
 from repro.core.instance import Instance
 from repro.core.items import Item
 from repro.simulation.engine import Engine, SimulationObserver, simulate
+from repro.simulation.live import LivePacking
 
 
 class RecordingObserver(SimulationObserver):
@@ -144,6 +145,49 @@ class TestEngineContracts:
                 assert uid not in seen, f"item {uid} appears in two bins"
                 seen[uid] = rec.index
         assert seen == dict(packing.assignment)
+
+
+class OpensSized(OnlineAlgorithm):
+    """Opens a fresh bin for every item: of ``capacity`` when given, of
+    the core's capacity otherwise."""
+
+    name = "opens_sized"
+
+    def __init__(self, capacity=None):
+        self.capacity = capacity
+
+    def start(self, instance):
+        pass
+
+    def dispatch(self, item, now, open_new_bin):
+        if self.capacity is None:
+            return open_new_bin()
+        return open_new_bin(self.capacity)
+
+
+class TestOpenNewBinCallback:
+    """The core's ``open_new_bin`` callback builds a bin of the core's
+    capacity unless the policy passes its own (a server type's)."""
+
+    def test_bin_defaults_to_the_core_capacity(self):
+        core = LivePacking(OpensSized(), np.ones(2))
+        fresh = core.place(Item(0.0, 1.0, np.array([0.5, 0.5]), 0), 0.0)
+        assert fresh.capacity is core.capacity
+        assert core.open == {0: fresh}
+
+    def test_policy_capacity_sizes_the_bin(self):
+        core = LivePacking(OpensSized(np.array([2.0, 2.0])), np.ones(2))
+        big = Item(0.0, 1.0, np.array([1.5, 0.5]), 0)  # over the core's capacity
+        fresh = core.place(big, 0.0)
+        assert list(fresh.capacity) == [2.0, 2.0]
+        assert list(fresh.load) == [1.5, 0.5]
+        assert list(core.capacity) == [1.0, 1.0]
+        assert (core.next_index, core.stats.bins_opened) == (1, 1)
+
+    def test_item_over_the_policy_capacity_is_refused(self):
+        core = LivePacking(OpensSized(np.array([0.5, 0.5])), np.ones(2))
+        with pytest.raises(CapacityExceededError):
+            core.place(Item(0.0, 1.0, np.array([0.6, 0.1]), 0), 0.0)
 
 
 class TestFastFallback:

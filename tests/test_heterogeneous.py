@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bins import Bin
 from repro.core.errors import AlgorithmError, ConfigurationError, PackingAuditError
 from repro.core.instance import Instance
 from repro.core.items import Item
@@ -16,8 +17,14 @@ from repro.heterogeneous import (
     TypedEngine,
     typed_run,
 )
+from repro.simulation.runner import run
 from repro.workloads.distributions import DirichletSize
 from repro.workloads.poisson import PoissonWorkload
+from repro.workloads.uniform import UniformWorkload
+
+#: (typed selection, classic policy it equals on a one-type unit-rate fleet)
+TWINS = [("recent", "move_to_front"), ("first", "first_fit")]
+SELECTIONS = ["recent", "first", "cheapest_rate"]
 
 
 @pytest.fixture
@@ -25,6 +32,40 @@ def workload_instance():
     gen = PoissonWorkload(d=2, rate=1.0, horizon=40,
                           sizes=DirichletSize(min_mag=0.05, max_mag=0.8))
     return gen.sample_seeded(1)
+
+
+def _shift_uids(instance, by):
+    """``instance`` with every uid moved up by ``by``."""
+    return Instance(
+        [Item(it.arrival, it.departure, it.size, it.uid + by) for it in instance.items],
+        capacity=instance.capacity,
+    )
+
+
+def _unit_fleet_of(instance, rate=1.0):
+    """One server type of ``instance``'s own capacity."""
+    return Fleet([ServerType("unit", tuple(instance.capacity.tolist()), rate)])
+
+
+def _scaled(instance, factor):
+    """``instance`` on bins ``factor`` times as large, items scaled alike."""
+    return Instance(
+        [Item(it.arrival, it.departure, it.size * factor, it.uid) for it in instance.items],
+        capacity=instance.capacity * factor,
+    )
+
+
+#: instances with a non-trivial packing: d = 1 and d = 3 uniform, and
+#: d = 2 Poisson on bins of capacity 4
+CLASSIC_RECIPES = {
+    "uniform-d1": lambda: UniformWorkload(d=1, n=150, mu=10, T=60, B=10).sample_seeded(3),
+    "uniform-d3": lambda: UniformWorkload(d=3, n=150, mu=10, T=60, B=10).sample_seeded(4),
+    "poisson-cap4": lambda: _scaled(
+        PoissonWorkload(d=2, rate=2.0, horizon=40,
+                        sizes=DirichletSize(min_mag=0.05, max_mag=0.8)).sample_seeded(2),
+        4.0,
+    ),
+}
 
 
 class TestServerType:
@@ -141,15 +182,34 @@ class TestTypedRuns:
             members[b].add(ev.item.uid)
 
     def test_single_type_fleet_matches_homogeneous_mf(self, workload_instance):
-        """With one unit-capacity type and recency selection, the typed
-        engine is exactly Move To Front."""
-        from repro.simulation.runner import run
-
+        """With one unit-capacity type at unit rate, recency selection is
+        exactly Move To Front and opening-order selection First Fit."""
         fleet = Fleet([ServerType("unit", (1.0, 1.0), 1.0)])
-        typed = typed_run(TypedAnyFit(fleet, opening_rule="cheapest"), workload_instance)
-        plain = run("move_to_front", workload_instance)
-        assert typed.assignment == dict(plain.assignment)
-        assert typed.cost == pytest.approx(plain.cost)
+        for selection, policy in TWINS:
+            typed = typed_run(
+                TypedAnyFit(fleet, opening_rule="cheapest", selection=selection),
+                workload_instance,
+            )
+            plain = run(policy, workload_instance)
+            assert typed.assignment == dict(plain.assignment)
+            assert float.hex(typed.cost) == float.hex(plain.cost)
+
+    def test_uids_need_not_be_positions(self, workload_instance):
+        """Shifting every uid by 1000 changes the labels only: the same
+        bins, types, usage periods and bill."""
+        shifted = _shift_uids(workload_instance, 1000)
+        plain = typed_run(TypedAnyFit(DEFAULT_FLEET), workload_instance)
+        moved = typed_run(TypedAnyFit(DEFAULT_FLEET), shifted, validate=True)
+        assert moved.assignment == {
+            uid + 1000: index for uid, index in plain.assignment.items()
+        }
+        assert [
+            (r.index, r.type_name, r.opened_at, r.closed_at) for r in moved.bins
+        ] == [(r.index, r.type_name, r.opened_at, r.closed_at) for r in plain.bins]
+        assert [r.item_uids for r in moved.bins] == [
+            tuple(uid + 1000 for uid in r.item_uids) for r in plain.bins
+        ]
+        assert float.hex(moved.cost) == float.hex(plain.cost)
 
     def test_engine_single_use(self, workload_instance):
         engine = TypedEngine(workload_instance, TypedAnyFit(DEFAULT_FLEET))
@@ -196,6 +256,139 @@ class TestTypedRuns:
         if any(r.type_name != "small" for r in packing.bins):
             with pytest.raises(PackingAuditError):
                 candidate.validate()
+
+
+class TestTypedOnClassicEngine:
+    """``TypedEngine`` is the classic ``Engine`` replay: the policy opens
+    bins through the core's callback with its type's capacity, and the
+    typed records are the classic records plus each bin's type."""
+
+    @pytest.mark.parametrize("recipe", sorted(CLASSIC_RECIPES))
+    @pytest.mark.parametrize("selection,policy", TWINS)
+    def test_unit_fleet_replays_the_classic_policy(self, selection, policy, recipe):
+        inst = CLASSIC_RECIPES[recipe]()
+        typed = typed_run(
+            TypedAnyFit(_unit_fleet_of(inst), opening_rule="cheapest", selection=selection),
+            inst,
+            validate=True,
+        )
+        plain = run(policy, inst)
+        assert plain.num_bins > 1
+        assert typed.assignment == dict(plain.assignment)
+        assert [(r.index, r.opened_at, r.closed_at, r.item_uids) for r in typed.bins] == [
+            (r.index, r.opened_at, r.closed_at, r.item_uids) for r in plain.bins
+        ]
+        assert {r.type_name for r in typed.bins} == {"unit"}
+        assert float.hex(typed.cost) == float.hex(plain.cost)
+
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    def test_shifted_uids_give_the_same_bill(self, workload_instance, selection):
+        def policy():
+            return TypedAnyFit(DEFAULT_FLEET, opening_rule="cheapest", selection=selection)
+
+        plain = typed_run(policy(), workload_instance)
+        moved = typed_run(policy(), _shift_uids(workload_instance, 1000), validate=True)
+        assert moved.assignment == {
+            uid + 1000: index for uid, index in plain.assignment.items()
+        }
+        assert [(r.index, r.type_name, r.opened_at, r.closed_at) for r in moved.bins] == [
+            (r.index, r.type_name, r.opened_at, r.closed_at) for r in plain.bins
+        ]
+        assert float.hex(moved.cost) == float.hex(plain.cost)
+
+    @pytest.mark.parametrize(
+        "type_capacity,expected_bins",
+        [((1.0, 1.0), 3), ((1.5, 1.5), 2), ((2.0, 2.0), 1)],
+    )
+    def test_each_bin_has_its_type_capacity(self, type_capacity, expected_bins):
+        """Bins hold what their type holds, not what the instance's
+        capacity would: three concurrent 0.6-wide items on capacity-4
+        instance bins share one bin only if the type is that large."""
+        inst = Instance(
+            [Item(0.0, 5.0, np.array([0.6, 0.3]), i) for i in range(3)],
+            capacity=[4.0, 4.0],
+        )
+        fleet = Fleet([ServerType("only", type_capacity, 1.0)])
+        packing = typed_run(TypedAnyFit(fleet, opening_rule="cheapest"), inst, validate=True)
+        assert packing.num_bins == expected_bins
+        assert packing.cost == pytest.approx(5.0 * expected_bins)
+
+    def test_dispatch_opens_bins_only_through_the_callback(self):
+        algo = TypedAnyFit(DEFAULT_FLEET, opening_rule="cheapest")
+        algo.start(Instance([Item(0, 1, np.array([0.1, 0.1]), 0)], capacity=[4.0, 4.0]))
+        asked = []
+
+        def open_new_bin(capacity=None):
+            asked.append(capacity)
+            return Bin(capacity, index=len(asked) - 1, opened_at=0.0)
+
+        big = Item(0, 1, np.array([1.5, 0.5]), 0)  # too big for "small"
+        fresh = algo.dispatch(big, 0.0, open_new_bin)
+        fresh.pack(big)
+        assert len(asked) == 1
+        assert np.array_equal(asked[0], DEFAULT_FLEET.by_name("large").capacity_array)
+        assert np.array_equal(fresh.capacity, asked[0])
+
+        def no_open(capacity=None):
+            pytest.fail("opened a bin although an open one fits")
+
+        assert algo.dispatch(Item(0, 1, np.array([0.1, 0.1]), 1), 0.0, no_open) is fresh
+        assert [t.name for t in algo.bin_types] == ["large"]
+
+    def test_reused_policy_starts_afresh(self, workload_instance):
+        """``start`` clears ``L`` and the recorded bin types, so a policy
+        object run twice gives a fresh policy's second packing."""
+        other = PoissonWorkload(d=2, rate=1.0, horizon=40,
+                                sizes=DirichletSize(min_mag=0.05, max_mag=0.8)).sample_seeded(2)
+        reused = TypedAnyFit(DEFAULT_FLEET)
+        typed_run(reused, workload_instance)
+        again = typed_run(reused, other, validate=True)
+        fresh = typed_run(TypedAnyFit(DEFAULT_FLEET), other)
+        assert len(reused.bin_types) == fresh.num_bins
+        assert again.assignment == fresh.assignment
+        assert again.bins == fresh.bins
+
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    def test_each_bin_spans_its_items(self, workload_instance, selection):
+        """A typed record's usage period runs from its first arrival to
+        its last departure, and the records partition the items."""
+        packing = typed_run(
+            TypedAnyFit(DEFAULT_FLEET, selection=selection), workload_instance
+        )
+        by_uid = {it.uid: it for it in workload_instance.items}
+        assert [r.index for r in packing.bins] == list(range(packing.num_bins))
+        seen = []
+        for rec in packing.bins:
+            items = [by_uid[uid] for uid in rec.item_uids]
+            assert rec.opened_at == min(it.arrival for it in items)
+            assert rec.closed_at == max(it.departure for it in items)
+            assert rec.cost_rate == DEFAULT_FLEET.by_name(rec.type_name).cost_rate
+            assert all(packing.assignment[uid] == rec.index for uid in rec.item_uids)
+            seen.extend(rec.item_uids)
+        assert sorted(seen) == sorted(by_uid)
+
+    def test_one_type_bill_scales_with_its_rate(self, workload_instance):
+        """At rate 2.5 a one-type fleet packs as Move To Front and bills
+        2.5 times each bin's usage."""
+        typed = typed_run(
+            TypedAnyFit(_unit_fleet_of(workload_instance, rate=2.5),
+                        opening_rule="cheapest"),
+            workload_instance,
+        )
+        plain = run("move_to_front", workload_instance)
+        assert typed.assignment == dict(plain.assignment)
+        for rec, classic in zip(typed.bins, plain.bins):
+            assert rec.cost == 2.5 * (classic.closed_at - classic.opened_at)
+        assert typed.cost == pytest.approx(2.5 * plain.cost)
+
+    def test_bins_of_type_partition_the_bins(self, workload_instance):
+        packing = typed_run(
+            TypedAnyFit(DEFAULT_FLEET, opening_rule="cheapest"), workload_instance
+        )
+        groups = [packing.bins_of_type(t.name) for t in DEFAULT_FLEET.types]
+        assert sum(len(g) for g in groups) == packing.num_bins
+        assert sorted(r.index for g in groups for r in g) == list(range(packing.num_bins))
+        assert packing.bins_of_type("teapot") == []
 
 
 class TestEconomics:

@@ -19,6 +19,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro.adversaries.driver as driver_module
 import repro.streaming.service as service_module
@@ -30,7 +33,7 @@ from repro.algorithms.registry import PAPER_ALGORITHMS, make_algorithm
 from repro.core.bins import Bin
 from repro.core.instance import Instance
 from repro.core.items import Item
-from repro.core.vectors import EPS
+from repro.core.vectors import EPS, fits
 from repro.repacking.engine import repacking_run
 from repro.simulation.engine import simulate
 from repro.simulation.fastpath import FastEngine, fast_policy_for
@@ -236,6 +239,37 @@ def test_fit_boundary_is_the_slack_in_both_scans(d, cap, rows):
     item = Item(0.0, 1.0, np.full(d, need))
     assert algo._fitting_rows(item) == [rows - 2]
     assert algo.dispatch(item, 0.0, lambda: pytest.fail("opened a bin")) is bins[-2]
+
+
+#: loads and sizes drawn at and around the fit boundary as well as inside
+_COORD = st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "rows", [SCALAR_SCAN_ROWS, 3 * SCALAR_SCAN_ROWS], ids=["scalar", "numpy"]
+)
+def test_fit_scans_keep_exactly_the_rows_fits_accepts(rows):
+    """Either candidate scan returns, in ``L``-order, the rows whose bin
+    :func:`~repro.core.vectors.fits` the item."""
+    capacity = np.ones(3)
+
+    @given(
+        loads=hnp.arrays(np.float64, (rows, 3), elements=_COORD),
+        size=hnp.arrays(np.float64, (3,), elements=_COORD),
+    )
+    def check(loads, size):
+        bins = []
+        for i, load in enumerate(loads):
+            b = Bin(capacity, index=i, opened_at=0.0)
+            b.load = load.copy()
+            bins.append(b)
+        algo = FirstFit()
+        algo.start(SimpleNamespace(capacity=capacity))
+        algo._reset(bins)
+        expected = [i for i, load in enumerate(loads) if fits(load, size, capacity)]
+        assert algo._fitting_rows(Item(0.0, 1.0, size.copy())) == expected
+
+    check()
 
 
 @pytest.mark.parametrize("scenario", MUST_EXCEED_SCENARIOS, ids=lambda s: s.label)

@@ -1,4 +1,4 @@
-"""Tests for the observability layer: metrics, stats, sinks, hooks.
+"""Tests for the observability layer: stats, sinks, hooks.
 
 The engine-counter tests use a hand-computed five-item instance so every
 counter value is verifiable on paper; the parallel tests assert the
@@ -17,98 +17,17 @@ import pytest
 from repro.core.instance import Instance
 from repro.core.items import Item
 from repro.observability import (
-    Counter,
     JsonLinesSink,
     MemorySink,
-    MetricsRegistry,
     NullSink,
     RunStats,
     StatsCollector,
-    Timer,
 )
 from repro.simulation.engine import Engine, simulate
 from repro.simulation.parallel import aggregate_sweep_stats, parallel_sweep
 from repro.simulation.runner import run, run_many
 from repro.workloads.base import generate_batch
 from repro.workloads.uniform import UniformWorkload
-
-
-# ----------------------------------------------------------------------
-# metrics primitives
-# ----------------------------------------------------------------------
-class TestCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        c = Counter("x")
-        assert c.value == 0
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-    def test_reset(self):
-        c = Counter("x", value=3)
-        c.reset()
-        assert c.value == 0
-
-
-class TestTimer:
-    def test_context_manager_accumulates(self):
-        t = Timer("t")
-        with t:
-            pass
-        with t:
-            pass
-        assert t.count == 2
-        assert t.total_s >= 0.0
-        assert t.mean_s == pytest.approx(t.total_s / 2)
-
-    def test_start_stop_returns_elapsed(self):
-        t = Timer("t")
-        t.start()
-        elapsed = t.stop()
-        assert elapsed >= 0.0
-        assert t.total_s == pytest.approx(elapsed)
-
-    def test_double_start_raises(self):
-        t = Timer("t")
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer("t").stop()
-
-    def test_reset_clears_pending_section(self):
-        t = Timer("t")
-        t.start()
-        t.reset()
-        assert t.count == 0
-        t.start()  # must not raise after reset
-        t.stop()
-
-
-class TestMetricsRegistry:
-    def test_same_name_same_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.timer("b") is reg.timer("b")
-
-    def test_snapshot_is_flat_and_json_ready(self):
-        reg = MetricsRegistry()
-        reg.counter("bins").inc(3)
-        with reg.timer("dispatch"):
-            pass
-        snap = reg.snapshot()
-        assert snap["bins"] == 3
-        assert snap["dispatch_count"] == 1
-        assert snap["dispatch_s"] >= 0.0
-        json.dumps(snap)  # must not raise
-
-    def test_reset_keeps_registrations(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.reset()
-        assert reg.counter("a").value == 0
 
 
 # ----------------------------------------------------------------------

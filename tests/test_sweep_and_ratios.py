@@ -1,13 +1,11 @@
-"""Tests for the sweep harness and ratio estimators."""
+"""Tests for the sweep harness."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.algorithms.registry import make_algorithm
-from repro.analysis.ratios import ratio_bracket, ratio_to_exact_opt, ratio_to_lower_bound
-from repro.analysis.sweep import sweep_cell, sweep_grid
-from repro.simulation.runner import run
+from repro.analysis.sweep import sweep_cell
 from repro.workloads.base import generate_batch
 from repro.workloads.uniform import UniformWorkload
 
@@ -18,29 +16,6 @@ ALGOS = ["move_to_front", "first_fit", "next_fit"]
 def batch():
     gen = UniformWorkload(d=2, n=60, mu=6, T=40, B=10)
     return generate_batch(gen, 8, seed=0)
-
-
-class TestRatios:
-    def test_ratio_at_least_one_ish(self, batch):
-        # ratio vs a *lower* bound on OPT is >= cost/OPT >= 1
-        packing = run("move_to_front", batch[0])
-        assert ratio_to_lower_bound(packing) >= 1.0 - 1e-9
-
-    def test_exact_ratio_at_least_one(self):
-        inst = UniformWorkload(d=2, n=12, mu=3, T=10, B=4).sample_seeded(5)
-        packing = run("first_fit", inst)
-        assert ratio_to_exact_opt(packing) >= 1.0 - 1e-9
-
-    def test_lower_bound_ratio_upper_bounds_exact(self):
-        inst = UniformWorkload(d=2, n=12, mu=3, T=10, B=4).sample_seeded(6)
-        packing = run("first_fit", inst)
-        assert ratio_to_lower_bound(packing) >= ratio_to_exact_opt(packing) - 1e-9
-
-    def test_bracket_ordering(self, batch):
-        packing = run("first_fit", batch[0])
-        lo, hi = ratio_bracket(packing)
-        assert lo <= hi
-        assert hi == pytest.approx(ratio_to_lower_bound(packing))
 
 
 class TestSweepCell:
@@ -78,17 +53,3 @@ class TestSweepCell:
             ["random_fit"], batch, algorithm_kwargs={"random_fit": {"seed": 3}}
         )
         assert cell.ratios == cell2.ratios
-
-
-class TestSweepGrid:
-    def test_grid_shape(self):
-        gen_a = UniformWorkload(d=1, n=30, mu=3, T=20, B=5)
-        gen_b = UniformWorkload(d=2, n=30, mu=3, T=20, B=5)
-        cells = {
-            (1,): generate_batch(gen_a, 3, seed=0),
-            (2,): generate_batch(gen_b, 3, seed=1),
-        }
-        results = sweep_grid(ALGOS, cells, param_names=("d",))
-        assert len(results) == 2
-        assert results[0].params == {"d": 1}
-        assert results[1].params == {"d": 2}

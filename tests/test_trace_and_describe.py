@@ -10,7 +10,7 @@ from repro.algorithms.random_fit import RandomFit
 from repro.core.instance import Instance
 from repro.core.items import Item
 from repro.simulation.engine import simulate
-from repro.simulation.trace import TraceRecorder, render_trace, traces_equal
+from repro.simulation.trace import TraceRecorder
 from repro.workloads.describe import describe_instance, render_description
 from repro.workloads.uniform import UniformWorkload
 
@@ -36,17 +36,48 @@ class TestTraceRecorder:
             if r.flag:  # closed
                 assert all(abs(x) < 1e-9 for x in r.load_after)
 
+    def test_records_name_the_policy_and_follow_the_clock(self, tiny_instance):
+        """Records arrive in time order, each bin's open record comes just
+        before the pack that opened it, and the recorder names the policy."""
+        rec = TraceRecorder()
+        packing = simulate(FirstFit(), tiny_instance, observers=[rec])
+        assert rec.algorithm_name == "first_fit"
+        times = [r.time for r in rec.records]
+        assert times == sorted(times)
+        assert [r.bin_index for r in rec.opens()] == list(range(packing.num_bins))
+        for before, after in zip(rec.records, rec.records[1:]):
+            if before.kind == "open":
+                assert (after.kind, after.bin_index, after.flag) == ("pack", before.bin_index, True)
+        closing = [r for r in rec.records if r.kind == "depart" and r.flag]
+        assert sorted(r.bin_index for r in closing) == list(range(packing.num_bins))
+
+    def test_load_after_is_the_bin_load(self, uniform_small):
+        """Every pack and depart record carries the bin's load right after
+        it, as a replay of the records' items recomputes it."""
+        rec = TraceRecorder()
+        simulate(FirstFit(), uniform_small, observers=[rec])
+        size = {it.uid: it.size for it in uniform_small.items}
+        loads = {}
+        for r in rec.records:
+            if r.kind == "open":
+                loads[r.bin_index] = np.zeros(uniform_small.d)
+                assert r.load_after == tuple(loads[r.bin_index])
+                continue
+            sign = 1.0 if r.kind == "pack" else -1.0
+            loads[r.bin_index] = loads[r.bin_index] + sign * size[r.item_uid]
+            assert np.allclose(r.load_after, loads[r.bin_index], atol=1e-12)
+
     def test_deterministic_policy_identical_traces(self, uniform_small):
         a, b = TraceRecorder(), TraceRecorder()
         simulate(FirstFit(), uniform_small, observers=[a])
         simulate(FirstFit(), uniform_small, observers=[b])
-        assert traces_equal(a, b)
+        assert a.records == b.records
 
     def test_seeded_random_fit_identical_traces(self, uniform_small):
         a, b = TraceRecorder(), TraceRecorder()
         simulate(RandomFit(seed=4), uniform_small, observers=[a])
         simulate(RandomFit(seed=4), uniform_small, observers=[b])
-        assert traces_equal(a, b)
+        assert a.records == b.records
 
     def test_different_policies_different_traces(self):
         from repro.algorithms.last_fit import LastFit
@@ -58,19 +89,7 @@ class TestTraceRecorder:
         a, b = TraceRecorder(), TraceRecorder()
         simulate(FirstFit(), inst, observers=[a])
         simulate(LastFit(), inst, observers=[b])
-        assert not traces_equal(a, b)
-
-    def test_render_contains_key_events(self, tiny_instance):
-        rec = TraceRecorder()
-        simulate(FirstFit(), tiny_instance, observers=[rec])
-        text = render_trace(rec)
-        assert "pack" in text and "depart" in text and "first_fit" in text
-
-    def test_render_truncation(self, uniform_small):
-        rec = TraceRecorder()
-        simulate(FirstFit(), uniform_small, observers=[rec])
-        text = render_trace(rec, max_records=5)
-        assert "more records" in text
+        assert a.records != b.records
 
 
 class TestDescribe:

@@ -15,7 +15,6 @@ from repro.core.vectors import (
     check_proposition1,
     dominates,
     fits,
-    fits_batch,
     l1,
     linf,
     lp,
@@ -139,27 +138,6 @@ class TestFits:
         with pytest.raises(ValueError):
             fits(np.array([0.1, 0.2]), np.array([0.1, 0.2]), np.ones(3))
 
-    def test_fits_batch_empty(self):
-        out = fits_batch(np.zeros((0, 2)), np.array([0.1, 0.1]), self.CAP)
-        assert out.shape == (0,)
-
-    def test_fits_batch_matches_scalar(self):
-        loads = np.array([[0.2, 0.9], [0.5, 0.5], [0.95, 0.0]])
-        size = np.array([0.4, 0.1])
-        batch = fits_batch(loads, size, self.CAP)
-        scalar = [fits(row, size, self.CAP) for row in loads]
-        assert list(batch) == scalar
-
-    @given(
-        loads=hnp.arrays(np.float64, (5, 3), elements=st.floats(0, 1)),
-        size=hnp.arrays(np.float64, (3,), elements=st.floats(0, 1)),
-    )
-    @settings(max_examples=50)
-    def test_fits_batch_always_matches_scalar(self, loads, size):
-        cap = np.ones(3)
-        batch = fits_batch(loads, size, cap)
-        scalar = [fits(row, size, cap) for row in loads]
-        assert list(batch) == scalar
 
 
 class TestDominates:

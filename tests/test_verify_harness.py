@@ -75,6 +75,7 @@ def test_mutation_smoke_test_catches_all_mutants():
     assert report.fastpath_caught
     assert report.null_adversary_caught
     assert report.repacking_caught
+    assert report.typed_caught
     assert report.all_caught
 
 
@@ -117,6 +118,75 @@ def test_stale_residual_mutant_actually_diverges():
 def test_render_reports_stale_residual_mutant():
     report = run_verify("quick", instances=2)
     assert "stale-residual CAUGHT" in report.render()
+
+
+def test_render_reports_frozen_recency_mutant():
+    report = run_verify("quick", instances=2)
+    assert "frozen-recency CAUGHT" in report.render()
+
+
+def test_missed_typed_mutant_fails_the_report():
+    from repro.verify.harness import VerifyReport
+    from repro.verify.mutation import MutationReport
+
+    mutation = MutationReport(True, True, [], [], typed_caught=False)
+    assert not mutation.all_caught
+    report = VerifyReport("quick", mutation=mutation)
+    assert not report.ok
+    assert "frozen-recency MISSED" in report.render()
+
+
+def test_run_verify_alternates_typed_twins(monkeypatch):
+    """One typed replay per corpus instance: Move To Front's packing
+    against ``recent`` on even indexes, First Fit's against ``first`` on
+    odd ones; a violation it reports lands in the report."""
+    from repro.verify import harness
+    from repro.verify.invariants import Violation
+
+    calls = []
+
+    def spy(packing, selection, typed_packing=None):
+        calls.append((packing.algorithm, selection))
+        return [Violation("typed", "injected")] if len(calls) == 3 else []
+
+    monkeypatch.setattr(harness, "compare_with_typed", spy)
+    report = run_verify("quick", instances=4)
+    assert calls == [("move_to_front", "recent"), ("first_fit", "first")] * 2
+    assert [(where, v.message) for where, v in report.violations] == [
+        (f"corpus[2]={corpus_list(4, seed=PROFILES['quick'].seed)[2].recipe}"
+         "/typed-recent", "injected"),
+    ]
+    assert not report.ok
+
+
+def test_frozen_recency_mutant_passes_the_packing_invariants():
+    """The typed mutant's packings are feasible and Any Fit, so only the
+    typed-vs-classic oracle can catch it; its ``first`` selection, which
+    never reads recency, is still First Fit."""
+    from repro.core.packing import Packing
+    from repro.heterogeneous import typed_run
+    from repro.simulation.runner import run as _run
+    from repro.verify.invariants import check_any_fit, check_capacity
+    from repro.verify.mutation import FrozenRecencyTypedAnyFit
+    from repro.verify.oracles import _unit_fleet, compare_with_typed
+    from repro.workloads.uniform import UniformWorkload
+
+    inst = UniformWorkload(d=2, n=120, mu=20, T=60, B=20, name="frozen").sample_seeded(5)
+
+    def frozen(selection):
+        policy = FrozenRecencyTypedAnyFit(
+            _unit_fleet(inst), opening_rule="cheapest", selection=selection
+        )
+        return typed_run(policy, inst, validate=True)
+
+    recent = frozen("recent")
+    as_classic = Packing.from_assignment(inst, recent.assignment)
+    assert check_capacity(as_classic) == []
+    assert check_any_fit(as_classic) == []
+    assert compare_with_typed(_run("move_to_front", inst), "recent", typed_packing=recent)
+    assert compare_with_typed(
+        _run("first_fit", inst), "first", typed_packing=frozen("first")
+    ) == []
 
 
 def test_broken_fit_is_actually_broken():

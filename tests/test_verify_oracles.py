@@ -12,6 +12,7 @@ from repro.simulation.runner import run
 from repro.verify.generators import CORPUS_RECIPES, corpus_list
 from repro.verify.harness import _repack_audit
 from repro.verify.oracles import (
+    compare_with_typed,
     cost_check,
     eq1_cost,
     instrumented_equality_check,
@@ -52,6 +53,84 @@ def test_cost_check_on_corpus(policy):
 def test_instrumented_engine_is_equal(policy):
     entry = corpus_list(5, seed=42)[3]
     assert instrumented_equality_check(entry.instance, policy, seed=0) == []
+
+
+def test_typed_run_equals_classic_on_a_unit_fleet():
+    """On a one-type unit-rate fleet, typed ``recent`` is Move To Front
+    and ``first`` is First Fit, assignment and cost bit for bit."""
+    for entry in corpus_list(len(CORPUS_RECIPES), seed=45):
+        for selection, policy in (("recent", "move_to_front"), ("first", "first_fit")):
+            packing = run(make_algorithm(policy), entry.instance)
+            assert compare_with_typed(packing, selection) == []
+
+
+def test_typed_oracle_names_the_instance_of_a_frozen_recency_run():
+    from repro.heterogeneous import typed_run
+    from repro.verify.mutation import FrozenRecencyTypedAnyFit
+    from repro.verify.oracles import _unit_fleet
+    from repro.workloads.uniform import UniformWorkload
+
+    inst = UniformWorkload(d=2, n=120, mu=20, T=60, B=20, name="frozen").sample_seeded(5)
+    frozen = typed_run(
+        FrozenRecencyTypedAnyFit(_unit_fleet(inst), opening_rule="cheapest"), inst
+    )
+    violations = compare_with_typed(
+        run(make_algorithm("move_to_front"), inst), "recent", typed_packing=frozen
+    )
+    assert violations
+    assert all(v.check == "typed" and v.message.startswith("frozen: ")
+               for v in violations)
+
+
+def test_typed_oracle_flags_the_wrong_twin():
+    """Typed ``recent`` is Move To Front, not First Fit: where the two
+    split (item 2 fits both bins; bin 1 is the more recent), the oracle
+    names the item that moved and leaves the equal bills alone."""
+    inst = Instance.from_tuples(
+        [(0.0, 10.0, 0.5), (1.0, 10.0, 0.7), (2.0, 10.0, 0.05)], name="split"
+    )
+    assert compare_with_typed(run(make_algorithm("move_to_front"), inst), "recent") == []
+    violations = compare_with_typed(run(make_algorithm("first_fit"), inst), "recent")
+    assert [v.check for v in violations] == ["typed"]
+    assert violations[0].message.startswith(
+        "split: typed recent vs first_fit: assignments differ on items [2] "
+        "(classic [0], typed [1])"
+    )
+
+
+def test_typed_oracle_flags_a_cost_mismatch():
+    """The classic assignment billed at another rate on one bin breaks
+    the bit-identity of the bill alone."""
+    import dataclasses
+
+    from repro.heterogeneous import TypedAnyFit, typed_run
+    from repro.verify.oracles import _unit_fleet
+
+    inst = corpus_list(1, seed=45)[0].instance
+    packing = run(make_algorithm("first_fit"), inst)
+    typed = typed_run(
+        TypedAnyFit(_unit_fleet(inst), opening_rule="cheapest", selection="first"), inst
+    )
+    first = typed.bins[0]
+    assert first.usage_time > 0
+    overbilled = dataclasses.replace(
+        typed, bins=(dataclasses.replace(first, cost_rate=2.0),) + typed.bins[1:]
+    )
+    assert compare_with_typed(packing, "first", typed_packing=typed) == []
+    violations = compare_with_typed(packing, "first", typed_packing=overbilled)
+    assert len(violations) == 1
+    assert "typed cost" in violations[0].message
+    assert "bit-identity contract" in violations[0].message
+
+
+def test_unit_fleet_is_one_type_of_the_instance_capacity():
+    from repro.core.items import Item
+    from repro.verify.oracles import _unit_fleet
+
+    inst = Instance([Item(0.0, 1.0, np.array([1.0, 2.0]), 0)], capacity=[2.0, 3.0])
+    (only,) = _unit_fleet(inst)
+    assert only.capacity == (2.0, 3.0)
+    assert only.cost_rate == 1.0
 
 
 def test_sweep_serial_equals_worker_path():

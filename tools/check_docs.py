@@ -15,9 +15,11 @@ Five checks, any failure exits non-zero with a per-item report:
    included).  External (``http``/``mailto``) links are skipped.
 2. **Code blocks** — every ``python`` fenced block either executes (if
    it is doctest-style, i.e. its first line starts with ``>>>``) or at
-   least compiles.  All doctest blocks of one markdown file run in a
-   single shared-globals session, so later blocks may reuse names bound
-   by earlier ones (the docs are written that way on purpose).
+   least compiles, and every name a compile-only block imports with
+   ``from repro… import …`` resolves as in check 4.  All doctest blocks
+   of one markdown file run in a single shared-globals session, so later
+   blocks may reuse names bound by earlier ones (the docs are written
+   that way on purpose).
 3. **API coverage** — every module under ``src/repro`` is mentioned by
    its dotted name in ``docs/api.md``; new modules must be documented
    before CI goes green.
@@ -34,6 +36,7 @@ Five checks, any failure exits non-zero with a per-item report:
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
 import re
@@ -132,24 +135,45 @@ def check_links(
             )
 
 
-def check_code_blocks(path: Path, text: str, errors: List[str]) -> None:
+def check_code_blocks(path: Path, text: str, errors: List[str]) -> int:
+    """Run or compile the ``python`` blocks of ``text``; return how many
+    ``from repro… import …`` names the compile-only blocks import."""
     doctest_blocks: List[Tuple[int, str]] = []
+    n_imports = 0
     for lang, lineno, body in iter_code_blocks(text):
         if lang != "python":
             continue
         stripped = body.lstrip()
         if stripped.startswith(">>>"):
             doctest_blocks.append((lineno, body))
-        else:
-            try:
-                compile(body, f"{path.name}:{lineno}", "exec")
-            except SyntaxError as exc:
-                errors.append(
-                    f"{path.relative_to(REPO)}:{lineno}: block does not "
-                    f"compile: {exc}"
-                )
+            continue
+        try:
+            tree = ast.parse(body, f"{path.name}:{lineno}")
+            compile(tree, f"{path.name}:{lineno}", "exec")
+        except SyntaxError as exc:
+            errors.append(
+                f"{path.relative_to(REPO)}:{lineno}: block does not "
+                f"compile: {exc}"
+            )
+            continue
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and node.module.split(".")[0] == "repro"
+            ):
+                continue
+            for alias in node.names:
+                n_imports += 1
+                dotted = f"{node.module}.{alias.name}"
+                why = unresolved(dotted)
+                if why:
+                    errors.append(
+                        f"{path.relative_to(REPO)}:{lineno + node.lineno}: "
+                        f"block imports `{dotted}`, which does not resolve ({why})"
+                    )
     if not doctest_blocks:
-        return
+        return n_imports
     # One shared-globals session per file: later blocks reuse earlier names.
     source = "\n".join(body for _, body in doctest_blocks)
     parser = doctest.DocTestParser()
@@ -163,6 +187,7 @@ def check_code_blocks(path: Path, text: str, errors: List[str]) -> None:
             f"{path.relative_to(REPO)}: doctest session failed "
             f"({runner.failures}/{runner.tries}):\n{detail}"
         )
+    return n_imports
 
 
 def unresolved(dotted: str) -> str:
@@ -251,7 +276,7 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     errors: List[str] = []
     slug_cache: Dict[Path, set] = {}
-    n_names = 0
+    n_names = n_imports = 0
     for path in CHECKED_FILES:
         if not path.exists():
             errors.append(f"missing checked file: {path.relative_to(REPO)}")
@@ -259,7 +284,7 @@ def main() -> int:
         text = path.read_text(encoding="utf-8")
         slug_cache.setdefault(path.resolve(), heading_slugs(text))
         check_links(path.resolve(), text, errors, slug_cache)
-        check_code_blocks(path, text, errors)
+        n_imports += check_code_blocks(path, text, errors)
         n_names += check_names(path, text, errors)
         check_script_paths(path, text, errors)
     n_modules = check_api_coverage(errors)
@@ -271,7 +296,7 @@ def main() -> int:
     print(
         f"check_docs: OK ({len(CHECKED_FILES)} files, "
         f"{n_modules} modules covered by docs/api.md, "
-        f"{n_names} repro names resolved)"
+        f"{n_names} repro names and {n_imports} block imports resolved)"
     )
     return 0
 
