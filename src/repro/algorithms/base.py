@@ -52,18 +52,6 @@ class OnlineAlgorithm(abc.ABC):
     #: Human-readable policy name used in reports/legends.
     name: str = "online"
 
-    #: Fast-kernel hook: the name of the
-    #: :mod:`repro.simulation.fastpath` policy kernel whose decisions
-    #: this algorithm reproduces exactly, or ``None`` when only the
-    #: classic engine may run it.  The stock Section 7 classes set it;
-    #: configurations that change decisions (e.g. a non-default Best Fit
-    #: load measure) clear it on the instance.  Setting the attribute is
-    #: necessary but not sufficient — the class must also be registered
-    #: via :func:`repro.simulation.fastpath.register_kernel_class`, so a
-    #: subclass overriding ``choose`` cannot inherit eligibility by
-    #: accident.
-    fast_kernel: Optional[str] = None
-
     #: Unbounded-audit toggle.  Some policies accrue O(stream-length)
     #: proof bookkeeping that no *online* decision ever reads (Next
     #: Fit's ``release_log`` for the Theorem 4 check is the one case

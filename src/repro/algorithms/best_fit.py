@@ -61,7 +61,6 @@ class BestFit(AnyFitAlgorithm):
     """
 
     name = "best_fit"
-    fast_kernel = "best_fit"
 
     def __init__(self, measure: str = "linf", p: float = 2.0) -> None:
         super().__init__()
@@ -93,7 +92,6 @@ class WorstFit(AnyFitAlgorithm):
     """
 
     name = "worst_fit"
-    fast_kernel = "worst_fit"
 
     def __init__(self, measure: str = "linf", p: float = 2.0) -> None:
         super().__init__()

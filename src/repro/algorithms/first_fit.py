@@ -21,7 +21,6 @@ class FirstFit(AnyFitAlgorithm):
     """First Fit (FF) Any Fit packing algorithm."""
 
     name = "first_fit"
-    fast_kernel = "first_fit"
 
     def choose(self, item: Item, candidates: List[Bin], now: float) -> Bin:
         # L is in opening order (the base class appends new bins), so the

@@ -20,7 +20,6 @@ class LastFit(AnyFitAlgorithm):
     """Last Fit (LF) Any Fit packing algorithm."""
 
     name = "last_fit"
-    fast_kernel = "last_fit"
 
     def choose(self, item: Item, candidates: List[Bin], now: float) -> Bin:
         # L is in opening order (base class appends), so the last

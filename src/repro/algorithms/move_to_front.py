@@ -26,7 +26,6 @@ class MoveToFront(AnyFitAlgorithm):
     """Move To Front (MF) Any Fit packing algorithm."""
 
     name = "move_to_front"
-    fast_kernel = "move_to_front"
 
     def choose(self, item: Item, candidates: List[Bin], now: float) -> Bin:
         # L is maintained in recency order, and candidates preserve

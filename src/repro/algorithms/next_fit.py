@@ -27,7 +27,6 @@ class NextFit(AnyFitAlgorithm):
     """Next Fit (NF) Any Fit packing algorithm."""
 
     name = "next_fit"
-    fast_kernel = "next_fit"
 
     def __init__(self) -> None:
         super().__init__()

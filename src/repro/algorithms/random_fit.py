@@ -32,7 +32,6 @@ class RandomFit(AnyFitAlgorithm):
     """
 
     name = "random_fit"
-    fast_kernel = "random_fit"
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__()

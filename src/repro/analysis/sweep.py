@@ -102,7 +102,7 @@ def sweep_cell(
         worker count of a process pool.  Results are identical either
         way.
     engine:
-        ``"classic"`` (default), ``"fast"``, ``"batch"``, or any other
+        ``"classic"`` (default), ``"batch"``, or any other
         engine :func:`~repro.simulation.parallel.parallel_sweep` accepts;
         all engines are bit-identical.  With ``"batch"`` the whole policy
         fan-out of each instance shares one

@@ -47,7 +47,7 @@ from .observability.sinks import TraceSink
 from .observability.stats import StatsCollector, _peak_rss_bytes
 from .optimum.lower_bounds import height_lower_bound
 from .orchestration.checkpoint import atomic_write
-from .simulation.fastpath import available_backends, fast_simulate
+from .simulation.fastpath import BACKENDS, NUMPY_BACKEND, FastEngine
 from .simulation.runner import run
 from .workloads.uniform import UniformWorkload
 
@@ -519,7 +519,8 @@ def run_measure_kernel_cells(
             repeats, lambda: _timed(run, make_algorithm(base, **kwargs), instance)
         )
         fast_s, fast = _best_of(
-            repeats, lambda: _timed(fast_simulate, spec, instance)
+            repeats,
+            lambda: _timed(FastEngine(instance, spec, backend=NUMPY_BACKEND).run),
         )
         cells[label] = {
             "spec": spec,
@@ -540,14 +541,13 @@ def run_fastpath_scenario(
 ) -> Dict[str, Any]:
     """Time classic vs fastpath on one scenario; return its JSON record.
 
-    Per algorithm: the classic engine and every available fastpath
-    backend replay the same pinned instance, wall-time taken as the
-    minimum over ``repeats`` uninstrumented runs (pure engine speed, no
-    collector).  Every fast packing is checked for assignment equality
+    Per algorithm: the classic engine and every fastpath backend
+    (:data:`~repro.simulation.fastpath.BACKENDS`) replay the same pinned
+    instance, wall-time taken as the minimum over ``repeats``
+    uninstrumented runs (pure engine speed, no collector).  Every fast packing is checked for assignment equality
     against the classic one — the ``identical`` flag pins the
     twin-engine contract into the perf trajectory file itself.
     """
-    backends = available_backends()
     instance = scenario.build_instance()
     results: Dict[str, Any] = {}
     for name in algorithms:
@@ -560,10 +560,10 @@ def run_fastpath_scenario(
             "num_bins": classic.num_bins,
         }
         identical = True
-        for backend in backends:
+        for backend in BACKENDS:
             fast_s, fast = _best_of(
                 repeats,
-                lambda: _timed(fast_simulate, name, instance, backend=backend),
+                lambda: _timed(FastEngine(instance, name, backend=backend).run),
             )
             identical = identical and dict(fast.assignment) == dict(classic.assignment)
             cell[f"fast_{backend}_s"] = fast_s
@@ -575,7 +575,7 @@ def run_fastpath_scenario(
         "classic_s": sum(c["classic_s"] for c in results.values()),
         "identical": all(c["identical"] for c in results.values()),
     }
-    for backend in backends:
+    for backend in BACKENDS:
         fast_total = sum(c[f"fast_{backend}_s"] for c in results.values())
         totals[f"fast_{backend}_s"] = fast_total
         totals[f"speedup_{backend}"] = (
@@ -584,7 +584,7 @@ def run_fastpath_scenario(
     return {
         "name": scenario.name,
         "params": _params(scenario),
-        "backends": list(backends),
+        "backends": list(BACKENDS),
         "results": results,
         "totals": totals,
     }
@@ -604,14 +604,13 @@ def run_fastpath_suite(
     the L1/Lp measure-kernel cells (:func:`run_measure_kernel_cells`,
     run on the grid's first ``d = 2`` scenario).
     """
-    backends = available_backends()
     records = []
     for scenario in scenarios:
         record = run_fastpath_scenario(scenario, algorithms, repeats=repeats)
         records.append(record)
         if progress is not None:
             speedups = ", ".join(
-                f"{b} {record['totals'][f'speedup_{b}']:.1f}x" for b in backends
+                f"{b} {record['totals'][f'speedup_{b}']:.1f}x" for b in BACKENDS
             )
             progress(
                 f"  {scenario.name}: classic {record['totals']['classic_s']:.2f} s, "
@@ -628,7 +627,7 @@ def run_fastpath_suite(
             )
     largest = max(records, key=lambda r: r["params"]["n"])
     return {
-        "backends": list(backends),
+        "backends": list(BACKENDS),
         "algorithms": list(algorithms),
         "headline": {
             "scenario": largest["name"],
@@ -655,14 +654,14 @@ def run_batch_scenario(
     algorithms: Sequence[str] = tuple(PAPER_ALGORITHMS),
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Time per-unit fastpath dispatch vs batched dispatch on one cell.
+    """Time per-unit classic dispatch vs batched dispatch on one cell.
 
     Both sides drive the real sweep entry points end to end,
     serialisation included: the baseline is
-    ``parallel_sweep(processes=0, engine="fast")`` — one worker unit per
-    (algorithm, instance), each re-reading the instance dict, rebuilding
-    the event index, and recomputing the lower bound — and the batched
-    side is ``parallel_sweep(processes=0, engine="batch")`` fed compact
+    ``parallel_sweep(processes=0, engine="classic")`` — one worker unit
+    per (algorithm, instance), each replayed on the classic engine —
+    and the batched side is ``parallel_sweep(processes=0,
+    engine="batch")`` fed compact
     :class:`~repro.simulation.batch.InstanceSpec` sources (the in-worker
     instance cache is cleared before every repeat, so regeneration cost
     is *included*).  Wall-time is the minimum over ``repeats``; the
@@ -681,7 +680,7 @@ def run_batch_scenario(
                       engine="batch")
 
     per_unit_s, per_unit = _best_of(repeats, lambda: _timed(
-        parallel_sweep, list(algorithms), instances, processes=0, engine="fast"
+        parallel_sweep, list(algorithms), instances, processes=0, engine="classic"
     ))
     batch_s, batched_units = _best_of(repeats, batched)
     identical = _unit_key_tuples(per_unit) == _unit_key_tuples(batched_units)

@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="fan (algorithm, instance) units across N worker processes")
     p4.add_argument("--csv", default=None,
                     help="also write the measurements as CSV to this path")
-    p4.add_argument("--engine", choices=["classic", "fast", "batch"],
+    p4.add_argument("--engine", choices=["classic", "batch"],
                     default="classic",
                     help="simulation engine for every unit (bit-identical "
                          "results); batch = group each instance's whole "
@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="artifact subset (default: all); see repro.experiments.driver")
     pe.add_argument("--scale", choices=sorted(_SCALES), default="quick")
     pe.add_argument("--processes", type=int, default=0)
-    pe.add_argument("--engine", choices=["classic", "fast", "batch"],
+    pe.add_argument("--engine", choices=["classic", "batch"],
                     default="classic")
     pe.add_argument("--out-dir", default=None, dest="out_dir",
                     help="write each artifact to <out-dir>/<name>.txt (atomic); "
@@ -160,14 +160,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--validate", action="store_true",
                     help="audit the packing before reporting")
     pr.add_argument("--engine",
-                    choices=["classic", "fast", "batch", "streaming",
-                             "repacking"],
+                    choices=["classic", "batch", "streaming", "repacking"],
                     default="classic",
-                    help="fast = the flat-array FastEngine (bit-identical "
-                         "packings, several times faster; falls back to "
-                         "classic for policies without a fast kernel); "
-                         "batch = one BatchRunner pass (same results; pays "
-                         "off over many replays); streaming = the "
+                    help="batch = one BatchRunner pass on the flat-array "
+                         "fast kernels (bit-identical packings; falls back "
+                         "to classic for policies without a fast kernel; "
+                         "pays off over many replays); streaming = the "
                          "bounded-memory event loop (same results on every "
                          "policy; memory scales with peak live items); "
                          "repacking = the migration-budget engine (may "

@@ -42,7 +42,9 @@ class BinRecord(NamedTuple):
         Usage period endpoints: the bin was active on
         ``[opened_at, closed_at)``.
     item_uids:
-        Uids of all items ever packed into this bin, in packing order.
+        Uids of all items ever packed into this bin, in instance order
+        (the order of ``instance.items``), which need not be the order
+        they were packed in.
     """
 
     index: int
@@ -177,7 +179,7 @@ class Packing:
         return norm.total_utilization() / self.cost
 
     def items_in_bin(self, index: int) -> List[Item]:
-        """Items assigned to bin ``index`` in packing order."""
+        """Items assigned to bin ``index``, in instance order."""
         record = next((b for b in self.bins if b.index == index), None)
         if record is None:
             raise KeyError(f"no bin with index {index}")

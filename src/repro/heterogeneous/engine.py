@@ -39,7 +39,11 @@ __all__ = ["TypedBinRecord", "TypedPacking", "TypedAnyFit", "TypedEngine", "type
 
 @dataclass(frozen=True)
 class TypedBinRecord:
-    """One typed bin in a finished heterogeneous packing."""
+    """One typed bin in a finished heterogeneous packing.
+
+    ``item_uids`` lists the bin's items in instance order, as
+    :class:`~repro.core.packing.BinRecord` does.
+    """
 
     index: int
     type_name: str

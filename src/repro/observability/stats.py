@@ -27,10 +27,9 @@ Counter semantics
     reports the same scan/check semantics, so this is the only counter
     telling the twin engines apart.
 ``fastpath_fallbacks``
-    How many runs *requested* the fast engine but were executed by the
-    classic engine instead — either because the policy has no fast
-    kernel (ineligible) or because the kernel failed and the run
-    degraded gracefully.  Deterministic for a fixed (algorithm,
+    How many runs *requested* the fast kernels (``engine="batch"``) but
+    were executed by the classic engine instead, because the policy has
+    no fast kernel (ineligible).  Deterministic for a fixed (algorithm,
     instance, engine-request) triple.
 ``fastpath_backend``
     Which kernel backend (``"numpy"``/``"python"``) executed the

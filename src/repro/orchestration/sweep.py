@@ -28,10 +28,6 @@ payloads and hands them to :func:`execute`, which runs them in-process
   pool is recycled: workers are terminated, the expired payload
   re-queues with its attempt bumped, other in-flight payloads re-queue
   unchanged.
-* **Graceful engine degradation** — ``engine="fast"`` units that hit a
-  kernel failure fall back to the classic engine *inside the worker*
-  (see :func:`repro.simulation.engine.simulate`), surfacing as
-  ``fastpath_fallbacks`` in the unit's stats rather than as a fault.
 
 Deterministic fault injection for tests and the CI kill-resume job is
 driven entirely by ``REPRO_FAULT_*`` environment variables — see

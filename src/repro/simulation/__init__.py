@@ -10,7 +10,6 @@ from .billing import (
 from .batch import (
     BatchRunner,
     InstanceSpec,
-    batch_run_many,
     clear_instance_cache,
     instance_cache_info,
     materialize,
@@ -22,12 +21,8 @@ from .fastpath import (
     FAST_POLICIES,
     FastEngine,
     ReplayContext,
-    available_backends,
     choose_backend,
-    default_backend,
     fast_policy_for,
-    fast_simulate,
-    register_kernel_class,
 )
 from .instrumentation import LeaderTracker, LoadSnapshotter, UsagePeriodTracker
 from .metrics import (
@@ -37,7 +32,7 @@ from .metrics import (
     open_bins_timeline,
 )
 from .parallel import UnitResult, aggregate_sweep_stats, parallel_sweep
-from .runner import compare_algorithms, run, run_many
+from .runner import compare_algorithms, run
 from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
@@ -46,7 +41,6 @@ __all__ = [
     "Engine",
     "InstanceSpec",
     "QuantumAwareMoveToFront",
-    "batch_run_many",
     "billed_cost",
     "billing_overhead",
     "clear_instance_cache",
@@ -58,12 +52,8 @@ __all__ = [
     "FAST_POLICIES",
     "FastEngine",
     "ReplayContext",
-    "available_backends",
     "choose_backend",
-    "default_backend",
     "fast_policy_for",
-    "fast_simulate",
-    "register_kernel_class",
     "LeaderTracker",
     "LoadSnapshotter",
     "PackingMetrics",
@@ -79,6 +69,5 @@ __all__ = [
     "cost_breakdown_by_bin",
     "open_bins_timeline",
     "run",
-    "run_many",
     "simulate",
 ]

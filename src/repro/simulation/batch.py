@@ -2,8 +2,8 @@
 
 The Section 7 evaluation replays every generated instance under all seven
 Any Fit policies (Table 2) and under many seeded ``random_fit`` trials
-(Figure 4).  Dispatching those as independent units — the ``engine="fast"``
-sweep path — repeats a large amount of policy-independent work per unit:
+(Figure 4).  Dispatching those as independent units repeats a large
+amount of policy-independent work per unit:
 unpickling or regenerating the instance, stacking the size matrix,
 lexsorting the event index, computing the Lemma 1 lower bound, and
 materialising a :class:`~repro.core.packing.Packing` whose only consumed
@@ -19,9 +19,12 @@ This module amortises it at two levels:
   :meth:`~repro.simulation.fastpath.FastEngine.reset`), and the Lemma 1
   lower bound are each built **once per instance** and shared across all
   replays; seeded ``random_fit`` trials are entries like any other
-  (``("random_fit", {"seed": s})``).  Aggregates are bit-identical to
-  serial classic/fastpath runs — enforced by the ``compare_with_batch``
-  oracle in :mod:`repro.verify.oracles`.
+  (``("random_fit", {"seed": s})``).  It is the one route from
+  :func:`~repro.simulation.runner.run` and
+  :func:`~repro.simulation.parallel.parallel_sweep` into the
+  :class:`~repro.simulation.fastpath.FastEngine`.  Aggregates are
+  bit-identical to serial classic runs — enforced by the
+  ``compare_with_batch`` oracle in :mod:`repro.verify.oracles`.
 
 * :class:`InstanceSpec` — a compact run spec (generator name + scalar
   params + SeedSequence entropy/spawn-key) that sweep dispatch ships to
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +66,6 @@ from .engine import _note_fallback
 from .fastpath import (
     FastEngine,
     ReplayContext,
-    choose_backend,
     fast_ineligibility_reason,
     fast_policy_for,
 )
@@ -77,7 +79,6 @@ __all__ = [
     "instance_cache_info",
     "clear_instance_cache",
     "BatchRunner",
-    "batch_run_many",
 ]
 
 BatchSource = Union[Instance, "InstanceSpec"]
@@ -289,9 +290,10 @@ class BatchRunner:
       residual-matrix scratch buffers persist across
       :meth:`~repro.simulation.fastpath.FastEngine.reset` calls.
 
-    Policies that are not fast-eligible (exotic kwargs, unregistered
-    subclasses) fall back to a classic engine run per unit — still
-    amortising the instance materialisation and the lower bound.
+    Policies that are not fast-eligible (exotic kwargs, subclasses of
+    the stock policy classes) fall back to a classic engine run per
+    unit — still amortising the instance materialisation and the lower
+    bound.
 
     Parameters
     ----------
@@ -341,8 +343,7 @@ class BatchRunner:
     def _fast_engine(self, policy: str, seed: int, collector) -> FastEngine:
         ctx = self._ctx
         if ctx is None:
-            backend = self.backend if self.backend is not None else choose_backend(self.instance)
-            ctx = self._ctx = ReplayContext(self.instance, backend)
+            ctx = self._ctx = ReplayContext(self.instance, self.backend)
         if self._engine is None:
             self._engine = FastEngine(
                 ctx.instance, policy, seed=seed, collector=collector,
@@ -389,9 +390,8 @@ class BatchRunner:
         ``engine="batch"`` replays fast-eligible policies through the
         shared context and scratch buffers.  Any other engine spec
         :func:`~repro.simulation.runner.run` accepts (``"classic"``,
-        ``"fast"``, ``"streaming"``, ``"repacking:policy:budget"``)
-        runs each entry with ``run(..., engine=engine)`` on the shared
-        instance.
+        ``"streaming"``, ``"repacking:policy:budget"``) runs each entry
+        with ``run(..., engine=engine)`` on the shared instance.
         """
         from .parallel import UnitResult  # local: parallel imports stay one-way
 
@@ -446,7 +446,7 @@ class BatchRunner:
 
 
 def _classic_fallback(
-    algo, instance: Instance, collector: Optional[StatsCollector], validate: bool = False
+    algo, instance: Instance, collector: Optional[StatsCollector]
 ) -> Packing:
     """Classic run of a policy with no fast kernel, recorded as a fallback."""
     _note_fallback(
@@ -454,45 +454,4 @@ def _classic_fallback(
         fast_ineligibility_reason(algo) or "no fast kernel",
         collector,
     )
-    return run(algo, instance, validate=validate, collector=collector)
-
-
-def batch_run_many(
-    algorithm,
-    sources: Iterable[BatchSource],
-    validate: bool = False,
-    collector: Optional[StatsCollector] = None,
-) -> List[Packing]:
-    """``run_many(engine="batch")``: one algorithm over many instances.
-
-    Reuses a single :class:`~repro.simulation.fastpath.FastEngine` (and
-    its scratch buffers) across all instances via ``reset(context=...)``;
-    results are bit-identical to per-instance ``run(engine="fast")``
-    dispatch, with the classic engine as fallback for non-eligible
-    algorithms.
-    """
-    algo = make_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
-    resolved = fast_policy_for(algo)
-    packings: List[Packing] = []
-    engine: Optional[FastEngine] = None
-    for source in sources:
-        inst = source if isinstance(source, Instance) else materialize(source)
-        if resolved is None:
-            packings.append(_classic_fallback(algo, inst, collector, validate=validate))
-            continue
-        policy, seed = resolved
-        ctx = ReplayContext(inst, choose_backend(inst))
-        if engine is None or engine.backend != ctx.backend:
-            engine = FastEngine(
-                inst, policy, seed=seed, collector=collector,
-                backend=ctx.backend, context=ctx,
-            )
-        else:
-            engine.reset(policy=policy, seed=seed, collector=collector, context=ctx)
-        packing = Packing.from_assignment(
-            inst, engine.run_assignment(), algorithm=algo.name
-        )
-        if validate:
-            packing.validate()
-        packings.append(packing)
-    return packings
+    return run(algo, instance, collector=collector)

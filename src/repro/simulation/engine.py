@@ -37,28 +37,29 @@ __all__ = [
 ]
 
 #: (policy name, reason) pairs already warned about in this process —
-#: fast-engine fallbacks are expected to repeat thousands of times in a
-#: sweep, so each distinct cause warns exactly once.
+#: batch-engine fallbacks to the classic engine are expected to repeat
+#: thousands of times in a sweep, so each distinct cause warns exactly
+#: once.
 _FALLBACK_WARNED: Set[Tuple[str, str]] = set()
 
 
 def reset_fallback_warnings() -> None:
-    """Forget which fast-engine fallbacks have already warned (tests)."""
+    """Forget which classic-engine fallbacks have already warned (tests)."""
     _FALLBACK_WARNED.clear()
 
 
 def _note_fallback(
     name: str, reason: str, collector: Optional[StatsCollector]
 ) -> None:
-    """Record one fast→classic fallback: counter bump + one-time warning."""
+    """Record one fast-kernel→classic fallback: counter bump + one-time warning."""
     if collector is not None:
         collector.fastpath_fallbacks += 1
     key = (name, reason)
     if key not in _FALLBACK_WARNED:
         _FALLBACK_WARNED.add(key)
         warnings.warn(
-            f"engine='fast' requested but {name!r} runs on the classic "
-            f"engine ({reason}); this warning is emitted once per cause",
+            f"{name!r} runs on the classic engine, not a fast kernel "
+            f"({reason}); this warning is emitted once per cause",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -175,79 +176,9 @@ def simulate(
     instance: Instance,
     observers: Sequence[SimulationObserver] = (),
     collector: Optional[StatsCollector] = None,
-    fast: bool = False,
 ) -> Packing:
     """Convenience wrapper: run ``algorithm`` on ``instance`` once.
 
     Equivalent to ``Engine(instance, algorithm, observers, collector).run()``.
-
-    With ``fast=True`` the run is auto-routed to the flat-array
-    :class:`~repro.simulation.fastpath.FastEngine` when it is eligible —
-    no observers requested and the algorithm resolves to a fast policy
-    kernel (see :func:`~repro.simulation.fastpath.fast_policy_for`) —
-    and falls back to the classic engine otherwise.  Both engines
-    produce bit-identical packings, so ``fast`` is purely a performance
-    switch; a fallback is therefore *correct* but slower than requested,
-    and it is surfaced rather than silent: the first occurrence of each
-    distinct cause emits a :class:`RuntimeWarning`, and every occurrence
-    increments the collector's ``fastpath_fallbacks`` counter.
-
-    Fallback causes:
-
-    * the algorithm has no registered fast kernel (ineligible policy or
-      unregistered subclass);
-    * observers were requested (the fast engine has no per-event hooks);
-    * the fast kernel *failed* mid-run — the run degrades gracefully to
-      the classic engine (any counters the aborted fast run wrote are
-      rolled back first, so instrumented aggregates stay exact).
     """
-    if fast:
-        from .fastpath import FastEngine, fast_ineligibility_reason, fast_policy_for
-
-        name = getattr(algorithm, "name", type(algorithm).__name__)
-        if observers:
-            _note_fallback(name, "observers requested", collector)
-        else:
-            resolved = fast_policy_for(algorithm)
-            if resolved is None:
-                _note_fallback(
-                    name,
-                    fast_ineligibility_reason(algorithm)
-                    or "no fast kernel for this policy",
-                    collector,
-                )
-            else:
-                policy, seed = resolved
-                saved = _collector_state(collector)
-                try:
-                    return FastEngine(
-                        instance, policy, seed=seed, collector=collector
-                    ).run()
-                except Exception as exc:  # kernel failure: degrade to classic
-                    _restore_collector_state(collector, saved)
-                    _note_fallback(
-                        name, f"fast kernel failed ({type(exc).__name__}: {exc})",
-                        collector,
-                    )
     return Engine(instance, algorithm, observers, collector).run()
-
-
-def _collector_state(collector: Optional[StatsCollector]) -> Optional[dict]:
-    """Snapshot a collector's accumulator slots (sink binding excluded)."""
-    if collector is None:
-        return None
-    return {
-        slot: getattr(collector, slot)
-        for slot in StatsCollector.__slots__
-        if slot not in ("sink", "sample_rss")
-    }
-
-
-def _restore_collector_state(
-    collector: Optional[StatsCollector], saved: Optional[dict]
-) -> None:
-    """Roll a collector back to a :func:`_collector_state` snapshot."""
-    if collector is None or saved is None:
-        return
-    for slot, value in saved.items():
-        setattr(collector, slot, value)

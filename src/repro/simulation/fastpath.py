@@ -57,13 +57,12 @@ with one replay loop:
   per-dimension float adds/compares are the same IEEE-754 double
   operations numpy performs elementwise.
 
-Select explicitly via ``FastEngine(..., backend=...)`` or globally with
-the ``REPRO_FASTPATH_BACKEND`` environment variable (the CI fastpath
-matrix leg pins each backend in turn).  The replay loops are
-deliberately written out long-hand per backend — factoring the shared
-bookkeeping through per-event callables would put several Python method
-calls back on the hot path, which is exactly the overhead this module
-exists to remove.  Seeded ``random_fit`` trials
+With ``backend=None`` an engine replays on :func:`choose_backend`'s
+pick for its instance; ``FastEngine(..., backend=...)`` pins one.  The
+replay loops are deliberately written out long-hand per backend —
+factoring the shared bookkeeping through per-event callables would put
+several Python method calls back on the hot path, which is exactly the
+overhead this module exists to remove.  Seeded ``random_fit`` trials
 (:meth:`FastEngine.run_trials`) replay one seed at a time through the
 re-armed engine, sharing its context and scratch buffers.
 
@@ -71,10 +70,9 @@ Load-measure kernels
 --------------------
 ``BestFit``/``WorstFit`` rank candidates by a configurable load measure
 (``linf``/``l1``/``lp``, see :func:`repro.algorithms.best_fit.load_measure`).
-All three measures have fast kernels: eligibility is keyed on the
-``(class, measure, p)`` triple (see :func:`register_kernel_class`), and
-the resolved policy spec carries the measure — ``"best_fit"`` (L-inf),
-``"best_fit:l1"``, ``"best_fit:lp:3.0"`` — through every dispatch path.
+All three measures have fast kernels, and the resolved policy spec
+carries the measure — ``"best_fit"`` (L-inf), ``"best_fit:l1"``,
+``"best_fit:lp:3.0"`` — through every dispatch path.
 ``lp`` with ``p = 1`` is normalised to the ``l1`` kernel and ``p = inf``
 to ``linf`` (both bitwise-identical weight computations, since
 ``x ** 1.0 == x`` exactly and the classic ``lp`` routes ``inf`` to
@@ -82,11 +80,11 @@ to ``linf`` (both bitwise-identical weight computations, since
 
 Integration
 -----------
-``simulate(algorithm, instance, fast=True)`` auto-routes eligible runs
-here (see :func:`fast_policy_for` for eligibility) and silently falls
-back to the classic engine otherwise; ``repro run --engine fast`` and the
-``parallel_sweep(..., engine="fast")`` sweeps build on the same
-resolution.  ``repro.verify`` holds the safety net: a classic-vs-fastpath
+:class:`~repro.simulation.batch.BatchRunner` is the one route into this
+engine from ``run(..., engine="batch")`` and ``parallel_sweep(...,
+engine="batch")``: it replays eligible policies here (see
+:func:`fast_policy_for`) and runs the rest on the classic engine.
+``repro.verify`` holds the safety net: a classic-vs-fastpath
 differential oracle in the harness, a three-way corpus test, and a
 deliberately broken stale-residual mutant that must be caught.
 """
@@ -94,12 +92,17 @@ deliberately broken stale-residual mutant that must be caught.
 from __future__ import annotations
 
 import operator
-import os
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as _np
 
+from ..algorithms.best_fit import BestFit, WorstFit
+from ..algorithms.first_fit import FirstFit
+from ..algorithms.last_fit import LastFit
+from ..algorithms.move_to_front import MoveToFront
+from ..algorithms.next_fit import NextFit
+from ..algorithms.random_fit import RandomFit
 from ..core.errors import AlgorithmError, ConfigurationError
 from ..core.events import event_order
 from ..core.instance import Instance
@@ -108,31 +111,23 @@ from ..core.vectors import EPS
 from ..observability.stats import StatsCollector
 
 __all__ = [
-    "BACKEND_ENV",
     "NUMPY_BACKEND",
     "PYTHON_BACKEND",
+    "BACKENDS",
     "FAST_POLICIES",
-    "available_backends",
-    "default_backend",
     "choose_backend",
-    "resolve_backend",
-    "register_kernel_class",
     "parse_policy_spec",
     "fast_policy_for",
     "fast_ineligibility_reason",
     "ReplayContext",
     "FastEngine",
-    "fast_simulate",
 ]
 
 NUMPY_BACKEND = "numpy"
 PYTHON_BACKEND = "python"
 
-#: Environment variable overriding backend auto-selection
-#: (``numpy`` | ``python``).  The CI fastpath matrix legs set it.
-BACKEND_ENV = "REPRO_FASTPATH_BACKEND"
-
-_ALL_BACKENDS = (NUMPY_BACKEND, PYTHON_BACKEND)
+#: Every kernel backend; an explicit ``backend=`` must name one.
+BACKENDS = (NUMPY_BACKEND, PYTHON_BACKEND)
 
 #: The seven Section 7 registry policies the fast kernels implement.
 FAST_POLICIES = frozenset(
@@ -153,42 +148,6 @@ _INITIAL_SLOTS = 64
 _COMPACT_MIN_DEAD = 32
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Kernel backends usable in this process, preferred first."""
-    return _ALL_BACKENDS
-
-
-def resolve_backend(requested: str) -> str:
-    """Validate a backend name.
-
-    Unknown names raise :class:`~repro.core.errors.ConfigurationError`.
-    """
-    if requested not in _ALL_BACKENDS:
-        raise ConfigurationError(
-            f"unknown fastpath backend {requested!r}; expected one of "
-            f"{', '.join(repr(b) for b in _ALL_BACKENDS)}"
-        )
-    return requested
-
-
-def default_backend() -> str:
-    """Resolve the backend to use when none is requested explicitly.
-
-    Honours :data:`BACKEND_ENV` when set (raising
-    :class:`~repro.core.errors.ConfigurationError` on an unknown value);
-    otherwise ``"numpy"``.
-    """
-    env = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if env:
-        if env not in _ALL_BACKENDS:
-            raise ConfigurationError(
-                f"{BACKEND_ENV}={env!r} is not a fastpath backend; "
-                f"expected one of {', '.join(repr(b) for b in _ALL_BACKENDS)}"
-            )
-        return env
-    return NUMPY_BACKEND
-
-
 #: Mean-concurrency threshold of :func:`choose_backend`.  Below it the
 #: pure-python backend's short-circuit scans beat numpy's per-arrival
 #: mask/argmax kernel overhead (few open bins, tiny masks); above it the
@@ -202,17 +161,13 @@ _PYTHON_MAX_MEAN_CONCURRENCY = 128.0
 def choose_backend(instance: Instance) -> str:
     """Pick the likely-fastest backend for replaying ``instance``.
 
-    An explicit :data:`BACKEND_ENV` override always wins (resolved via
-    :func:`default_backend`, so bad values still raise).  Otherwise the
-    decision keys on the estimated mean number of concurrently active
-    items, ``total_duration / horizon length``: per-arrival work is
-    proportional to the number of open bins, which this ratio bounds.
+    The decision keys on the estimated mean number of concurrently
+    active items, ``total_duration / horizon length``: per-arrival work
+    is proportional to the number of open bins, which this ratio bounds.
     Both backends produce bit-identical assignments, so this is purely a
-    performance choice — :class:`BatchRunner
-    <repro.simulation.batch.BatchRunner>` uses it per instance.
+    performance choice, and the default of every :class:`FastEngine`
+    and :class:`ReplayContext` built without an explicit ``backend``.
     """
-    if os.environ.get(BACKEND_ENV, "").strip():
-        return default_backend()
     length = instance.horizon.length
     if length <= 0.0:
         return NUMPY_BACKEND
@@ -222,6 +177,18 @@ def choose_backend(instance: Instance) -> str:
     return NUMPY_BACKEND
 
 
+def _backend_for(instance: Instance, backend: Optional[str]) -> str:
+    """``backend`` checked against :data:`BACKENDS`; ``None`` = :func:`choose_backend`."""
+    if backend is None:
+        return choose_backend(instance)
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown fastpath backend {backend!r}; expected one of "
+            f"{', '.join(repr(b) for b in BACKENDS)}"
+        )
+    return backend
+
+
 # ----------------------------------------------------------------------
 # eligibility: which algorithm objects may be routed to the fast path
 # ----------------------------------------------------------------------
@@ -229,52 +196,26 @@ def choose_backend(instance: Instance) -> str:
 #: Load measures the BestFit/WorstFit kernels implement.
 _MEASURES = ("linf", "l1", "lp")
 
-#: ``(class, measure, p)`` triples whose dispatch the fast kernels
-#: reproduce, mapped to the base kernel policy name.  Classes are
-#: checked by *identity* — a subclass may override ``choose``/
-#: ``on_packed`` and silently diverge, so it must opt in through
-#: :func:`register_kernel_class`.  ``p = None`` under ``measure="lp"``
-#: is a wildcard: any exponent ``p >= 1`` resolves through it (the
-#: kernel takes ``p`` as data).
-_KERNEL_CLASSES: Dict[Tuple[type, str, Optional[float]], str] = {}
-
-
-def register_kernel_class(
-    cls: type, policy: str, measure: str = "linf", p: Optional[float] = None
-) -> None:
-    """Declare that ``cls`` instances behave exactly like ``policy``.
-
-    Extension hook for algorithm classes outside the stock seven (or
-    subclasses of them) whose decisions provably match a fast kernel.
-    Registered classes become eligible for :func:`fast_policy_for`
-    resolution when their ``fast_kernel`` attribute names the policy and
-    their ``measure``/``p`` attributes (default ``"linf"``/``None``)
-    match a registered ``(class, measure, p)`` triple.  Registering
-    ``measure="lp"`` with ``p=None`` covers every exponent ``p >= 1``.
-    """
-    if policy not in FAST_POLICIES:
-        raise ConfigurationError(
-            f"cannot register {cls!r} for unknown fast policy {policy!r}"
-        )
-    if measure not in _MEASURES:
-        raise ConfigurationError(
-            f"cannot register {cls!r} for unknown load measure {measure!r}; "
-            f"expected one of {', '.join(_MEASURES)}"
-        )
-    _KERNEL_CLASSES[(cls, measure, None if p is None else float(p))] = policy
-
-
-def _class_has_kernel(cls: type) -> bool:
-    """True when any ``(measure, p)`` configuration of ``cls`` is registered."""
-    return any(key[0] is cls for key in _KERNEL_CLASSES)
+#: The classes whose decisions a kernel reproduces, keyed by *exact*
+#: class: a subclass may override ``choose``/``on_packed`` and silently
+#: diverge, so it is not eligible.
+_KERNELS: Dict[type, str] = {
+    MoveToFront: "move_to_front",
+    FirstFit: "first_fit",
+    NextFit: "next_fit",
+    BestFit: "best_fit",
+    WorstFit: "worst_fit",
+    LastFit: "last_fit",
+    RandomFit: "random_fit",
+}
 
 
 def parse_policy_spec(spec: str) -> Tuple[str, str, Optional[float]]:
     """Split a fast policy spec into ``(base, measure, p)``.
 
     Specs are the strings :func:`fast_policy_for` resolves to and every
-    dispatch path (``FastEngine``, ``simulate(fast=True)``, the batch
-    runner, the oracles) passes around: a bare policy name from
+    dispatch path (``FastEngine``, the batch runner, the oracles)
+    passes around: a bare policy name from
     :data:`FAST_POLICIES` (L-inf measure), ``"<policy>:l1"``, or
     ``"<policy>:lp:<p>"`` with ``p >= 1`` (``best_fit``/``worst_fit``
     only — the other kernels have no load-measure knob).  Raises
@@ -325,11 +266,10 @@ def fast_policy_for(algorithm: Union[str, object]) -> Optional[Tuple[str, int]]:
 
     Accepts a registry name, a policy spec string (see
     :func:`parse_policy_spec`), or an algorithm object.  An object is
-    eligible when (a) its class advertises a kernel via the
-    ``fast_kernel`` attribute, (b) its ``(class, measure, p)`` triple is
-    registered for that kernel (:func:`register_kernel_class` — exact
-    class identity, so unregistered subclasses are rejected outright),
-    and (c) its ``seed`` attribute, if any, is an actual integer.  The
+    eligible when (a) its exact class is one of the seven stock policy
+    classes (a subclass is rejected outright), (b) its load measure, if
+    any, is ``linf``, ``l1`` or ``lp`` with ``p >= 1``, and (c) its
+    ``seed`` attribute, if any, is an actual integer.  The
     resolved spec carries the load measure (``"best_fit:l1"``,
     ``"worst_fit:lp:3.0"``), so every dispatch path replays the right
     kernel.  Returns ``None`` when the classic engine must be used.
@@ -342,13 +282,12 @@ def fast_policy_for(algorithm: Union[str, object]) -> Optional[Tuple[str, int]]:
         except ConfigurationError:
             return None
         return algorithm, 0
-    kernel = getattr(algorithm, "fast_kernel", None)
-    if kernel not in FAST_POLICIES:
+    kernel = _KERNELS.get(type(algorithm))
+    if kernel is None:
         return None
     measure = getattr(algorithm, "measure", None) or "linf"
     if measure not in _MEASURES:
         return None
-    cls = type(algorithm)
     p: Optional[float] = None
     if measure == "lp":
         raw_p = getattr(algorithm, "p", None)
@@ -358,11 +297,6 @@ def fast_policy_for(algorithm: Union[str, object]) -> Optional[Tuple[str, int]]:
             return None
         if not p >= 1:  # also rejects NaN
             return None
-    registered = _KERNEL_CLASSES.get((cls, measure, p))
-    if registered is None and measure == "lp":
-        registered = _KERNEL_CLASSES.get((cls, measure, None))  # wildcard p
-    if registered != kernel:
-        return None
     try:
         # operator.index rejects None/floats/strings instead of crashing
         # mid-dispatch with a bare TypeError (or silently truncating).
@@ -382,15 +316,13 @@ def fast_ineligibility_reason(algorithm: Union[str, object]) -> Optional[str]:
     """Why :func:`fast_policy_for` rejects this spec (``None`` = eligible).
 
     The distinct causes matter operationally: a policy whose *class* has
-    no kernel will never speed up, while a registered class whose
-    *configuration* falls outside the registered ``(measure, p)``
-    triples (or whose ``fast_kernel`` was cleared by a
-    decision-changing option, e.g. the quantum-aware Move To Front
-    variant) could gain a kernel in a later PR.  Engine fallbacks
-    surface this reason through the once-per-cause
-    :class:`RuntimeWarning` and the ``fastpath_fallbacks`` counter, so
-    sweeps silently pinned to the classic engine are visible (ROADMAP
-    item 2's eligibility gap).  Every reason contains the phrase
+    no kernel will never speed up, while a stock class whose
+    *configuration* (load measure, exponent or seed) falls outside what
+    the kernels take could gain a kernel in a later PR.
+    :class:`~repro.simulation.batch.BatchRunner` surfaces this reason
+    through the once-per-cause :class:`RuntimeWarning` and the
+    ``fastpath_fallbacks`` counter, so sweeps silently pinned to the
+    classic engine are visible.  Every reason contains the phrase
     ``"no fast kernel"``.
     """
     if fast_policy_for(algorithm) is not None:
@@ -401,19 +333,9 @@ def fast_ineligibility_reason(algorithm: Union[str, object]) -> Optional[str]:
         except ConfigurationError as exc:
             return f"no fast kernel for policy {algorithm!r} ({exc})"
         return f"no fast kernel for policy {algorithm!r}"
-    kernel = getattr(algorithm, "fast_kernel", None)
     cls = type(algorithm).__name__
-    if kernel is None:
-        # the stock classes set fast_kernel at class level; a cleared
-        # instance attribute marks a decision-changing configuration
-        if _class_has_kernel(type(algorithm)) or getattr(type(algorithm), "fast_kernel", None):
-            return (
-                f"no fast kernel for this {cls} configuration (a "
-                f"decision-changing option cleared it)"
-            )
+    if type(algorithm) not in _KERNELS:
         return f"no fast kernel for class {cls}"
-    if kernel not in FAST_POLICIES:
-        return f"no fast kernel named {kernel!r} (unknown fast policy)"
     try:
         operator.index(getattr(algorithm, "seed", 0))
     except TypeError:
@@ -421,13 +343,10 @@ def fast_ineligibility_reason(algorithm: Union[str, object]) -> Optional[str]:
             f"no fast kernel dispatch for {cls}: seed "
             f"{getattr(algorithm, 'seed', None)!r} is not an integer"
         )
-    if not _class_has_kernel(type(algorithm)):
-        return f"no fast kernel registration for class {cls} (kernel {kernel!r})"
     measure = getattr(algorithm, "measure", None) or "linf"
     return (
         f"no fast kernel for this {cls} configuration "
-        f"(measure={measure!r}, p={getattr(algorithm, 'p', None)!r} "
-        f"matches no registered (class, measure, p) triple)"
+        f"(measure={measure!r}, p={getattr(algorithm, 'p', None)!r})"
     )
 
 
@@ -463,7 +382,7 @@ class ReplayContext:
     )
 
     def __init__(self, instance: Instance, backend: Optional[str] = None) -> None:
-        resolved = default_backend() if backend is None else resolve_backend(backend)
+        resolved = _backend_for(instance, backend)
         items = instance.items
         n = len(items)
         self.instance = instance
@@ -514,8 +433,8 @@ class FastEngine:
     returned :class:`~repro.core.packing.Packing`, bit-identical item →
     bin assignment.  It does **not** support observers — observer fan-out
     is per-event Python dispatch, the cost the fast path removes; runs
-    that need observers go through the classic engine (``simulate``'s
-    auto-selection enforces this).
+    that need observers go through the classic engine (``run`` routes
+    them there).
 
     Parameters
     ----------
@@ -531,7 +450,8 @@ class FastEngine:
         classic run — identical deterministic part — plus the
         ``fastpath_runs`` tally.
     backend:
-        ``"numpy"`` or ``"python"``; default :func:`default_backend`.
+        ``"numpy"`` or ``"python"``; default :func:`choose_backend`'s
+        pick for ``instance``.
     context:
         Optional pre-built :class:`ReplayContext` for this instance and
         backend — the batched sweep path builds one per instance and
@@ -572,7 +492,7 @@ class FastEngine:
         backend: Optional[str] = None,
         context: Optional[ReplayContext] = None,
     ) -> None:
-        resolved = default_backend() if backend is None else resolve_backend(backend)
+        resolved = _backend_for(instance, backend)
         self._apply_policy(policy)
         if context is not None:
             if context.instance is not instance:
@@ -1264,46 +1184,3 @@ class FastEngine:
             col.fit_checks += checks
         uids = ctx.uids
         return {uids[pos]: bin_of[pos] for pos in range(n)}
-
-
-def fast_simulate(
-    policy: str,
-    instance: Instance,
-    seed: int = 0,
-    collector: Optional[StatsCollector] = None,
-    backend: Optional[str] = None,
-) -> Packing:
-    """Convenience wrapper: one fast run of ``policy`` on ``instance``.
-
-    Equivalent to ``FastEngine(instance, policy, seed, collector,
-    backend).run()``.
-    """
-    return FastEngine(instance, policy, seed=seed, collector=collector, backend=backend).run()
-
-
-# Stock registrations: the seven Section 7 policy classes whose default
-# configuration the kernels reproduce bit-for-bit.  Imported down here so
-# the eligibility table never participates in an import cycle with
-# repro.algorithms (whose modules only depend on repro.core).
-from ..algorithms.best_fit import BestFit, WorstFit  # noqa: E402
-from ..algorithms.first_fit import FirstFit  # noqa: E402
-from ..algorithms.last_fit import LastFit  # noqa: E402
-from ..algorithms.move_to_front import MoveToFront  # noqa: E402
-from ..algorithms.next_fit import NextFit  # noqa: E402
-from ..algorithms.random_fit import RandomFit  # noqa: E402
-
-register_kernel_class(MoveToFront, "move_to_front")
-register_kernel_class(FirstFit, "first_fit")
-register_kernel_class(NextFit, "next_fit")
-register_kernel_class(BestFit, "best_fit")
-register_kernel_class(WorstFit, "worst_fit")
-register_kernel_class(LastFit, "last_fit")
-register_kernel_class(RandomFit, "random_fit")
-
-# Load-measure variants: the ranked policies carry L1/Lp fast kernels
-# too.  p=None registers the whole p >= 1 family (the kernel takes the
-# exponent from the policy spec, e.g. "best_fit:lp:3.0").
-register_kernel_class(BestFit, "best_fit", measure="l1")
-register_kernel_class(BestFit, "best_fit", measure="lp")
-register_kernel_class(WorstFit, "worst_fit", measure="l1")
-register_kernel_class(WorstFit, "worst_fit", measure="lp")

@@ -40,6 +40,7 @@ from ..observability.sinks import TraceSink
 from ..observability.stats import RunStats, StatsCollector
 from ..optimum.lower_bounds import height_lower_bound
 from .batch import BatchRunner, InstanceSpec, materialize
+from .runner import check_engine
 
 if TYPE_CHECKING:
     from ..orchestration.faults import RetryPolicy
@@ -265,11 +266,13 @@ def parallel_sweep(
         :func:`aggregate_sweep_stats`.  The deterministic counters of
         the aggregate are identical for any ``processes`` value.
     engine:
-        ``"classic"`` (default), ``"fast"``, ``"batch"``,
-        ``"streaming"``, or a ``"repacking[:policy[:budget]]"`` spec
-        (e.g. ``"repacking:greedy_consolidate:2"``) for migration-budget
-        recourse sweeps.  ``"batch"`` ships one payload per instance
-        (see :func:`build_payloads`), run by a
+        ``"classic"`` (default), ``"batch"``, ``"streaming"``, or a
+        ``"repacking[:policy[:budget]]"`` spec (e.g.
+        ``"repacking:greedy_consolidate:2"``) for migration-budget
+        recourse sweeps; any other engine raises
+        :class:`~repro.core.errors.ConfigurationError` before a payload
+        is built or a checkpoint directory created.  ``"batch"`` ships
+        one payload per instance (see :func:`build_payloads`), run by a
         :class:`~repro.simulation.batch.BatchRunner` that shares the
         event index, scratch buffers and Lemma 1 bound across all
         policies.  Results are bit-identical to the classic sweep for
@@ -320,6 +323,7 @@ def parallel_sweep(
     from ..orchestration import CheckpointStore, RetryPolicy, sweep_fingerprint
     from ..orchestration.sweep import execute
 
+    check_engine(engine)
     algorithms = list(algorithms)
     instances = list(instances)
     store = None

@@ -7,7 +7,7 @@ algorithms on the same instance, and optional post-run validation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..algorithms.base import OnlineAlgorithm
 from ..algorithms.registry import make_algorithm
@@ -17,13 +17,37 @@ from ..core.packing import Packing
 from ..observability.stats import StatsCollector
 from .engine import SimulationObserver, simulate
 
-__all__ = ["run", "run_many", "compare_algorithms", "effective_engine"]
+__all__ = ["run", "compare_algorithms", "effective_engine"]
 
 AlgorithmSpec = Union[str, OnlineAlgorithm]
+
+#: The engines :func:`run` and
+#: :func:`~repro.simulation.parallel.parallel_sweep` accept;
+#: ``"repacking"`` also takes ``"repacking:policy:budget"`` specs.
+ENGINES = ("classic", "batch", "streaming", "repacking")
 
 
 def _resolve(spec: AlgorithmSpec) -> OnlineAlgorithm:
     return make_algorithm(spec) if isinstance(spec, str) else spec
+
+
+def check_engine(engine: str) -> str:
+    """The :data:`ENGINES` entry ``engine`` names, or a ``ConfigurationError``.
+
+    ``"repacking"`` specs (``"repacking:greedy_consolidate:2"``) map to
+    ``"repacking"``; anything else must be an entry verbatim.  The one
+    engine check of :func:`run`, :func:`effective_engine` and
+    :func:`~repro.simulation.parallel.parallel_sweep`, so an unknown
+    engine fails before any work starts.
+    """
+    family = engine.split(":", 1)[0] if isinstance(engine, str) else engine
+    if family == "repacking" or (family == engine and family in ENGINES):
+        return family
+    raise ConfigurationError(
+        f"unknown engine {engine!r}; expected one of "
+        f"{', '.join(repr(e) for e in ENGINES)} (or a "
+        "'repacking:policy:budget' spec)"
+    )
 
 
 def effective_engine(
@@ -33,13 +57,13 @@ def effective_engine(
 ) -> str:
     """The engine :func:`run` would actually use for this request.
 
-    ``engine="fast"`` (or ``"batch"``, or ``"streaming"``) is a
-    *request*: runs the alternate path cannot take (observers present,
-    or — for the fast/batch engines — a policy without a registered
-    kernel) execute on the classic engine instead.  CLIs and drivers
-    call this to report the effective engine up front rather than
-    leaving the fallback implicit; it performs no simulation and never
-    warns.
+    ``engine="batch"`` (or ``"streaming"``) is a *request*: runs the
+    alternate path cannot take (observers present, or — for the batch
+    engine — a policy without a fast kernel) execute on the classic
+    engine instead.  CLIs and drivers call this to report the effective
+    engine up front rather than leaving the fallback implicit; it
+    performs no simulation and never warns.  An unknown engine raises
+    :class:`~repro.core.errors.ConfigurationError`, as in :func:`run`.
 
     ``engine="repacking"`` (and ``"repacking:policy:budget"`` specs) is
     *semantic*, not a performance request: a budget-k run is a
@@ -47,11 +71,12 @@ def effective_engine(
     verbatim — the repacking engine supports observers and every
     policy.
     """
-    if isinstance(engine, str) and engine.split(":", 1)[0] == "repacking":
+    family = check_engine(engine)
+    if family == "repacking":
         return engine
-    if engine not in ("fast", "batch", "streaming") or observers:
+    if family == "classic" or observers:
         return "classic"
-    if engine == "streaming":
+    if family == "streaming":
         return "streaming"
     from .fastpath import fast_policy_for
 
@@ -97,25 +122,27 @@ def run(
         ``engine="repacking:greedy_consolidate:2"`` — which is how
         sweep payloads carry them through worker processes.
     engine:
-        ``"classic"`` (default), ``"fast"``, ``"batch"``,
-        ``"streaming"``, or ``"repacking"``.  ``"fast"`` requests the flat-array
-        :class:`~repro.simulation.fastpath.FastEngine`; ``"batch"``
-        routes through a :class:`~repro.simulation.batch.BatchRunner`
-        (useful mainly for parity with sweep flags — the batched
-        amortisation pays off over many replays, which
-        :func:`run_many` and ``parallel_sweep(engine="batch")``
-        exploit); ``"streaming"`` replays through the bounded-memory
-        :func:`repro.streaming.streaming_run` event loop (every
-        policy supported).  Runs an alternate path cannot take
-        (observers present, or — fast/batch — a policy without a fast
-        kernel) fall back to the classic engine with the same result —
-        all engines are bit-identical.  ``"repacking"`` replays through
-        the migration-budget :mod:`repro.repacking` engine; it never
-        falls back (a budget is a semantic change, not a perf switch)
-        and is bit-identical to the classic engine exactly when the
-        budget is zero.
+        ``"classic"`` (default), ``"batch"``, ``"streaming"``, or
+        ``"repacking"``.  ``"batch"`` routes through a
+        :class:`~repro.simulation.batch.BatchRunner`, which replays
+        fast-eligible policies on the flat-array
+        :class:`~repro.simulation.fastpath.FastEngine` (useful mainly
+        for parity with sweep flags — the batched amortisation pays off
+        over many replays, which ``parallel_sweep(engine="batch")``
+        exploits); ``"streaming"`` replays through the bounded-memory
+        :func:`repro.streaming.streaming_run` event loop (every policy
+        supported).  Runs an alternate path cannot take (observers
+        present, or — batch — a policy without a fast kernel) fall back
+        to the classic engine with the same result — all engines are
+        bit-identical.  ``"repacking"`` replays through the
+        migration-budget :mod:`repro.repacking` engine; it never falls
+        back (a budget is a semantic change, not a perf switch) and is
+        bit-identical to the classic engine exactly when the budget is
+        zero.  Any other engine raises
+        :class:`~repro.core.errors.ConfigurationError`.
     """
-    if isinstance(engine, str) and engine.split(":", 1)[0] == "repacking":
+    family = check_engine(engine)
+    if family == "repacking":
         from ..repacking import parse_repacking_spec, repacking_run
 
         spec_policy, spec_budget = parse_repacking_spec(engine)
@@ -138,11 +165,6 @@ def run(
             "repacker/budget are repacking-engine knobs; pass "
             "engine='repacking' (or a 'repacking:policy:budget' spec)"
         )
-    if engine not in ("classic", "fast", "batch", "streaming"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'classic', 'fast', "
-            f"'batch', 'streaming', or 'repacking'"
-        )
     if engine == "streaming" and not observers:
         from ..streaming import streaming_run
 
@@ -157,45 +179,10 @@ def run(
         if validate:
             packing.validate()
         return packing
-    packing = simulate(
-        _resolve(algorithm), instance, observers, collector, fast=engine == "fast"
-    )
+    packing = simulate(_resolve(algorithm), instance, observers, collector)
     if validate:
         packing.validate()
     return packing
-
-
-def run_many(
-    algorithm: AlgorithmSpec,
-    instances: Iterable[Instance],
-    validate: bool = False,
-    collector: Optional[StatsCollector] = None,
-    engine: str = "classic",
-) -> List[Packing]:
-    """Run one algorithm over a sequence of instances.
-
-    The same algorithm object is reused (its ``start`` resets state), so
-    string specs are resolved once.  A shared ``collector`` accumulates
-    stats across all runs (``RunStats.runs`` counts them).
-
-    With ``engine="batch"`` the battery executes
-    through :func:`repro.simulation.batch.batch_run_many`: one re-armed
-    :class:`~repro.simulation.fastpath.FastEngine` and its scratch
-    buffers serve every instance, and ``instances`` may include compact
-    :class:`~repro.simulation.batch.InstanceSpec` sources.  Results are
-    bit-identical to the per-instance path.
-    """
-    if engine == "batch":
-        from .batch import batch_run_many
-
-        return batch_run_many(
-            algorithm, instances, validate=validate, collector=collector
-        )
-    algo = _resolve(algorithm)
-    return [
-        run(algo, inst, validate=validate, collector=collector, engine=engine)
-        for inst in instances
-    ]
 
 
 def compare_algorithms(

@@ -248,8 +248,16 @@ def mutation_smoke_test(seed: int = 0) -> MutationReport:
     broken_packing = Packing.from_assignment(inst, ref.assignment, algorithm="broken_fit")
     capacity_violations = check_capacity(broken_packing)
 
-    # mutant 2: feasible but non-Any-Fit engine policy
-    inst2 = UniformWorkload(d=2, n=40, mu=5, T=30, B=10, name="mutation").sample_seeded(seed + 1)
+    # mutant 2: feasible but non-Any-Fit engine policy — a hand-built
+    # instance, so no corpus seed can miss it: the second arrival skips
+    # the scan and opens bin 1 although bin 0 has room for it
+    inst2 = Instance.from_tuples(
+        [
+            (0.0, 10.0, 0.3),   # opens bin 0
+            (1.0, 10.0, 0.3),   # fits bin 0; the mutant opens bin 1
+        ],
+        name="mutation-eager",
+    )
     eager_packing = run(EagerOpenFirstFit(), inst2)
     any_fit_violations = check_any_fit(eager_packing)
 

@@ -50,7 +50,7 @@ counterpart and requires the two to agree exactly:
 * :func:`resume_equality_check` — an *interrupted-and-resumed*
   checkpointed sweep (:func:`repro.simulation.parallel.parallel_sweep`)
   versus the plain uninterrupted sweep, which must produce bit-identical
-  unit results on both engines — the core promise of the
+  unit results on the classic and batch engines — the core promise of the
   fault-tolerance layer is that recovery never changes results.
 
 Violations are reported with the same :class:`~repro.verify.invariants.Violation`
@@ -70,7 +70,7 @@ from ..observability.stats import StatsCollector
 from ..core.errors import ConfigurationError
 from ..heterogeneous import Fleet, ServerType, TypedAnyFit, TypedPacking, typed_run
 from ..simulation.fastpath import FAST_POLICIES, FastEngine, parse_policy_spec
-from ..simulation.parallel import parallel_sweep
+from ..simulation.parallel import build_payloads, parallel_sweep
 from ..simulation.runner import run
 from .invariants import Violation
 from .reference import ReferenceSimulator
@@ -159,9 +159,11 @@ def compare_with_fastpath(
     The twin-engine contract is *bit identity*: same bin count, same
     item → bin assignment, same Eq. 1 cost (to tolerance, since the two
     costs are derived from identical assignments).  ``backend`` selects
-    the fast kernel backend (default: auto); ``fast_packing`` lets the
-    mutation smoke-test inject a deliberately broken fast run instead of
-    building a fresh :class:`~repro.simulation.fastpath.FastEngine`.
+    the fast kernel backend (default: the one
+    :func:`~repro.simulation.fastpath.choose_backend` picks);
+    ``fast_packing`` lets the mutation smoke-test inject a deliberately
+    broken fast run instead of building a fresh
+    :class:`~repro.simulation.fastpath.FastEngine`.
     """
     if policy not in FAST_POLICIES:
         # Measure-variant specs ("best_fit:l1", "worst_fit:lp:3.0") are
@@ -588,7 +590,7 @@ def sweep_equality_check(
 def resume_equality_check(
     instances: Sequence[Instance],
     policies: Sequence[str],
-    engines: Sequence[str] = ("classic", "fast"),
+    engines: Sequence[str] = ("classic", "batch"),
 ) -> List[Violation]:
     """Interrupted-and-resumed sweep vs the uninterrupted sweep.
 
@@ -601,7 +603,10 @@ def resume_equality_check(
     (``cost``, ``num_bins``, ``lower_bound``) to the uninterrupted one:
     recovery must never change results.  Also checks that the resumed
     phase actually reloaded units from the checkpoint rather than
-    silently recomputing everything.
+    silently recomputing everything, and, when the sweep has at least
+    two payloads, that the interruption left a genuine partial sweep (a
+    single payload, such as the ``batch`` engine's over one instance,
+    completes atomically).
     """
     import tempfile
 
@@ -628,7 +633,8 @@ def resume_equality_check(
                 policies, batch, processes=0, engine=engine,
                 checkpoint_dir=ckpt, resume=True, collector=col,
             )
-        if expected_resumed < cut or expected_resumed >= total_units:
+        payloads = len(build_payloads(policies, batch, engine=engine))
+        if payloads >= 2 and (expected_resumed < cut or expected_resumed >= total_units):
             out.append(Violation(
                 "resume",
                 f"engine={engine}: interrupted phase completed "

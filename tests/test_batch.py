@@ -5,13 +5,13 @@ The acceptance tests of :mod:`repro.simulation.batch`:
 * **three-way differential** — for every recipe of the verification
   corpus and every Section 7 policy, the batched pass (shared replay
   context, re-armed engine, shared lower bound) must produce the exact
-  assignment, bin count, and Eq. 1 cost of both the per-unit fast path
-  and the classic engine;
+  assignment, bin count, and Eq. 1 cost of the per-unit fast path on
+  both backends and of the classic engine;
 * **spec fidelity** — ``spec_batch`` materialises to the same
   instances, bit for bit, as ``generate_batch``; specs round-trip
   through their payload dict; irreproducible seeds are rejected;
 * **dispatch equality** — ``parallel_sweep(engine="batch")`` (serial
-  and pooled) and ``run_many(engine="batch")`` agree with per-unit
+  and pooled) and ``run(engine="batch")`` agree with per-unit classic
   dispatch;
 * **resume-mid-batch** — a ``parallel_sweep(engine="batch")`` cut off
   mid-run by ``max_units`` and resumed from its checkpoint reloads
@@ -35,15 +35,14 @@ from repro.core.packing import Packing
 from repro.simulation.batch import (
     BatchRunner,
     InstanceSpec,
-    batch_run_many,
     clear_instance_cache,
     instance_cache_info,
     materialize,
     spec_batch,
 )
-from repro.simulation.fastpath import FastEngine, available_backends
+from repro.simulation.fastpath import BACKENDS, FastEngine
 from repro.simulation.parallel import derive_unit_seeds, parallel_sweep
-from repro.simulation.runner import run, run_many
+from repro.simulation.runner import run
 from repro.verify.generators import CORPUS_RECIPES, corpus_list
 from repro.workloads.base import generate_batch
 from repro.workloads.uniform import UniformWorkload
@@ -82,21 +81,23 @@ def test_three_way_batch_vs_fastpath_vs_classic(entry):
     for (policy, _), unit, assignment in zip(entries, units, assignments):
         kwargs = {"seed": 0} if policy == "random_fit" else {}
         classic = run(make_algorithm(policy, **kwargs), inst)
-        fast = FastEngine(inst, policy, seed=0).run()
-
         assert assignment == dict(classic.assignment), (
             f"batched vs classic assignment diverged on {entry.recipe}/{policy}"
         )
-        assert assignment == dict(fast.assignment), (
-            f"batched vs fastpath assignment diverged on {entry.recipe}/{policy}"
-        )
-        # bit identity, not approx: the batched cost replays the exact
-        # Packing.from_assignment float operations
-        assert unit.cost == classic.cost == fast.cost
-        assert unit.num_bins == classic.num_bins == fast.num_bins
+        assert unit.num_bins == classic.num_bins
+        for backend in BACKENDS:
+            fast = FastEngine(inst, policy, seed=0, backend=backend).run()
+            assert assignment == dict(fast.assignment), (
+                f"batched vs {backend} fastpath assignment diverged on "
+                f"{entry.recipe}/{policy}"
+            )
+            # bit identity, not approx: the batched cost replays the
+            # exact Packing.from_assignment float operations
+            assert unit.cost == classic.cost == fast.cost
+            assert unit.num_bins == fast.num_bins
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_batch_runner_backend_override(backend):
     """An explicit backend produces the same aggregates as the heuristic."""
     inst = CORPUS[0].instance
@@ -198,7 +199,7 @@ def test_instance_cache_hits_on_repeated_materialize():
 
 
 # ----------------------------------------------------------------------
-# dispatch equality: parallel_sweep / run_many
+# dispatch equality: parallel_sweep / run
 # ----------------------------------------------------------------------
 def _sweep_fixture():
     gen = UniformWorkload(d=2, n=40, mu=5)
@@ -212,7 +213,7 @@ def _sweep_fixture():
 def test_parallel_sweep_batch_serial_matches_per_unit():
     specs, instances, algos, kwargs = _sweep_fixture()
     per_unit = parallel_sweep(
-        algos, instances, processes=0, algorithm_kwargs=kwargs, engine="fast"
+        algos, instances, processes=0, algorithm_kwargs=kwargs, engine="classic"
     )
     batched = parallel_sweep(
         algos, specs, processes=0, algorithm_kwargs=kwargs, engine="batch"
@@ -246,19 +247,6 @@ def test_parallel_sweep_batch_collect_stats():
         for unit in units:
             assert unit.stats is not None
             assert unit.stats.runs == 1
-
-
-def test_run_many_batch_matches_per_instance_runs():
-    specs, instances, _, _ = _sweep_fixture()
-    for algo in ("move_to_front", "random_fit"):
-        expected = run_many(algo, instances, engine="fast")
-        for got in (
-            run_many(algo, instances, engine="batch"),
-            batch_run_many(algo, specs),
-        ):
-            assert [dict(p.assignment) for p in got] == \
-                [dict(p.assignment) for p in expected]
-            assert [p.cost for p in got] == [p.cost for p in expected]
 
 
 def test_run_engine_batch_matches_classic():

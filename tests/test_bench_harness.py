@@ -356,15 +356,14 @@ def test_a_non_v2_output_file_is_refused(content, tmp_path, capsys):
 def test_fastpath_gate_fails_when_a_fast_result_disagrees(monkeypatch, tmp_path, capsys):
     import repro.bench as bench_mod
 
-    real = bench_mod.fast_simulate
+    class Disagreeing(bench_mod.FastEngine):
+        def run(self):
+            packing = super().run()
+            return SimpleNamespace(
+                assignment={uid: b + 1 for uid, b in dict(packing.assignment).items()}
+            )
 
-    def disagreeing(*args, **kwargs):
-        packing = real(*args, **kwargs)
-        return SimpleNamespace(
-            assignment={uid: b + 1 for uid, b in dict(packing.assignment).items()}
-        )
-
-    monkeypatch.setattr(bench_mod, "fast_simulate", disagreeing)
+    monkeypatch.setattr(bench_mod, "FastEngine", Disagreeing)
     out = tmp_path / "bench.json"
     assert bench("fastpath-smoke", out) == 1
     assert json.loads(out.read_text())["fastpath"]["headline"]["identical"] is False

@@ -126,26 +126,24 @@ class TestOrchestrationFlags:
         return path
 
     def test_run_reports_effective_engine_on_fallback(self, capsys, tmp_path,
-                                                      instance_path,
-                                                      monkeypatch):
-        import repro.simulation.fastpath as fastpath
+                                                      instance_path):
         from repro.simulation.engine import reset_fallback_warnings
 
         reset_fallback_warnings()
-        # a policy with its kernel nulled out: requested fast, runs classic
-        monkeypatch.setattr(fastpath, "fast_policy_for", lambda *_a: None)
-        with pytest.warns(RuntimeWarning):
-            assert main(["run", instance_path, "--algorithm", "first_fit",
-                         "--engine", "fast"]) == 0
+        # a policy with no fast kernel: requested batch, runs classic
+        with pytest.warns(RuntimeWarning, match="no fast kernel"):
+            assert main(["run", instance_path,
+                         "--algorithm", "quantum_aware_move_to_front",
+                         "--engine", "batch"]) == 0
         out = capsys.readouterr().out
-        assert "classic engine; fast requested" in out
+        assert "classic engine; batch requested" in out
 
     def test_run_effective_engine_matches_when_eligible(self, capsys,
                                                         instance_path):
         assert main(["run", instance_path, "--algorithm", "first_fit",
-                     "--engine", "fast"]) == 0
+                     "--engine", "batch"]) == 0
         out = capsys.readouterr().out
-        assert "(fast engine)" in out
+        assert "(batch engine)" in out
 
     def test_run_retries_flag_accepted(self, capsys, instance_path):
         assert main(["run", instance_path, "--algorithm", "move_to_front",

@@ -14,6 +14,7 @@ from repro.core.instance import Instance
 from repro.core.items import Item
 from repro.simulation.engine import Engine, SimulationObserver, simulate
 from repro.simulation.live import LivePacking
+from repro.simulation.runner import run
 
 
 class RecordingObserver(SimulationObserver):
@@ -191,74 +192,50 @@ class TestOpenNewBinCallback:
 
 
 class TestFastFallback:
-    """``fast=True`` degradation: correct, surfaced, never silent."""
+    """``engine="batch"`` degradation: correct, surfaced, never silent."""
 
     def setup_method(self):
         from repro.simulation.engine import reset_fallback_warnings
 
         reset_fallback_warnings()
 
-    def test_kernel_failure_degrades_to_classic(self, uniform_small, monkeypatch):
-        import repro.simulation.fastpath as fastpath
-        from repro.observability.stats import StatsCollector
-
-        class Boom(Exception):
-            pass
-
-        def explode(*args, **kwargs):
-            raise Boom("kernel blew up")
-
-        monkeypatch.setattr(fastpath, "FastEngine", explode)
-        collector = StatsCollector()
-        reference = simulate(FirstFit(), uniform_small)
-        with pytest.warns(RuntimeWarning, match="fast kernel failed"):
-            packing = simulate(FirstFit(), uniform_small, fast=True,
-                               collector=collector)
-        assert dict(packing.assignment) == dict(reference.assignment)
-        assert packing.cost == reference.cost
-        assert collector.fastpath_fallbacks == 1
-        # the aborted fast attempt must not have leaked partial counters
-        assert collector.snapshot().deterministic_part() is not None
-
-    def test_fallback_warns_once_per_cause(self, uniform_small, monkeypatch):
-        import warnings
-
-        import repro.simulation.fastpath as fastpath
-
-        monkeypatch.setattr(fastpath, "FastEngine",
-                            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("x")))
-        with pytest.warns(RuntimeWarning):
-            simulate(FirstFit(), uniform_small, fast=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            simulate(FirstFit(), uniform_small, fast=True)
-
-    def test_no_kernel_policy_falls_back_with_counter(self, uniform_small):
-        from repro.observability.stats import StatsCollector
-
+    @staticmethod
+    def _custom():
         class Custom(AnyFitAlgorithm):
             name = "custom_no_kernel"
 
             def choose(self, item, candidates, now):
                 return candidates[0]
 
+        return Custom()
+
+    def test_fallback_warns_once_per_cause(self, uniform_small):
+        import warnings
+
+        with pytest.warns(RuntimeWarning, match="no fast kernel"):
+            run(self._custom(), uniform_small, engine="batch")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second warning would raise
+            run(self._custom(), uniform_small, engine="batch")
+
+    def test_no_kernel_policy_falls_back_with_counter(self, uniform_small):
+        from repro.observability.stats import StatsCollector
+
         collector = StatsCollector()
         with pytest.warns(RuntimeWarning, match="no fast kernel"):
-            packing = simulate(Custom(), uniform_small, fast=True,
-                               collector=collector)
+            packing = run(self._custom(), uniform_small, engine="batch",
+                          collector=collector)
         assert collector.fastpath_fallbacks == 1
         assert packing.num_bins >= 1
 
-    def test_observers_force_classic_with_warning(self, uniform_small):
+    def test_observers_force_classic(self, uniform_small):
         obs = RecordingObserver()
-        with pytest.warns(RuntimeWarning, match="observers requested"):
-            packing = simulate(FirstFit(), uniform_small, fast=True,
-                               observers=[obs])
+        packing = run(FirstFit(), uniform_small, engine="batch", observers=[obs])
         assert obs.events  # the classic engine really ran the hooks
         assert packing.num_bins >= 1
 
     def test_eligible_fast_run_matches_classic_bit_identically(self, uniform_small):
         classic = simulate(FirstFit(), uniform_small)
-        fast = simulate(FirstFit(), uniform_small, fast=True)
+        fast = run(FirstFit(), uniform_small, engine="batch")
         assert dict(fast.assignment) == dict(classic.assignment)
         assert fast.cost == classic.cost

@@ -5,7 +5,8 @@ The bit-identity contract itself is exercised exhaustively by
 ``tests/test_fastpath_properties.py`` (Hypothesis); this module covers
 the machinery around it: backend selection, eligibility resolution, the
 single-use contract, collector counters, slot growth/compaction, and the
-runner / parallel-sweep / bench / CLI integration points.
+runner / parallel-sweep / bench / CLI integration points (the runner, the
+sweep and the CLI reach the kernels only through ``engine="batch"``).
 """
 
 from __future__ import annotations
@@ -24,19 +25,16 @@ from repro.observability.stats import StatsCollector
 from repro.simulation.billing import QuantumAwareMoveToFront
 from repro.simulation.engine import Engine, simulate
 from repro.simulation.fastpath import (
-    BACKEND_ENV,
+    BACKENDS,
     FAST_POLICIES,
     FastEngine,
-    available_backends,
-    default_backend,
+    ReplayContext,
+    choose_backend,
     fast_policy_for,
-    fast_simulate,
 )
 from repro.simulation.parallel import parallel_sweep
-from repro.simulation.runner import run, run_many
+from repro.simulation.runner import effective_engine, run
 from repro.workloads.uniform import UniformWorkload
-
-BACKENDS = available_backends()
 
 
 @pytest.fixture
@@ -52,30 +50,30 @@ class TestBackendSelection:
     def test_numpy_preferred_when_available(self):
         assert BACKENDS == ("numpy", "python")
 
-    def test_vectorized_is_not_a_backend(self, monkeypatch, tiny_instance):
+    def test_vectorized_is_not_a_backend(self, tiny_instance):
         # "vectorized" named a removed trial-lockstep kernel, never a
         # backend of its own
-        monkeypatch.setenv(BACKEND_ENV, "vectorized")
-        with pytest.raises(ConfigurationError, match="not a fastpath backend"):
-            default_backend()
-        monkeypatch.delenv(BACKEND_ENV)
         with pytest.raises(ConfigurationError, match="unknown fastpath backend"):
             FastEngine(tiny_instance, "first_fit", backend="vectorized")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert default_backend() == "python"
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert default_backend() == "numpy"
-
-    def test_env_override_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "fortran")
-        with pytest.raises(ConfigurationError):
-            default_backend()
+        with pytest.raises(ConfigurationError, match="unknown fastpath backend"):
+            ReplayContext(tiny_instance, "vectorized")
 
     def test_explicit_backend_rejects_unknown(self, tiny_instance):
         with pytest.raises(ConfigurationError):
             FastEngine(tiny_instance, "first_fit", backend="fortran")
+
+    @pytest.mark.parametrize(
+        "n, mu, T, expected",
+        [(200, 10, 100, "python"), (1000, 100, 200, "numpy")],
+        ids=["below-threshold", "above-threshold"],
+    )
+    def test_default_backend_is_choose_backend(self, n, mu, T, expected):
+        # about 11 and 250 mean live items, either side of the 128
+        # threshold
+        inst = UniformWorkload(d=2, n=n, mu=mu, T=T, B=10).sample_seeded(3)
+        assert choose_backend(inst) == expected
+        assert FastEngine(inst, "first_fit").backend == expected
+        assert ReplayContext(inst).backend == expected
 
     def test_unknown_policy_rejected(self, tiny_instance):
         with pytest.raises(ConfigurationError):
@@ -109,7 +107,7 @@ class TestFastPolicyFor:
         assert fast_policy_for(BestFit()) == ("best_fit", 0)
 
     def test_subclass_is_ineligible(self):
-        # subclasses inherit fast_kernel but are not registered by class
+        # eligibility is by exact class: a subclass may change decisions
         assert fast_policy_for(QuantumAwareMoveToFront(quantum=5.0)) is None
 
     def test_foreign_object_is_ineligible(self):
@@ -181,7 +179,7 @@ class TestReplayEquality:
         for policy in sorted(FAST_POLICIES):
             kwargs = {"seed": 0} if policy == "random_fit" else {}
             classic = run(make_algorithm(policy, **kwargs), churny_instance)
-            fast = fast_simulate(policy, churny_instance, backend=backend)
+            fast = FastEngine(churny_instance, policy, backend=backend).run()
             assert fast.assignment == classic.assignment, policy
 
 
@@ -238,86 +236,110 @@ class TestCollectorCounters:
 
 
 # ----------------------------------------------------------------------
-# integration: simulate / runner / parallel sweep
+# integration: runner / parallel sweep, both through engine="batch"
 # ----------------------------------------------------------------------
 class TestIntegration:
-    def test_simulate_fast_flag_routes_and_matches(self, uniform_small):
+    def test_run_batch_routes_and_matches(self, uniform_small):
         classic = simulate(make_algorithm("move_to_front"), uniform_small)
         col = StatsCollector()
-        fast = simulate(
-            make_algorithm("move_to_front"), uniform_small, collector=col, fast=True
+        fast = run(
+            make_algorithm("move_to_front"), uniform_small, collector=col, engine="batch"
         )
         assert fast.assignment == classic.assignment
         assert col.snapshot().fastpath_runs == 1
 
-    def test_simulate_fast_falls_back_for_ineligible_algorithm(self, uniform_small):
+    def test_run_batch_falls_back_for_ineligible_algorithm(self, uniform_small):
         from repro.simulation.engine import reset_fallback_warnings
 
         reset_fallback_warnings()
-        # an unregistered subclass (quantum billing changes decisions)
+        # a subclass (quantum billing changes decisions)
         algo = make_algorithm("quantum_aware_move_to_front", quantum=5.0)
         col = StatsCollector()
         with pytest.warns(RuntimeWarning, match="no fast kernel"):
-            fast = simulate(algo, uniform_small, collector=col, fast=True)
+            fast = run(algo, uniform_small, collector=col, engine="batch")
         classic = simulate(
             make_algorithm("quantum_aware_move_to_front", quantum=5.0), uniform_small
         )
         assert fast.assignment == classic.assignment
         assert col.snapshot().fastpath_runs == 0
 
-    def test_simulate_fast_uses_measure_kernel(self, uniform_small):
+    def test_run_batch_uses_measure_kernel(self, uniform_small):
         # regression for the measure-eligibility gap: BestFit(l1) now
         # runs on the fast engine and matches classic bit-for-bit
         col = StatsCollector()
-        fast = simulate(BestFit(measure="l1"), uniform_small, collector=col, fast=True)
+        fast = run(BestFit(measure="l1"), uniform_small, collector=col, engine="batch")
         classic = simulate(BestFit(measure="l1"), uniform_small)
         assert fast.assignment == classic.assignment
         assert col.snapshot().fastpath_runs == 1
         assert col.fastpath_fallbacks == 0
 
-    def test_simulate_fast_falls_back_with_observers(self, uniform_small):
-        from repro.simulation.engine import reset_fallback_warnings
+    def test_run_batch_with_observers_runs_classic(self, uniform_small):
         from repro.simulation.instrumentation import LeaderTracker
 
-        reset_fallback_warnings()
         col = StatsCollector()
-        with pytest.warns(RuntimeWarning, match="observers requested"):
-            packing = simulate(make_algorithm("move_to_front"), uniform_small,
-                               observers=[LeaderTracker()], collector=col, fast=True)
+        packing = run(make_algorithm("move_to_front"), uniform_small,
+                      observers=[LeaderTracker()], collector=col, engine="batch")
         # observers force the classic engine; result still correct
         assert col.snapshot().fastpath_runs == 0
+        assert effective_engine("move_to_front", "batch", [LeaderTracker()]) == "classic"
         assert packing.assignment == run("move_to_front", uniform_small).assignment
 
     def test_run_engine_parameter(self, uniform_small):
         classic = run("first_fit", uniform_small)
-        fast = run("first_fit", uniform_small, engine="fast")
+        fast = run("first_fit", uniform_small, engine="batch")
         assert fast.assignment == classic.assignment
         with pytest.raises(ConfigurationError):
             run("first_fit", uniform_small, engine="warp")
 
-    def test_run_many_engine_parameter(self, uniform_small, tiny_instance):
-        batch = [tiny_instance, uniform_small]
-        classic = run_many("move_to_front", batch)
-        fast = run_many("move_to_front", batch, engine="fast")
-        assert [p.assignment for p in fast] == [p.assignment for p in classic]
-
-    def test_parallel_sweep_fast_serial(self, uniform_small, tiny_instance):
+    def test_parallel_sweep_batch_serial(self, uniform_small, tiny_instance):
         insts = [tiny_instance, uniform_small]
         classic = parallel_sweep(["first_fit", "best_fit"], insts, processes=0)
         fast = parallel_sweep(["first_fit", "best_fit"], insts, processes=0,
-                              engine="fast")
+                              engine="batch")
         for name in ("first_fit", "best_fit"):
             assert [u.cost for u in fast[name]] == [u.cost for u in classic[name]]
             assert [u.num_bins for u in fast[name]] == [u.num_bins for u in classic[name]]
 
-    def test_parallel_sweep_fast_workers_chunked(self, uniform_small, tiny_instance):
+    def test_parallel_sweep_batch_pooled(self, uniform_small, tiny_instance):
         insts = [tiny_instance, uniform_small] * 3
         classic = parallel_sweep(["first_fit"], insts, processes=0)
         fast = parallel_sweep(["first_fit"], insts, processes=2,
-                              collect_stats=True, engine="fast")
+                              collect_stats=True, engine="batch")
         assert [u.cost for u in fast["first_fit"]] == [u.cost for u in classic["first_fit"]]
         assert all(u.stats is not None and u.stats.fastpath_runs == 1
                    for u in fast["first_fit"])
+
+
+class TestEngineCheck:
+    """``"fast"`` is no engine: rejected up front, naming the valid ones."""
+
+    VALID = r"'classic', 'batch', 'streaming', 'repacking'"
+
+    def test_run_rejects_fast(self, tiny_instance):
+        with pytest.raises(ConfigurationError, match=self.VALID):
+            run("first_fit", tiny_instance, engine="fast")
+
+    def test_effective_engine_rejects_fast(self):
+        with pytest.raises(ConfigurationError, match=self.VALID):
+            effective_engine("first_fit", engine="fast")
+        assert effective_engine("first_fit", engine="batch") == "batch"
+        assert effective_engine("first_fit", engine="repacking:no_repack:0") == \
+            "repacking:no_repack:0"
+
+    def test_parallel_sweep_rejects_fast_before_any_work(
+        self, monkeypatch, tmp_path, tiny_instance
+    ):
+        import time
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds} s before rejecting the engine")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(ConfigurationError, match=self.VALID):
+            parallel_sweep(["first_fit"], [tiny_instance], processes=0,
+                           engine="fast", checkpoint_dir=str(ckpt), retries=3)
+        assert not ckpt.exists()
 
 
 # ----------------------------------------------------------------------
@@ -342,17 +364,26 @@ class TestBenchAndCli:
     def test_cli_run_engine_flag(self, tmp_path, capsys):
         path = str(tmp_path / "inst.json")
         assert main(["generate", path, "--d", "2", "--n", "30"]) == 0
-        assert main(["run", path, "--engine", "fast", "--validate"]) == 0
+        assert main(["run", path, "--engine", "batch", "--validate"]) == 0
         out_fast = capsys.readouterr().out
-        assert "fast engine" in out_fast
+        assert "batch engine" in out_fast
         assert main(["run", path, "--engine", "classic"]) == 0
+
+    @pytest.mark.parametrize(
+        "command", [["run", "inst.json"], ["figure4"]], ids=["run", "figure4"]
+    )
+    def test_cli_rejects_engine_fast(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--engine", "fast"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
 
 
 class TestIneligibilityGap:
     """Regression for the silent-eligibility gap (ROADMAP item 2).
 
-    A policy with no fast kernel — an unregistered subclass whose
-    options change *decisions*, not just bookkeeping — must fall back
+    A policy with no fast kernel — a subclass whose options change
+    *decisions*, not just bookkeeping — must fall back
     to the classic engine *audibly*: one RuntimeWarning per distinct
     cause and a ``fastpath_fallbacks`` counter bump on every
     occurrence.  Before the fix, the batch paths degraded silently.
@@ -377,23 +408,11 @@ class TestIneligibilityGap:
         assert "no fast kernel" in reason
         assert "QuantumAwareMoveToFront" in reason
 
-    def test_reason_names_a_cleared_kernel(self):
-        # an instance whose decision-changing option cleared the
-        # class-level fast_kernel marker keeps its distinct reason
-        from repro.simulation.fastpath import fast_ineligibility_reason
-
-        algo = make_algorithm("best_fit")
-        algo.fast_kernel = None
-        reason = fast_ineligibility_reason(algo)
-        assert reason is not None
-        assert "no fast kernel" in reason
-        assert "decision-changing" in reason
-
-    def test_simulate_fast_warns_and_counts(self, uniform_small):
+    def test_run_batch_warns_and_counts(self, uniform_small):
         col = StatsCollector()
         algo = QuantumAwareMoveToFront(quantum=5.0)
         with pytest.warns(RuntimeWarning, match="no fast kernel"):
-            fast = simulate(algo, uniform_small, collector=col, fast=True)
+            fast = run(algo, uniform_small, collector=col, engine="batch")
         assert col.fastpath_fallbacks == 1
         classic = simulate(QuantumAwareMoveToFront(quantum=5.0), uniform_small)
         assert dict(fast.assignment) == dict(classic.assignment)
@@ -408,28 +427,23 @@ class TestIneligibilityGap:
             )
         assert units[0].stats.fastpath_fallbacks == 1
 
-    def test_batch_run_many_counts_every_run_warns_once(
+    def test_batch_route_counts_every_run_warns_once(
         self, uniform_small, tiny_instance
     ):
         import warnings
 
-        from repro.simulation.batch import batch_run_many
+        def run_both(col):
+            for inst in (uniform_small, tiny_instance):
+                run(QuantumAwareMoveToFront(quantum=5.0), inst,
+                    collector=col, engine="batch")
 
         col = StatsCollector()
         with pytest.warns(RuntimeWarning, match="no fast kernel"):
-            batch_run_many(
-                QuantumAwareMoveToFront(quantum=5.0),
-                [uniform_small, tiny_instance],
-                collector=col,
-            )
+            run_both(col)
         assert col.fastpath_fallbacks == 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a repeat warning would raise
-            batch_run_many(
-                QuantumAwareMoveToFront(quantum=5.0),
-                [uniform_small, tiny_instance],
-                collector=col,
-            )
+            run_both(col)
         assert col.fastpath_fallbacks == 4
 
 
@@ -492,7 +506,7 @@ class TestMeasureKernels:
     def test_measure_variant_no_longer_counts_as_fallback(self, uniform_small):
         # before the L1/Lp kernels, this config bumped fastpath_fallbacks
         col = StatsCollector()
-        simulate(BestFit(measure="l1"), uniform_small, collector=col, fast=True)
+        run(BestFit(measure="l1"), uniform_small, collector=col, engine="batch")
         assert col.fastpath_fallbacks == 0
         assert col.snapshot().fastpath_runs == 1
 

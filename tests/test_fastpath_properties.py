@@ -21,13 +21,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algorithms.registry import make_algorithm
-from repro.simulation.fastpath import FastEngine, fast_simulate
+from repro.simulation.fastpath import BACKENDS, FastEngine
 from repro.simulation.runner import run
 from repro.verify import strategies as sts
 from repro.verify.invariants import audit_run
 from repro.verify.oracles import cost_check
-
-BACKENDS = ("numpy", "python")
 
 
 def _classic(policy, inst):
@@ -38,18 +36,20 @@ def _classic(policy, inst):
 @given(inst=sts.instances(max_items=14), policy=sts.policies())
 def test_fastpath_equals_classic(inst, policy):
     classic = _classic(policy, inst)
-    fast = fast_simulate(policy, inst, seed=0)
-    assert fast.assignment == classic.assignment
-    assert fast.cost == pytest.approx(classic.cost, rel=1e-12, abs=1e-12)
+    for backend in BACKENDS:
+        fast = FastEngine(inst, policy, seed=0, backend=backend).run()
+        assert fast.assignment == classic.assignment, backend
+        assert fast.cost == pytest.approx(classic.cost, rel=1e-12, abs=1e-12)
 
 
 @given(inst=sts.instances(max_items=14), policy=sts.policies())
 def test_fastpath_packing_passes_auditor(inst, policy):
     """The fast packing independently satisfies every run invariant:
     capacity, half-open intervals, Any Fit replay, theorem bounds."""
-    fast = fast_simulate(policy, inst, seed=0)
-    assert audit_run(fast, policy) == []
-    assert cost_check(fast) == []
+    for backend in BACKENDS:
+        fast = FastEngine(inst, policy, seed=0, backend=backend).run()
+        assert audit_run(fast, policy) == [], backend
+        assert cost_check(fast) == [], backend
 
 
 @given(inst=sts.adversarial_instances(), policy=sts.policies())
@@ -57,8 +57,9 @@ def test_fastpath_on_lower_bound_gadgets(inst, policy):
     """The paper's adversarial gadget families lean on simultaneous
     arrivals and exact fits — worst case for tie-break fidelity."""
     classic = _classic(policy, inst)
-    fast = fast_simulate(policy, inst, seed=0)
-    assert fast.assignment == classic.assignment
+    for backend in BACKENDS:
+        fast = FastEngine(inst, policy, seed=0, backend=backend).run()
+        assert fast.assignment == classic.assignment, backend
 
 
 @given(inst=sts.instances(max_items=14), seed=sts.trial_seeds())
@@ -92,6 +93,7 @@ def test_fastpath_equals_classic_jittered_deep(inst, policy):
 @settings(max_examples=200, deadline=None)
 @given(inst=sts.instances(max_items=25), policy=sts.policies())
 def test_fastpath_auditor_deep(inst, policy):
-    fast = fast_simulate(policy, inst, seed=0)
-    assert audit_run(fast, policy) == []
-    assert cost_check(fast) == []
+    for backend in BACKENDS:
+        fast = FastEngine(inst, policy, seed=0, backend=backend).run()
+        assert audit_run(fast, policy) == [], backend
+        assert cost_check(fast) == [], backend

@@ -25,7 +25,7 @@ from repro.observability import (
 )
 from repro.simulation.engine import Engine, simulate
 from repro.simulation.parallel import aggregate_sweep_stats, parallel_sweep
-from repro.simulation.runner import run, run_many
+from repro.simulation.runner import run
 from repro.workloads.base import generate_batch
 from repro.workloads.uniform import UniformWorkload
 
@@ -211,8 +211,8 @@ class TestEngineCounters:
 
     def test_collector_accumulates_across_runs(self, five_item_instance):
         collector = StatsCollector()
-        run_many("first_fit", [five_item_instance, five_item_instance],
-                 collector=collector)
+        for _ in range(2):
+            run("first_fit", five_item_instance, collector=collector)
         s = collector.snapshot()
         assert s.runs == 2
         assert s.events == 20

@@ -153,7 +153,7 @@ class TestSweepFingerprint:
         assert sweep_fingerprint(ALGOS, batch, None, "classic") == base
         assert sweep_fingerprint(ALGOS[::-1], batch, None, "classic") != base
         assert sweep_fingerprint(ALGOS, batch[:-1], None, "classic") != base
-        assert sweep_fingerprint(ALGOS, batch, None, "fast") != base
+        assert sweep_fingerprint(ALGOS, batch, None, "batch") != base
         assert sweep_fingerprint(ALGOS, batch, {"first_fit": {}}, "classic") != base
 
 
@@ -232,7 +232,7 @@ class TestResumableSweepEquivalence:
 
 
 class TestResume:
-    @pytest.mark.parametrize("engine", ["classic", "fast"])
+    @pytest.mark.parametrize("engine", ["classic", "batch"])
     def test_interrupted_plus_resume_is_bit_identical(self, batch, tmp_path, engine):
         ckpt = str(tmp_path / engine)
         ref = parallel_sweep(SEEDED, batch, processes=0,

@@ -52,6 +52,22 @@ class TestMetrics:
         uids = [it.uid for it in simple_packing.items_in_bin(0)]
         assert uids == [0, 1]
 
+    def test_bin_items_are_in_instance_order_not_packing_order(self):
+        # an arrival may step back by less than EPS: uid 1 arrives (and
+        # is packed) first, but the record lists the bin in instance order
+        from repro.simulation.runner import run
+        from repro.simulation.trace import TraceRecorder
+
+        inst = Instance([
+            Item(1.0, 5.0, np.array([0.3]), uid=0),
+            Item(1.0 - 1e-12, 5.0, np.array([0.3]), uid=1),
+        ])
+        trace = TraceRecorder()
+        packing = run("first_fit", inst, observers=[trace])
+        assert [r.item_uid for r in trace.packs()] == [1, 0]
+        assert packing.bins[0].item_uids == (0, 1)
+        assert [it.uid for it in packing.items_in_bin(0)] == [0, 1]
+
     def test_items_in_unknown_bin(self, simple_packing):
         with pytest.raises(KeyError):
             simple_packing.items_in_bin(42)

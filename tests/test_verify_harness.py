@@ -79,6 +79,43 @@ def test_mutation_smoke_test_catches_all_mutants():
     assert report.all_caught
 
 
+@pytest.mark.parametrize("seed", [184, 316])
+def test_eager_open_mutant_is_caught_at_every_seed(seed):
+    # a sampled instance at these seeds never exposed the skipped scan
+    report = mutation_smoke_test(seed=seed)
+    assert report.any_fit_caught
+    assert all(v.check == "any-fit" for v in report.any_fit_violations)
+
+
+@pytest.mark.parametrize("seed", [None, 184, 316])
+def test_one_instance_corpus_is_clean(seed):
+    # one instance is a single batch payload, which no max_units cut
+    # can leave half done; the resume oracle checks equality only
+    report = run_verify("quick", instances=1, seed=seed)
+    assert report.violations == []
+    assert report.ok
+
+
+def test_resume_oracle_still_interrupts_two_instances(monkeypatch):
+    import repro.verify.oracles as oracles
+
+    policies = ["first_fit", "move_to_front", "random_fit"]
+    instances = [e.instance for e in corpus_list(2, seed=PROFILES["quick"].seed)]
+    assert oracles.resume_equality_check(instances, policies) == []
+    # an interruption that completes everything is reported again once
+    # the sweep has two payloads per engine
+    real = oracles.parallel_sweep
+
+    def uninterrupted(*args, **kwargs):
+        kwargs.pop("max_units", None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "parallel_sweep", uninterrupted)
+    problems = oracles.resume_equality_check(instances, policies)
+    assert {v.message.split(":")[0] for v in problems} == \
+        {"engine=classic", "engine=batch"}
+
+
 def test_budget_ignoring_mutant_caught_by_budget_auditor():
     """The ledger-bypassing repacker is flagged by the move-log replay.
 

@@ -145,7 +145,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--child", metavar="CHECKPOINT_DIR", default=None,
                         help="internal: run the killable sweep phase")
-    parser.add_argument("--engine", choices=["classic", "fast", "batch"],
+    parser.add_argument("--engine", choices=["classic", "batch"],
                         default="classic",
                         help="sweep engine for every phase (bound into the "
                              "checkpoint fingerprint)")
